@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .delta_graph import DeltaGraph
 from .frontend import (
@@ -82,7 +82,7 @@ class FunctionAnalysis:
     sample: Assignment | None
     blame: tuple[tuple[str, str], ...]
     summary: FunctionSummary | None
-    clean_count: int | None
+    clean_count: int
     total_assignments: int
     choice_sites: dict[int, int]  # id(AST node) -> first choice index it allocated
     elapsed: float
@@ -235,37 +235,20 @@ class _FunctionRun:
 
     # -- results ---------------------------------------------------------
 
-    def finish(self, fast: bool, want_summary: bool) -> FunctionAnalysis:
+    def finish(self) -> FunctionAnalysis:
         start = time.perf_counter()
         matrix = self.matrix_of_body(self.decl.body)
         total = self.registry.count_assignments()
-        clean_count: int | None = None
-        sample: Assignment | None = None
-        summary: FunctionSummary | None = None
-
+        # The graph covers exactly the assignments whose matrix holds an
+        # INF, so it answers every qualitative question on its own.
+        sample = self.graph.find_uncovered()
         if not self.inserted:
-            verdict = BOUNDED
-        elif self.graph.is_complete():
-            verdict = UNBOUNDED
+            verdict, clean_count = BOUNDED, total
+        elif sample is None:
+            verdict, clean_count = UNBOUNDED, 0
         else:
-            verdict = CONDITIONALLY_BOUNDED
-
-        need_enumeration = (not fast) or (want_summary and self.decl.returns is not None)
-        if need_enumeration:
-            clean = self._clean_assignments(matrix, full_scan=not fast)
-            if not fast:
-                clean_count = len(clean)
-                enum_verdict = (
-                    BOUNDED if not self.inserted
-                    else (UNBOUNDED if not clean else CONDITIONALLY_BOUNDED)
-                )
-                verdict = enum_verdict
-            if clean:
-                sample = clean[0]
-            if want_summary and self.decl.returns is not None:
-                summary = self._build_summary(matrix, clean)
-        if sample is None and verdict != UNBOUNDED:
-            sample = self.graph.find_uncovered()
+            verdict, clean_count = CONDITIONALLY_BOUNDED, self.graph.count_uncovered()
+        summary = self._build_summary(matrix) if self.decl.returns is not None else None
 
         blame = tuple(
             (self.variables[i], self.variables[j]) for i, j in matrix.inf_cells()
@@ -287,29 +270,15 @@ class _FunctionRun:
             elapsed=time.perf_counter() - start,
         )
 
-    def _clean_assignments(
-        self, matrix: ChoiceMatrix, full_scan: bool
-    ) -> list[Assignment]:
-        """INF-free assignments, in lexicographic order.
+    def _build_summary(self, matrix: ChoiceMatrix) -> FunctionSummary:
+        """Behaviors of the clean assignments, each with its smallest one.
 
-        The full scan evaluates the matrix at every assignment; the
-        cheap path trusts the delta graph, which records exactly the
-        poisoned cylinders.
+        A behavior depends only on the indices in the return column and
+        cleanliness only on those in the graph, so the walk varies just
+        those and leaves the rest at 0: zeroing them keeps an assignment
+        clean, keeps its behavior and never makes it larger, so the
+        lexicographically smallest representatives are unchanged.
         """
-        clean = []
-        if full_scan:
-            for a in self.registry.assignments():
-                if not matrix.evaluate(a).contains_inf():
-                    clean.append(a)
-        else:
-            for a in self.registry.assignments():
-                if not self.graph.covered(a):
-                    clean.append(a)
-        return clean
-
-    def _build_summary(
-        self, matrix: ChoiceMatrix, clean: Iterable[Assignment]
-    ) -> FunctionSummary:
         decl = self.decl
         ret = self.index[decl.returns]
         shared = tuple(
@@ -317,50 +286,33 @@ class _FunctionRun:
             if v not in decl.params and v != decl.returns
         )
         rows = decl.params + shared
-        row_idx = [self.index[v] for v in rows]
-        behaviors: list[tuple[int, ...]] = []
-        reps: list[Assignment] = []
-        for a in clean:
-            vec = tuple(matrix.entry(i, ret).evaluate(a) for i in row_idx)
-            if vec not in behaviors:
-                behaviors.append(vec)
-                reps.append(a)
+        column = [matrix.entry(self.index[v], ret) for v in rows]
+        walked = {i for p in column for i in p.choice_indices()}
+        walked.update(i for ds in self.graph.vertices() for i, _ in ds)
+        reps: dict[tuple[int, ...], Assignment] = {}
+        for a in self.graph.uncovered(walked):
+            reps.setdefault(tuple(p.evaluate(a) for p in column), a)
         return FunctionSummary(
             name=decl.name,
             param_count=len(decl.params),
             rows=rows,
-            behaviors=tuple(behaviors),
-            representatives=tuple(reps),
+            behaviors=tuple(reps),
+            representatives=tuple(reps.values()),
         )
 
 
-def _called_functions(program: Program) -> set[str]:
-    from .frontend import _walk_commands
-
-    called = set()
-    for decl in program.functions:
-        for cmd in _walk_commands(decl.body):
-            if isinstance(cmd, Call):
-                called.add(cmd.function)
-    return called
-
-
-def analyze_program(program: Program, fast: bool = False) -> ProgramAnalysis:
+def analyze_program(program: Program) -> ProgramAnalysis:
     """Analyze every function in declaration order, threading summaries.
 
     The result is a pure function of the AST: choice indices are
     allocated depth-first over each body, so repeated runs are
-    identical.  With fast=True the per-assignment scan is skipped and
-    verdicts come straight from the delta graph; summaries are still
-    computed for functions that are actually called.
+    identical.  Verdicts, clean counts, samples and summaries all come
+    from the delta graph; no assignment is ever scanned.
     """
-    called = _called_functions(program)
     summaries: dict[str, FunctionSummary] = {}
     results: dict[str, FunctionAnalysis] = {}
     for decl in program.functions:
-        run = _FunctionRun(decl, summaries)
-        want_summary = (not fast) or decl.name in called
-        analysis = run.finish(fast=fast, want_summary=want_summary)
+        analysis = _FunctionRun(decl, summaries).finish()
         if analysis.summary is not None:
             summaries[decl.name] = analysis.summary
         results[decl.name] = analysis
@@ -371,8 +323,7 @@ def analyze_function(
     decl: FunctionDecl, summaries: dict[str, FunctionSummary] | None = None
 ) -> FunctionAnalysis:
     """Analyze a single declaration against already-known summaries."""
-    run = _FunctionRun(decl, summaries or {})
-    return run.finish(fast=False, want_summary=True)
+    return _FunctionRun(decl, summaries or {}).finish()
 
 
 def evaluate(matrix: ChoiceMatrix, assignment: Sequence[int]) -> FlowMatrix:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every analyzed function is bounded or conditionally
 bounded, 1 when some function is unbounded (or an inline check fails),
-2 on usage or parse errors.
+2 on usage or parse errors and on programs nested too deeply to analyze.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the flow matrix for one comma-separated choice assignment",
     )
     p.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    p.add_argument(
-        "--fast", action="store_true",
-        help="qualitative verdict from the delta graph only, skipping enumeration",
-    )
+    # Accepted for old command lines; every report is enumeration-free.
+    p.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--dump-ast", action="store_true", help=argparse.SUPPRESS)
     p.add_argument(
         "--check-inline", nargs=2, metavar=("CALLER", "CALLEE"), help=argparse.SUPPRESS
@@ -65,10 +63,9 @@ def render_report(results: Sequence[FunctionAnalysis], show_timing: bool = True)
             cells = "  ".join(str(p).ljust(width) for p in row)
             lines.append(f"    {r.variables[i].ljust(name_w)}  {cells}")
         lines.append(f"  verdict: {_verdict_text(r.verdict)}")
-        if r.clean_count is not None:
-            lines.append(
-                f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}"
-            )
+        lines.append(
+            f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}"
+        )
         if r.sample is not None:
             lines.append(f"  sample assignment: {','.join(map(str, r.sample)) or '(empty)'}")
         if r.blame:
@@ -146,6 +143,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
+        return _analyze(opts, source)
+    except RecursionError:
+        # Expressions and command nesting are walked recursively.
+        print(f"mwpflow: {opts.file}: program nested too deeply to analyze",
+              file=sys.stderr)
+        return 2
+
+
+def _analyze(opts: argparse.Namespace, source: str) -> int:
+    try:
         program = parse(source)
     except ParseError as e:
         print(f"{opts.file}:{e}", file=sys.stderr)
@@ -169,7 +176,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(report)
         return 0 if report.ok else 1
 
-    analysis = analyze_program(program, fast=opts.fast)
+    analysis = analyze_program(program)
     results = list(analysis)
     if opts.function is not None:
         results = [r for r in results if r.name == opts.function]

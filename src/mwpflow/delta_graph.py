@@ -7,13 +7,16 @@ Whenever all siblings of a vertex across one choice index are covered,
 the whole fan fuses into the list with that delta removed, so typical
 complete covers collapse to the single empty list.  Deciding coverage
 of the full space is hard in general, so is_complete backs the fused
-fast path with a backtracking search for an uncovered assignment; the
-search doubles as the supplier of sample assignments and prunes whole
-subtrees on matched vertices, so nothing ever enumerates the space.
+fast path with a backtracking search for an uncovered assignment.  The
+same search supplies sample assignments, counts the uncovered
+assignments and lists them for callee summaries; it prunes whole
+subtrees on matched vertices and takes every completion at once when no
+vertex is left to match, so nothing ever enumerates the space.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .polynomial import Assignment, ChoiceRegistry, Delta
@@ -25,7 +28,6 @@ class DeltaGraph:
     def __init__(self, registry: ChoiceRegistry):
         self.registry = registry
         self._layers: dict[int, set[tuple[Delta, ...]]] = {}
-        self.insert_count = 0
 
     def vertices(self) -> list[tuple[Delta, ...]]:
         out: list[tuple[Delta, ...]] = []
@@ -67,7 +69,6 @@ class DeltaGraph:
         for idx, v in ds:
             if not 0 <= v < self.registry.cardinality(idx):
                 raise ValueError(f"delta ({v},{idx}) outside its registered domain")
-        self.insert_count += 1
         self._add(ds)
         self.fuse()
 
@@ -125,47 +126,67 @@ class DeltaGraph:
         return self.find_uncovered() is None
 
     def find_uncovered(self) -> Assignment | None:
-        """Lexicographically smallest assignment no vertex matches.
+        """Lexicographically smallest assignment no vertex matches."""
+        return next(self.uncovered(), None)
 
-        Backtracking over choice indices: a vertex whose deltas are all
-        decided and matched kills the subtree, vertices that mismatch a
-        decided pick drop out of the live set.
+    def uncovered(self, free: Iterable[int] | None = None) -> Iterator[Assignment]:
+        """Uncovered assignments in lexicographic order.
+
+        Only the indices in ``free`` (all of them when None) vary; every
+        other index stays at 0.  Backtracking over choice indices: a
+        vertex whose deltas are all decided and matched kills the
+        subtree, vertices that mismatch a decided pick drop out of the
+        live set, and once none is live every completion is uncovered.
         """
         cards = self.registry.cardinalities
-        verts = [tuple(v) for v in self.vertices()]
-        if () in verts:
-            return None
+        free = range(len(cards)) if free is None else set(free)
+        domains = [range(c) if pos in free else range(1) for pos, c in enumerate(cards)]
+        start = self._live()
+        if start is None:
+            return
+        stack = [((), start)]
+        while stack:
+            prefix, live = stack.pop()
+            pos = len(prefix)
+            if not live:
+                for tail in itertools.product(*domains[pos:]):
+                    yield prefix + tail
+                continue
+            children = []
+            for pick in domains[pos]:
+                rest = _restrict(live, pos, pick)
+                if rest is not None:
+                    children.append((prefix + (pick,), rest))
+            stack.extend(reversed(children))
 
-        def extend(pos: int, prefix: list[int], live: list) -> Assignment | None:
-            if pos == len(cards):
-                return tuple(prefix)
-            for pick in range(cards[pos]):
-                fully_matched = False
-                surviving = []
-                for vs in live:
-                    rest = []
-                    matched = True
-                    for i, val in vs:
-                        if i == pos:
-                            if val != pick:
-                                matched = False
-                                break
-                        elif i > pos:
-                            rest.append((i, val))
-                    if not matched:
-                        continue
-                    if not rest:
-                        fully_matched = True
-                        break
-                    surviving.append(tuple(rest))
-                if fully_matched:
-                    continue
-                found = extend(pos + 1, prefix + [pick], surviving)
-                if found is not None:
-                    return found
-            return None
+    def count_uncovered(self) -> int:
+        """Number of assignments no vertex matches.
 
-        return extend(0, [], verts)
+        The restriction step of ``uncovered``, swept one index at a time
+        over all prefixes at once: prefixes that leave the same live set
+        are merged and counted together, so the work follows the number
+        of distinct live sets, not of prefixes.  Once no vertex is live,
+        a prefix just multiplies by each remaining cardinality.
+        """
+        start = self._live()
+        if start is None:
+            return 0
+        states = {start: 1}  # live set -> number of prefixes that reach it
+        for pos, card in enumerate(self.registry.cardinalities):
+            nxt: dict[frozenset[tuple[Delta, ...]], int] = {}
+            for live, ways in states.items():
+                for pick in range(card):
+                    rest = _restrict(live, pos, pick)
+                    if rest is not None:
+                        nxt[rest] = nxt.get(rest, 0) + ways
+            states = nxt
+        return sum(states.values())
+
+    def _live(self) -> frozenset[tuple[Delta, ...]] | None:
+        """The vertices as a live set for the walk; None when one is empty."""
+        if self._has(()):
+            return None
+        return frozenset(v for layer in self._layers.values() for v in layer)
 
     def covered(self, assignment: Sequence[int]) -> bool:
         self.registry.validate(assignment)
@@ -204,3 +225,23 @@ class DeltaGraph:
         ]
         lines.append(f"complete: {'yes' if self.is_complete() else 'no'}")
         return "\n".join(lines)
+
+
+def _restrict(
+    live: frozenset[tuple[Delta, ...]], pos: int, pick: int
+) -> frozenset[tuple[Delta, ...]] | None:
+    """The live set after deciding ``pick`` at index ``pos``.
+
+    Every live vertex is a sorted delta list over indices >= pos.  None
+    when some vertex is fully matched, so the whole subtree is covered.
+    """
+    out = []
+    for vs in live:
+        idx, val = vs[0]
+        if idx != pos:
+            out.append(vs)
+        elif val == pick:
+            if len(vs) == 1:
+                return None
+            out.append(vs[1:])
+    return frozenset(out)

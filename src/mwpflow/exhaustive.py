@@ -175,8 +175,9 @@ class _Replay:
         for c in body:
             m = self.command_matrix(c)
             if m is None:
-                # Consume the remaining picks of the failed subtree so
-                # later commands still line up with their indices.
+                # A failed side condition rejects the whole derivation:
+                # every caller passes None up and no later command is
+                # derived, so no pick needs skipping.
                 return None
             acc = acc * m
         return acc

@@ -255,16 +255,19 @@ def test_criterion_5_reference_rule_equivalence(corpus):
 def test_criterion_6_delta_graph_oracle(corpus):
     started = time.perf_counter()
     for src, prog, result in corpus:
-        clean_exists = False
+        clean = []
         for a in result.registry.assignments():
             has_inf = result.matrix.evaluate(a).contains_inf()
-            clean_exists = clean_exists or not has_inf
+            if not has_inf:
+                clean.append(a)
             assert result.graph.covered(a) == has_inf, (src, a)
             raw_covered = any(
                 all(a[i] == v for i, v in ds) for ds in result.inserted
             )
             assert raw_covered == result.graph.covered(a), (src, a)
-        assert result.graph.is_complete() == (not clean_exists), src
+        assert result.graph.is_complete() == (not clean), src
+        assert result.clean_count == len(clean), src
+        assert result.sample == (clean[0] if clean else None), src
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _report(6, f"delta-graph verdicts against enumeration on {len(corpus)} programs", started)
@@ -307,34 +310,32 @@ def test_criterion_8_scalability(tmp_path):
     started = time.perf_counter()
     src12 = chain_program(12)
     prog12 = parse(src12)
-    assert len(analyze_program(prog12, fast=True).functions["main"].registry) == 12
+    assert len(analyze_program(prog12).functions["main"].registry) == 12
 
     f12 = tmp_path / "chain12.imp"
     f12.write_text(src12)
     t0 = time.perf_counter()
     with redirect_stdout(io.StringIO()):
-        code = cli_run([str(f12), "--fast", "--json"])
-    cli_fast_elapsed = time.perf_counter() - t0
+        code = cli_run([str(f12), "--json"])
+    cli_elapsed = time.perf_counter() - t0
     assert code == 0
-    assert cli_fast_elapsed < 5.0
+    assert cli_elapsed < 5.0
 
-    # library-level timings: the qualitative pass on 3^12 choice points
-    # against full enumeration of the 8-choice truncation
-    fast12 = min(
-        _timed(lambda: analyze_program(parse(src12), fast=True)) for _ in range(3)
+    # library-level timings: the whole analysis on 3^12 choice points
+    # against the oracle's full scan of the 8-choice truncation
+    pass12 = min(
+        _timed(lambda: analyze_program(parse(src12))) for _ in range(3)
     )
-    src8 = chain_program(8)
-    prog8 = parse(src8)
-    r8 = analyze_program(prog8, fast=True)
-    assert len(r8.functions["main"].registry) == 8
-    full8 = _timed(lambda: analyze_program(prog8, fast=False))
-    assert full8 >= 10 * fast12, (
-        f"fast 12-choice pass took {fast12:.4f}s, full 8-choice enumeration {full8:.4f}s"
+    r8 = analyze_program(parse(chain_program(8))).functions["main"]
+    assert len(r8.registry) == 8
+    scan8 = _timed(lambda: [r8.matrix.evaluate(a) for a in r8.registry.assignments()])
+    assert scan8 >= 10 * pass12, (
+        f"12-choice analysis took {pass12:.4f}s, full 8-choice scan {scan8:.4f}s"
     )
     _report(
         8,
-        f"qualitative 12-choice pass {fast12 * 1000:.1f} ms vs 8-choice"
-        f" enumeration {full8 * 1000:.0f} ms",
+        f"12-choice analysis {pass12 * 1000:.1f} ms vs 8-choice"
+        f" full scan {scan8 * 1000:.0f} ms",
         started,
     )
 

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from corpus import random_call_pair, random_program
 from mwpflow.analysis import (
     BOUNDED,
     CONDITIONALLY_BOUNDED,
@@ -17,8 +19,8 @@ def poly(*monos):
     return Polynomial.of(Monomial(s, tuple(sorted(ds))) for s, ds in monos)
 
 
-def analyze_main(src, fast=False):
-    return analyze_program(parse(src), fast=fast).functions["main"]
+def analyze_main(src):
+    return analyze_program(parse(src)).functions["main"]
 
 
 # --- expression vectors, observed through assignment columns -----------
@@ -272,6 +274,37 @@ def test_summary_keeps_only_clean_choices():
     assert s.representatives == ((0,),)
 
 
+def _scanned_summary(result, returns):
+    """Behaviors and representatives from every clean assignment, in order."""
+    ret = result.matrix.index(returns)
+    rows = [result.matrix.index(v) for v in result.summary.rows]
+    reps = {}
+    for a in result.registry.assignments():
+        if not result.matrix.evaluate(a).contains_inf():
+            vec = tuple(result.matrix.entry(i, ret).evaluate(a) for i in rows)
+            reps.setdefault(vec, a)
+    return tuple(reps), tuple(reps.values())
+
+
+def test_summary_matches_full_scan_on_generated_callees():
+    rng = random.Random(515)
+    sources = [random_call_pair(rng) for _ in range(100)]
+    # Bodies with loops and several sites, where the graph and the
+    # return column mention different indices.
+    for _ in range(100):
+        body = random_program(rng, max_choices=6)
+        sources.append(
+            body.replace("function main() {", "function f(X1) {", 1)[:-2]
+            + "    return X2;\n}\nfunction main() { X3 = f(X4); }\n"
+        )
+    for src in sources:
+        prog = parse(src)
+        f = analyze_program(prog).functions["f"]
+        behaviors, reps = _scanned_summary(f, prog.function("f").returns)
+        assert f.summary.behaviors == behaviors, src
+        assert f.summary.representatives == reps, src
+
+
 def test_call_maps_shared_variable_by_name():
     src = (
         "function f(X1){ X2 = X1 + X9; return X2; }"
@@ -359,21 +392,3 @@ def test_call_inside_loop_body():
     assert all(
         r.matrix.evaluate(a).contains_inf() for a in r.registry.assignments()
     )
-
-
-def test_fast_mode_matches_full_verdicts():
-    sources = [
-        "function main(){ loop X3 { X2 = X1 + X2; } }",
-        "function main(){ while (X1 < X2) { X2 = X1 + X2; } }",
-        "function main(){ X1 = X1 + X2; }",
-        (
-            "function f(X1){ loop X1 { X2 = X2 + X3; } return X2; }"
-            " function main(){ X1 = f(X2); loop X1 { X4 = X4 + X1; } }"
-        ),
-    ]
-    for src in sources:
-        full = analyze_program(parse(src))
-        fast = analyze_program(parse(src), fast=True)
-        for name in full.functions:
-            assert full.functions[name].verdict == fast.functions[name].verdict
-            assert full.functions[name].sample == fast.functions[name].sample

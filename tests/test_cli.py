@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -180,3 +181,49 @@ def test_warning_printed_to_stderr(tmp_path, capsys):
     p.write_text("function main(){ loop X1 { X1 = X1 + X2; } }")
     run([str(p)])
     assert "loop-counter-assigned" in capsys.readouterr().err
+
+
+def _timed_run(argv):
+    t0 = time.perf_counter()
+    code = run(argv)
+    return code, time.perf_counter() - t0
+
+
+def test_independent_additions_report_without_enumeration(tmp_path, capsys):
+    p = tmp_path / "additions.imp"
+    p.write_text(
+        "function main() {\n"
+        + "".join(f"    X{2 * i + 1} = X{2 * i + 1} + X{2 * i + 2};\n" for i in range(13))
+        + "}\n"
+    )
+    code, elapsed = _timed_run([str(p)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verdict: bounded" in out
+    assert "infinity-free assignments: 1594323 of 1594323" in out
+    assert elapsed < 1.0
+
+
+def test_callee_with_many_sites_summarized_without_enumeration(tmp_path, capsys):
+    p = tmp_path / "callee.imp"
+    p.write_text(
+        "function f(X1, X2) {\n"
+        + "".join(f"    X3 = X{1 + i % 2} + X{2 - i % 2};\n" for i in range(11))
+        + "    return X3;\n}\nfunction main() {\n    X3 = f(X1, X2);\n}\n"
+    )
+    code, elapsed = _timed_run([str(p), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [f["verdict"] for f in doc["functions"]] == ["bounded", "bounded"]
+    assert len(doc["functions"][0]["behaviors"]) == 3
+    assert elapsed < 1.0
+
+
+def test_deeply_nested_expression_exits_two(tmp_path, capsys):
+    p = tmp_path / "deep.imp"
+    terms = " + ".join(f"X{i % 7 + 1}" for i in range(1200))
+    p.write_text(f"function main() {{ X1 = {terms}; }}\n")
+    assert run([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mwpflow: ")

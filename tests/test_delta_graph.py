@@ -176,16 +176,22 @@ def test_fan_absorbed_into_shorter_vertices_still_fuses():
 
 def test_find_uncovered_matches_enumeration():
     rng = random.Random(53)
-    for _ in range(200):
-        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 3))])
+    for _ in range(300):
+        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 5))])
         g = DeltaGraph(reg)
         for ds in _random_inserts(rng, reg, rng.randint(0, 6)):
             g.insert(ds)
-        expected = next(
-            (al for al in reg.assignments() if not g.covered(al)), None
-        )
+        uncovered = [al for al in reg.assignments() if not g.covered(al)]
+        expected = uncovered[0] if uncovered else None
         assert g.find_uncovered() == expected
         assert g.is_complete() == (expected is None)
+        assert g.count_uncovered() == len(uncovered)
+        assert list(g.uncovered()) == uncovered
+        free = set(rng.sample(range(len(reg)), rng.randint(0, len(reg))))
+        assert list(g.uncovered(free)) == [
+            al for al in uncovered
+            if all(v == 0 for i, v in enumerate(al) if i not in free)
+        ]
 
 
 def test_insert_never_shrinks_coverage():

@@ -15,7 +15,6 @@ from .analysis import (
     ProgramAnalysis,
     analyze_function,
     analyze_program,
-    evaluate,
 )
 from .delta_graph import DeltaGraph
 from .exhaustive import derivable_matrices, derive_with_picks
@@ -24,12 +23,11 @@ from .frontend import (
     FunctionDecl,
     ParseError,
     Program,
-    collect_vars,
     parse,
     render,
     variable_order,
 )
-from .inline import build_inlined, check_call_theorem, choice_projection, project_variables
+from .inline import build_inlined, check_call_theorem
 from .polynomial import (
     Assignment,
     ChoiceMatrix,
@@ -51,7 +49,6 @@ __all__ = [
     "ProgramAnalysis",
     "analyze_function",
     "analyze_program",
-    "evaluate",
     "DeltaGraph",
     "derivable_matrices",
     "derive_with_picks",
@@ -59,14 +56,11 @@ __all__ = [
     "FunctionDecl",
     "ParseError",
     "Program",
-    "collect_vars",
     "parse",
     "render",
     "variable_order",
     "build_inlined",
     "check_call_theorem",
-    "choice_projection",
-    "project_variables",
     "Assignment",
     "ChoiceMatrix",
     "ChoiceRegistry",

@@ -41,7 +41,7 @@ from .polynomial import (
     UNIT_POLY,
     ZERO_POLY,
 )
-from .semiring import INF, M, P, W, ZERO, FlowMatrix
+from .semiring import INF, M, P, W, ZERO
 
 BOUNDED = "bounded"
 CONDITIONALLY_BOUNDED = "conditionally_bounded"
@@ -324,7 +324,3 @@ def analyze_function(
 ) -> FunctionAnalysis:
     """Analyze a single declaration against already-known summaries."""
     return _FunctionRun(decl, summaries or {}).finish()
-
-
-def evaluate(matrix: ChoiceMatrix, assignment: Sequence[int]) -> FlowMatrix:
-    return matrix.evaluate(assignment)

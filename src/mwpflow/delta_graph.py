@@ -1,25 +1,27 @@
-"""Layered record of the monomials that acquired an infinite coefficient.
+"""Record of the monomials that acquired an infinite coefficient.
 
-Vertices are delta lists, grouped in layers by length.  A stored list
-covers the cylinder of assignments it matches; the graph as a whole
-covers every assignment for which the analysis produced INF somewhere.
-Whenever all siblings of a vertex across one choice index are covered,
-the whole fan fuses into the list with that delta removed, so typical
-complete covers collapse to the single empty list.  Deciding coverage
-of the full space is hard in general, so is_complete backs the fused
-fast path with a backtracking search for an uncovered assignment.  The
-same search supplies sample assignments, counts the uncovered
-assignments and lists them for callee summaries; it prunes whole
-subtrees on matched vertices and takes every completion at once when no
-vertex is left to match, so nothing ever enumerates the space.
+Vertices are delta lists.  A stored list covers the cylinder of
+assignments it matches; the graph as a whole covers every assignment
+for which the analysis produced INF somewhere.  Whenever all siblings
+of a vertex across one choice index are covered, the whole fan fuses
+into the list with that delta removed, so typical complete covers
+collapse to the single empty list.  Fusion cannot always finish that
+collapse, so every coverage question goes to one backtracking search
+for uncovered assignments, which returns at once when the empty list
+is stored.  The search decides completeness, supplies sample
+assignments, counts the uncovered assignments and lists them for
+callee summaries; it prunes whole subtrees on matched vertices and
+takes every completion at once when no vertex is left to match, so
+nothing ever enumerates the space.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .polynomial import Assignment, ChoiceRegistry, Delta
+if TYPE_CHECKING:
+    from .polynomial import Assignment, ChoiceRegistry, Delta
 
 
 class DeltaGraph:
@@ -27,37 +29,22 @@ class DeltaGraph:
 
     def __init__(self, registry: ChoiceRegistry):
         self.registry = registry
-        self._layers: dict[int, set[tuple[Delta, ...]]] = {}
+        self._vertices: set[tuple[Delta, ...]] = set()
 
     def vertices(self) -> list[tuple[Delta, ...]]:
-        out: list[tuple[Delta, ...]] = []
-        for size in sorted(self._layers):
-            out.extend(sorted(self._layers[size]))
-        return out
+        """The vertices, shortest first, each length in tuple order."""
+        return sorted(self._vertices, key=lambda ds: (len(ds), ds))
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._layers.values())
-
-    def _has(self, deltas: tuple[Delta, ...]) -> bool:
-        layer = self._layers.get(len(deltas))
-        return layer is not None and deltas in layer
-
-    def _remove(self, deltas: tuple[Delta, ...]) -> None:
-        layer = self._layers[len(deltas)]
-        layer.discard(deltas)
-        if not layer:
-            del self._layers[len(deltas)]
+        return len(self._vertices)
 
     def _covers_list(self, ds: tuple[Delta, ...]) -> bool:
         """Some stored vertex matches everything the given list matches."""
         new_set = frozenset(ds)
-        for size in sorted(self._layers):
-            if size > len(ds):
-                break
-            for stored in self._layers[size]:
-                if frozenset(stored) <= new_set:
-                    return True
-        return False
+        return any(
+            len(stored) <= len(ds) and new_set.issuperset(stored)
+            for stored in self._vertices
+        )
 
     def insert(self, deltas: Iterable[Delta]) -> None:
         """Add one INF monomial's delta list and fuse to fixpoint.
@@ -76,53 +63,42 @@ class DeltaGraph:
         if self._covers_list(ds):
             return
         new_set = frozenset(ds)
-        for size in [s for s in self._layers if s > len(ds)]:
-            for stored in [v for v in self._layers[size] if new_set <= frozenset(v)]:
-                self._remove(stored)
-        self._layers.setdefault(len(ds), set()).add(ds)
+        self._vertices.difference_update(
+            [stored for stored in self._vertices if new_set.issubset(stored)]
+        )
+        self._vertices.add(ds)
 
     def fuse(self) -> None:
         """Apply the fan rewrite until no vertex qualifies.
 
         A vertex fuses across index j when each of its siblings at j is
         covered by the graph, whether stored verbatim or absorbed into a
-        shorter vertex.  Kept at fixpoint by insert.
+        shorter vertex.  Longer vertices are tried first.  Kept at
+        fixpoint by insert.
         """
-        changed = True
-        while changed:
-            changed = False
-            for size in sorted(self._layers, reverse=True):
-                for v in sorted(self._layers.get(size, ())):
-                    if not self._has(v):
-                        continue
-                    for pos, (idx, _) in enumerate(v):
-                        fan = [
-                            v[:pos] + ((idx, k),) + v[pos + 1 :]
-                            for k in range(self.registry.cardinality(idx))
-                        ]
-                        if all(self._covers_list(f) for f in fan):
-                            for f in fan:
-                                if self._has(f):
-                                    self._remove(f)
-                            self._add(v[:pos] + v[pos + 1 :])
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
+        while self._fuse_one():
+            pass
+
+    def _fuse_one(self) -> bool:
+        """Fuse the first qualifying fan; False when none qualifies."""
+        for v in sorted(self._vertices, key=lambda ds: (-len(ds), ds)):
+            for pos, (idx, _) in enumerate(v):
+                fan = [
+                    v[:pos] + ((idx, k),) + v[pos + 1 :]
+                    for k in range(self.registry.cardinality(idx))
+                ]
+                if all(self._covers_list(f) for f in fan):
+                    self._vertices.difference_update(fan)
+                    self._add(v[:pos] + v[pos + 1 :])
+                    return True
+        return False
 
     def is_complete(self) -> bool:
         """True when every assignment is covered.
 
-        Fusion usually leaves the lone empty vertex in that case; when
-        it cannot finish the collapse, the uncovered-assignment search
-        settles the answer exactly.
+        Decided by the uncovered-assignment search, which answers at
+        once when fusion has left the empty vertex.
         """
-        if self._has(()):
-            return True
-        if not self._layers:
-            return False
         return self.find_uncovered() is None
 
     def find_uncovered(self) -> Assignment | None:
@@ -184,39 +160,13 @@ class DeltaGraph:
 
     def _live(self) -> frozenset[tuple[Delta, ...]] | None:
         """The vertices as a live set for the walk; None when one is empty."""
-        if self._has(()):
+        if () in self._vertices:
             return None
-        return frozenset(v for layer in self._layers.values() for v in layer)
+        return frozenset(self._vertices)
 
     def covered(self, assignment: Sequence[int]) -> bool:
         self.registry.validate(assignment)
-        return any(
-            all(assignment[i] == v for i, v in ds)
-            for layer in self._layers.values()
-            for ds in layer
-        )
-
-    def edges(self) -> Iterator[tuple[tuple[Delta, ...], tuple[Delta, ...], int]]:
-        """Intra-layer sibling pairs differing in one delta's value.
-
-        Derived on demand from the vertex sets; emitted once per
-        unordered pair, labeled with the differing choice index.
-        """
-        for layer in self._layers.values():
-            vs = sorted(layer)
-            for a_pos, a in enumerate(vs):
-                for b in vs[a_pos + 1 :]:
-                    diff = [
-                        (da, db)
-                        for da, db in zip(a, b)
-                        if da != db
-                    ]
-                    if (
-                        len(diff) == 1
-                        and diff[0][0][0] == diff[0][1][0]
-                        and [d[0] for d in a] == [d[0] for d in b]
-                    ):
-                        yield a, b, diff[0][0][0]
+        return self._covers_list(tuple(enumerate(assignment)))
 
     def dump(self) -> str:
         lines = [

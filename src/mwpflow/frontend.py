@@ -586,10 +586,6 @@ def variable_order(
     return tuple(seen)
 
 
-def collect_vars(decl: FunctionDecl) -> tuple[str, ...]:
-    return variable_order(decl)
-
-
 def expression_vars(e: Expr) -> tuple[str, ...]:
     """Variables of an expression, deduplicated in first-occurrence order."""
     return tuple(dict.fromkeys(_expr_vars(e)))

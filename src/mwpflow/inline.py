@@ -1,10 +1,10 @@
 """Source-level inlining of a single call and the composition check.
 
 Inlining replaces `Xi = f(X1, ..., XN);` with parameter copies into
-fresh names, the callee body with parameters, locals and the return
-variable renamed, and a final copy of the renamed return into the call
-target.  Shared input variables of the callee keep their names unless
-they clash with a caller variable.
+fresh names, copies of every other callee variable into fresh names
+from the caller variables of the same names, the callee body with all
+its variables renamed, and a final copy of the renamed return into the
+call target.
 
 check_call_theorem then verifies, assignment by assignment, that
 analyzing the caller through the call rule agrees with analyzing the
@@ -35,7 +35,7 @@ from .frontend import (
     Program,
     Var,
     While,
-    collect_vars,
+    variable_order,
 )
 from .polynomial import Assignment
 from .semiring import FlowMatrix
@@ -115,9 +115,12 @@ def _splice(body: Sequence[Command], call: Call, replacement: Sequence[Command])
 def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
     """Expand the unique call from caller to callee in place.
 
-    Parameters become __y1..__yN, the return variable becomes __r1, and
-    any other callee variable that clashes with a caller name becomes a
-    fresh __v name; non-clashing ones stay shared with the caller.
+    Parameters become __y1..__yN and the return variable becomes __r1.
+    Every other callee variable becomes a fresh __vK, copied in from the
+    caller variable of the same name right after the parameter copies:
+    the callee reads the caller's value, as its summary's shared rows
+    do, and its writes stay invisible to the caller, as under the call
+    rule.
     """
     calls = _find_call(caller.body, callee.name)
     if len(calls) != 1:
@@ -125,7 +128,6 @@ def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
             f"expected exactly one call to {callee.name} in {caller.name}, found {len(calls)}"
         )
     call = calls[0]
-    caller_names = set(collect_vars(caller))
 
     names: dict[str, str] = {}
     for k, p in enumerate(callee.params, start=1):
@@ -133,17 +135,13 @@ def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
     if callee.returns is None:
         raise ValueError(f"{callee.name} has no return variable")
     names[callee.returns] = "__r1"
-    fresh = 1
-    for v in collect_vars(callee):
-        if v in names:
-            continue
-        if v in caller_names:
-            names[v] = f"__v{fresh}"
-            fresh += 1
+    others = [v for v in variable_order(callee) if v not in names]
+    names.update((v, f"__v{k}") for k, v in enumerate(others, start=1))
 
     replacement: list[Command] = [
         Assign(names[p], Var(arg)) for p, arg in zip(callee.params, call.arguments)
     ]
+    replacement.extend(Assign(names[v], Var(v)) for v in others)
     replacement.extend(_rename_commands(callee.body, names))
     replacement.append(Assign(call.target, Var("__r1")))
 
@@ -155,33 +153,9 @@ def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
     )
 
 
-def project_variables(matrix, keep: Sequence[str]):
-    """Submatrix on the kept variables, in the given order."""
-    return matrix.submatrix(tuple(keep))
-
-
 def _project_flow(matrix: FlowMatrix, variables: Sequence[str], keep: Sequence[str]) -> FlowMatrix:
     idx = [variables.index(v) for v in keep]
     return matrix.submatrix(idx)
-
-
-def choice_projection(i0: int, k: int, total_inlined: int):
-    """The index map from inlined choice positions onto caller positions.
-
-    Positions before the call block map identically, the k block
-    positions collapse onto the call's own index, and later positions
-    shift down by k - 1.
-    """
-    def pi(j: int) -> int:
-        if j < i0:
-            return j
-        if j < i0 + k:
-            return i0
-        return j - k + 1
-
-    if total_inlined < i0 + k:
-        raise ValueError("inlined registry shorter than the call block")
-    return pi
 
 
 @dataclass

@@ -10,17 +10,17 @@ analysis matrix.
 Deltas are stored as (index, value) pairs so the natural tuple order is
 the canonical one: deltas inside a monomial sort by index, monomials
 compare lexicographically by their delta lists with shorter prefixes
-first.  That order makes multiplication by a fixed monomial monotone,
-which is what lets products be built by merging already-sorted streams
-instead of sorting from scratch.
+first.  Sums, products and scaling collect their raw monomials and
+hand them to Polynomial.of, the one place that sorts, merges duplicates
+and drops subsumed monomials.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .delta_graph import DeltaGraph
 from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 
 Delta = tuple[int, int]  # (choice index, chosen value)
@@ -141,46 +141,32 @@ class Polynomial:
             return other
         if not other.monomials:
             return self
-        merged = heapq.merge(self.monomials, other.monomials, key=lambda m: m.deltas)
-        return Polynomial(tuple(_subsume(_merge_duplicates(merged))))
+        return Polynomial.of(self.monomials + other.monomials)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Pointwise product.
 
-        Finite monomials multiply pairwise, one product stream per
-        monomial of the right factor, and the streams are k-way merged
-        by repeatedly extracting the smallest head.  Multiplying by a
-        fixed monomial preserves the order of equal-index-set monomials
-        but can reorder across index sets, so the merged stream is
-        nearly sorted rather than sorted; canonicalization re-sorts,
-        which is close to linear on such input.  INF monomials bypass
-        the pairwise step entirely: an INF cylinder absorbs whatever the
-        other factor holds there, 0 included, so it survives verbatim.
+        Finite monomials multiply pairwise.  INF monomials bypass the
+        pairwise step: an INF cylinder absorbs whatever the other factor
+        holds there, 0 included, so it survives verbatim.
         """
-        streams: list = []
-        inf_side: list[Monomial] = []
+        out: list[Monomial] = []
         fin_p: list[Monomial] = []
         for m in self.monomials:
-            (inf_side if m.scalar == INF else fin_p).append(m)
+            (out if m.scalar == INF else fin_p).append(m)
         for q in other.monomials:
             if q.scalar == INF:
-                inf_side.append(q)
-                continue
-            prods = [r for p in fin_p if (r := mono_mul(p, q)) is not None]
-            if prods:
-                streams.append(prods)
-        if inf_side:
-            streams.append(sorted(inf_side, key=lambda m: m.deltas))
-        if not streams:
-            return ZERO_POLY
-        merged = heapq.merge(*streams, key=lambda m: m.deltas)
-        return Polynomial.of(merged)
+                out.append(q)
+            else:
+                out.extend(r for p in fin_p if (r := mono_mul(p, q)) is not None)
+        return Polynomial.of(out)
 
     def scale(self, scalar: int) -> "Polynomial":
         if scalar == ZERO:
             return ZERO_POLY
-        scaled = [Monomial(mul_inf(scalar, m.scalar), m.deltas) for m in self.monomials]
-        return Polynomial(tuple(_subsume(scaled)))
+        return Polynomial.of(
+            Monomial(mul_inf(scalar, m.scalar), m.deltas) for m in self.monomials
+        )
 
     def attach(self, index: int, value: int) -> "Polynomial":
         """Multiply by the single delta d(value, index).
@@ -394,22 +380,27 @@ class ChoiceMatrix:
     ) -> "ChoiceMatrix":
         """Inverse of expand: rebuild entry polynomials from a full table.
 
-        Starts from one fully-constrained monomial per assignment and
-        fuses complete equal-scalar fans back together, so constant
-        behavior collapses to delta-free monomials.
+        Each nonzero scalar of an entry gets one delta graph holding the
+        assignments that carry it; fan fusion merges complete fans back
+        into shorter cylinders, so constant behavior collapses to a
+        delta-free monomial.  The scalars partition the table, so the
+        fused cylinders of different scalars never overlap.
         """
         n = len(variables)
         entries = []
         for i in range(n):
             row = []
             for j in range(n):
-                monos = []
+                graphs: dict[int, DeltaGraph] = {}
                 for a, mat in table.items():
                     v = mat.entry(i, j)
                     if v != ZERO:
-                        ds = tuple((idx, pick) for idx, pick in enumerate(a))
-                        monos.append(Monomial(v, ds))
-                row.append(_fuse_fans(Polynomial.of(monos), registry))
+                        if v not in graphs:
+                            graphs[v] = DeltaGraph(registry)
+                        graphs[v].insert(enumerate(a))
+                row.append(Polynomial.of(
+                    Monomial(v, ds) for v, g in graphs.items() for ds in g.vertices()
+                ))
             entries.append(tuple(row))
         return cls(variables, entries, registry)
 
@@ -420,41 +411,3 @@ class ChoiceMatrix:
             for j in range(self.dim)
             if self.entries[i][j].has_inf()
         ]
-
-    def submatrix(self, names: Sequence[str]) -> "ChoiceMatrix":
-        idx = [self.index(v) for v in names]
-        return ChoiceMatrix(
-            tuple(names),
-            (tuple(self.entries[i][j] for j in idx) for i in idx),
-            self.registry,
-        )
-
-    def render(self) -> str:
-        return "\n".join(
-            " | ".join(str(p) for p in row) for row in self.entries
-        )
-
-
-def _fuse_fans(poly: Polynomial, registry: ChoiceRegistry) -> Polynomial:
-    monos = list(poly.monomials)
-    changed = True
-    while changed:
-        changed = False
-        present = {(m.scalar, m.deltas) for m in monos}
-        for m in monos:
-            for pos, (idx, _) in enumerate(m.deltas):
-                card = registry.cardinality(idx)
-                rest = m.deltas[:pos] + m.deltas[pos + 1 :]
-                fan = [
-                    Monomial(m.scalar, m.deltas[:pos] + ((idx, k),) + m.deltas[pos + 1 :])
-                    for k in range(card)
-                ]
-                if all((f.scalar, f.deltas) in present for f in fan):
-                    keep = [x for x in monos if x not in fan]
-                    keep.append(Monomial(m.scalar, rest))
-                    monos = list(Polynomial.of(keep).monomials)
-                    changed = True
-                    break
-            if changed:
-                break
-    return Polynomial.of(monos)

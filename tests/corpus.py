@@ -72,14 +72,25 @@ def random_program(rng: random.Random, max_choices: int = 8) -> str:
 
 
 def random_call_pair(rng: random.Random) -> str:
-    """A callee plus a main whose single call to it sits between other work."""
+    """A callee plus a main whose single call to it sits between other work.
+
+    The callee reads one variable of the caller's scope by name, which
+    the caller itself may write (X3, X4) or not (X6), and sometimes
+    writes a local other than its return variable, which may share a
+    name with a caller variable.
+    """
     callee_vars = ("X1", "X2")
     n_params = rng.randint(1, 2)
     params = callee_vars[:n_params]
     ret = "X5"
     body: list[str] = []
+    pool = list(params) + [rng.choice(("X6", "X6", "X3", "X4"))]
+    if rng.random() < 0.4:
+        local = rng.choice(("X7", "X3", "X4"))
+        op = rng.choice(OPS)
+        body.append(f"    {local} = {rng.choice(pool)} {op} {rng.choice(pool)};")
+        pool.append(local)
     kind = rng.random()
-    pool = list(params) + ["X6"]  # X6 reads the caller's scope by name
     if kind < 0.45:
         op = rng.choice(OPS)
         body.append(f"    {ret} = {rng.choice(pool)} {op} {rng.choice(pool)};")

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ PAIR_SRC = (
     "function f(X1){ loop X1 { X2 = X2 + X3; } return X2; }\n"
     "function main(){ X3 = X1 + X2; X2 = X3 + X1; X1 = f(X2); }\n"
 )
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "programs").glob("*.imp"))
 
 
 @pytest.fixture
@@ -136,6 +139,14 @@ def test_json_is_deterministic_across_runs(loop_file, capsys):
     run([loop_file, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_json_report_bytes_match_golden(path, capsys):
+    # Golden reports pin the exact bytes across engine changes.
+    run([str(path), "--json"])
+    golden = ROOT / "tests" / "golden" / f"{path.stem}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_function_filter(tmp_path, capsys):

@@ -14,7 +14,6 @@ def test_insert_single_vertex():
     g = DeltaGraph(ChoiceRegistry([1, 3]))
     g.insert([delta(0, 1)])
     assert g.vertices() == [(delta(0, 1),)]
-    assert list(g.edges()) == []
     assert not g.is_complete()
 
 
@@ -26,21 +25,6 @@ def test_full_fan_fuses_to_empty():
     g.insert([delta(2, 1)])
     assert g.vertices() == [()]
     assert g.is_complete()
-
-
-def test_layer_edge_between_siblings():
-    g = DeltaGraph(ChoiceRegistry([1, 3, 3]))
-    g.insert([delta(0, 1), delta(0, 2)])
-    g.insert([delta(1, 1), delta(0, 2)])
-    assert len(g) == 2
-    edges = list(g.edges())
-    assert len(edges) == 1
-    a, b, label = edges[0]
-    assert label == 1
-    assert {a, b} == {
-        (delta(0, 1), delta(0, 2)),
-        (delta(1, 1), delta(0, 2)),
-    }
 
 
 def test_fuse_three_siblings_into_shorter():

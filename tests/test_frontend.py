@@ -14,9 +14,9 @@ from mwpflow.frontend import (
     ParseError,
     Var,
     While,
-    collect_vars,
     parse,
     render,
+    variable_order,
 )
 
 
@@ -119,12 +119,12 @@ def test_loop_counter_warning():
 
 def test_collect_vars_params_first():
     prog = parse("function f(X1){ X2 = X1; return X2; } function main(){ X1 = f(X3); }")
-    assert collect_vars(prog.functions[0]) == ("X1", "X2")
+    assert variable_order(prog.functions[0]) == ("X1", "X2")
 
 
 def test_collect_vars_loop_counter_at_rule_order():
     prog = parse("function main(){ loop X3 { X2 = X1 + X2; } }")
-    assert collect_vars(prog.functions[0]) == ("X1", "X2", "X3")
+    assert variable_order(prog.functions[0]) == ("X1", "X2", "X3")
 
 
 def test_collect_vars_call_program():
@@ -133,7 +133,7 @@ def test_collect_vars_call_program():
     function main(){ X3 = X1 + X2; X2 = X3 + X1; X1 = f(X2); }
     """
     prog = parse(src)
-    assert collect_vars(prog.functions[1]) == ("X1", "X2", "X3")
+    assert variable_order(prog.functions[1]) == ("X1", "X2", "X3")
 
 
 def test_round_trip_stability():
@@ -156,8 +156,8 @@ def test_collect_vars_stable_under_reparse():
     for _ in range(30):
         prog = parse(random_program(rng))
         again = parse(render(prog))
-        assert [collect_vars(f) for f in prog.functions] == [
-            collect_vars(f) for f in again.functions
+        assert [variable_order(f) for f in prog.functions] == [
+            variable_order(f) for f in again.functions
         ]
 
 

@@ -5,12 +5,7 @@ import pytest
 from corpus import random_call_pair
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import parse, render
-from mwpflow.inline import (
-    build_inlined,
-    check_call_theorem,
-    choice_projection,
-    project_variables,
-)
+from mwpflow.inline import build_inlined, check_call_theorem
 from mwpflow.frontend import Program
 
 INLINE_PAIR = """
@@ -34,6 +29,7 @@ def test_build_inlined_golden():
         "    X3 = X1 + X2;\n"
         "    X2 = X3 + X1;\n"
         "    __y1 = X2;\n"
+        "    __v1 = X3;\n"
         "    loop __y1 {\n"
         "        __r1 = __r1 + __v1;\n"
         "    }\n"
@@ -69,16 +65,27 @@ def test_build_inlined_param_returning_callee_collapses_names():
     )
 
 
-def test_build_inlined_keeps_nonclashing_shared_variable():
+def test_build_inlined_copies_callee_variables_in():
+    # every callee variable other than the parameters and the return
+    # gets a fresh name, copied in from the caller variable of the same
+    # name, whether the caller uses that name (X4) or not (X9)
     src = (
-        "function f(X1){ X2 = X1 + X9; return X2; }"
-        " function main(){ X5 = f(X4); }"
+        "function f(X1){ X4 = X1 * X9; X2 = X4 + X9; return X2; }"
+        " function main(){ X4 = X1 * X1; X5 = f(X4); }"
     )
     prog = parse(src)
     inlined = build_inlined(prog.function("main"), prog.function("f"))
-    body = render(Program((inlined,)))
-    assert "X9" in body
-    assert "__v" not in body
+    assert render(Program((inlined,))) == (
+        "function main() {\n"
+        "    X4 = X1 * X1;\n"
+        "    __y1 = X4;\n"
+        "    __v1 = X9;\n"
+        "    __v2 = X4;\n"
+        "    __v2 = __y1 * __v1;\n"
+        "    __r1 = __v2 + __v1;\n"
+        "    X5 = __r1;\n"
+        "}\n"
+    )
 
 
 def test_build_inlined_requires_unique_call():
@@ -99,47 +106,6 @@ def test_inlined_output_reanalyzes_cleanly():
     res = analyze_program(Program((inlined,)))
     r = res.functions["main"]
     assert set(r.variables) == {"X1", "X2", "X3", "__y1", "__r1", "__v1"}
-
-
-def test_project_variables():
-    prog = parse(INLINE_PAIR)
-    res = analyze_program(Program((build_inlined(
-        prog.function("main"), prog.function("f")
-    ),)))
-    m = res.functions["main"].matrix
-    assert project_variables(m, m.variables) == m
-    sub = project_variables(m, ("X1", "X2", "X3"))
-    assert sub.variables == ("X1", "X2", "X3")
-    for a in ("X1", "X2", "X3"):
-        for b in ("X1", "X2", "X3"):
-            assert sub.entry(sub.index(a), sub.index(b)) == m.entry(m.index(a), m.index(b))
-    empty = project_variables(m, ())
-    assert empty.variables == () and empty.entries == ()
-    with pytest.raises(KeyError):
-        project_variables(m, ("X1", "NOPE"))
-
-
-def test_choice_projection_partition():
-    pi = choice_projection(i0=2, k=3, total_inlined=6)
-    assert [pi(j) for j in range(6)] == [0, 1, 2, 2, 2, 3]
-    with pytest.raises(ValueError):
-        choice_projection(i0=2, k=3, total_inlined=4)
-    # splicing a caller assignment across the call block and projecting
-    # back is the identity on caller indices
-    caller_len = 4
-    for i0 in range(caller_len):
-        pi = choice_projection(i0, 2, caller_len - 1 + 2)
-        spliced_positions = list(range(i0)) + [i0, i0] + [
-            j + 2 - 1 for j in range(i0 + 1, caller_len)
-        ]
-        for caller_j in range(caller_len):
-            if caller_j == i0:
-                assert all(
-                    pi(p) == i0 for p in range(i0, i0 + 2)
-                )
-            else:
-                inlined_j = caller_j if caller_j < i0 else caller_j + 2 - 1
-                assert pi(inlined_j) == caller_j
 
 
 def test_theorem_on_inline_pair():
@@ -221,7 +187,36 @@ def test_theorem_unbounded_callee_reports_failure():
     assert "summary" in report.failure
 
 
+def test_empty_blame_verdict_matches_inlined_program():
+    # The infinity sits only on the callee's own value, which main never
+    # names, so main's blame is empty; inlining agrees on the verdict.
+    src = (
+        "function f() { while (X5 < X5) { X5 = X5 + X5; } return X5; }"
+        " function main() { X1 = f(); }"
+    )
+    prog = parse(src)
+    main = analyze_program(prog).functions["main"]
+    inlined = build_inlined(prog.function("main"), prog.function("f"))
+    expected = analyze_program(Program((inlined,))).functions["main"]
+    assert main.blame == ()
+    assert main.verdict == expected.verdict
+
+
+# A callee write to a local that the caller also names (X4), and a
+# shared input the caller writes before the call (X5).
+LOCAL_AND_SHARED_PAIRS = (
+    "function f(X1, X2) { X3 = X1 + X2; X4 = X2 + X1; return X3; }"
+    " function main() { X3 = f(X1, X2); }",
+    "function f(X1) { X3 = X1 + X5; return X3; }"
+    " function main() { X5 = X2 * X2; X3 = f(X1); }",
+)
+
+
 def test_theorem_random_pairs():
+    for src in LOCAL_AND_SHARED_PAIRS:
+        prog = parse(src)
+        report = check_call_theorem(prog.function("main"), prog.function("f"))
+        assert report.ok, f"{src}\n{report.failure}"
     rng = random.Random(301)
     checked = 0
     while checked < 25:

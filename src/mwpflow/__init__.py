@@ -13,7 +13,6 @@ from .analysis import (
     FunctionAnalysis,
     FunctionSummary,
     ProgramAnalysis,
-    analyze_function,
     analyze_program,
 )
 from .delta_graph import DeltaGraph
@@ -47,7 +46,6 @@ __all__ = [
     "FunctionAnalysis",
     "FunctionSummary",
     "ProgramAnalysis",
-    "analyze_function",
     "analyze_program",
     "DeltaGraph",
     "derivable_matrices",

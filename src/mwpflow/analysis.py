@@ -55,15 +55,14 @@ class FunctionSummary:
     Rows are the callee's parameters followed by its shared input
     variables (everything it reads from the enclosing scope).  The
     return variable's own initial value is excluded: inlining renames it
-    to a fresh name the caller never observes.  Each behavior remembers
-    the lexicographically smallest assignment that produces it.
+    to a fresh name the caller never observes.  Behaviors are ordered by
+    their lexicographically first clean assignment.
     """
 
     name: str
     param_count: int
     rows: tuple[str, ...]
     behaviors: tuple[tuple[int, ...], ...]
-    representatives: tuple[Assignment, ...]
 
     @property
     def shared_rows(self) -> tuple[str, ...]:
@@ -94,10 +93,6 @@ class ProgramAnalysis:
 
     def __iter__(self):
         return iter(self.functions.values())
-
-    @property
-    def any_unbounded(self) -> bool:
-        return any(f.verdict == UNBOUNDED for f in self)
 
 
 class _FunctionRun:
@@ -271,13 +266,14 @@ class _FunctionRun:
         )
 
     def _build_summary(self, matrix: ChoiceMatrix) -> FunctionSummary:
-        """Behaviors of the clean assignments, each with its smallest one.
+        """Behaviors of the clean assignments, in order of first occurrence.
 
         A behavior depends only on the indices in the return column and
         cleanliness only on those in the graph, so the walk varies just
         those and leaves the rest at 0: zeroing them keeps an assignment
-        clean, keeps its behavior and never makes it larger, so the
-        lexicographically smallest representatives are unchanged.
+        clean, keeps its behavior and never makes it larger, so each
+        behavior's lexicographically first clean assignment, and with it
+        the order of the behaviors, is unchanged.
         """
         decl = self.decl
         ret = self.index[decl.returns]
@@ -289,15 +285,14 @@ class _FunctionRun:
         column = [matrix.entry(self.index[v], ret) for v in rows]
         walked = {i for p in column for i in p.choice_indices()}
         walked.update(i for ds in self.graph.vertices() for i, _ in ds)
-        reps: dict[tuple[int, ...], Assignment] = {}
-        for a in self.graph.uncovered(walked):
-            reps.setdefault(tuple(p.evaluate(a) for p in column), a)
+        behaviors = dict.fromkeys(
+            tuple(p.evaluate(a) for p in column) for a in self.graph.uncovered(walked)
+        )
         return FunctionSummary(
             name=decl.name,
             param_count=len(decl.params),
             rows=rows,
-            behaviors=tuple(reps),
-            representatives=tuple(reps.values()),
+            behaviors=tuple(behaviors),
         )
 
 
@@ -317,10 +312,3 @@ def analyze_program(program: Program) -> ProgramAnalysis:
             summaries[decl.name] = analysis.summary
         results[decl.name] = analysis
     return ProgramAnalysis(results)
-
-
-def analyze_function(
-    decl: FunctionDecl, summaries: dict[str, FunctionSummary] | None = None
-) -> FunctionAnalysis:
-    """Analyze a single declaration against already-known summaries."""
-    return _FunctionRun(decl, summaries or {}).finish()

@@ -40,11 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _verdict_text(v: str) -> str:
-    return v.replace("_", "-")
-
-
-def render_report(results: Sequence[FunctionAnalysis], show_timing: bool = True) -> str:
+def render_report(results: Sequence[FunctionAnalysis]) -> str:
     lines = [f"mwpflow {__version__}"]
     for r in results:
         lines.append("")
@@ -62,7 +58,7 @@ def render_report(results: Sequence[FunctionAnalysis], show_timing: bool = True)
         for i, row in enumerate(r.matrix.entries):
             cells = "  ".join(str(p).ljust(width) for p in row)
             lines.append(f"    {r.variables[i].ljust(name_w)}  {cells}")
-        lines.append(f"  verdict: {_verdict_text(r.verdict)}")
+        lines.append(f"  verdict: {r.verdict.replace('_', '-')}")
         lines.append(
             f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}"
         )
@@ -78,10 +74,10 @@ def render_report(results: Sequence[FunctionAnalysis], show_timing: bool = True)
                     f"{v}:{value_char(f)}" for v, f in zip(r.summary.rows, vec) if f
                 )
                 lines.append(f"    {{{flows}}}")
-        if show_timing:
-            lines.append(f"  elapsed: {r.elapsed * 1000:.1f} ms")
+        lines.append(f"  elapsed: {r.elapsed * 1000:.1f} ms")
     lines.append("")
-    return "\n".join(lines)
+    # Padded last cells and empty lists would leave trailing spaces.
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def _json_poly(poly) -> dict:
@@ -171,7 +167,8 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
                 program.function(caller_name), program.function(callee_name)
             )
         except (KeyError, ValueError) as e:
-            print(f"mwpflow: {e}", file=sys.stderr)
+            # args[0], not str(e), which quotes a KeyError's message
+            print(f"mwpflow: {e.args[0]}", file=sys.stderr)
             return 2
         print(report)
         return 0 if report.ok else 1

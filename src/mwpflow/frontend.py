@@ -394,20 +394,23 @@ class _Parser:
 
 # --- Validation ------------------------------------------------------
 
-def _walk_commands(body: Sequence[Command]) -> Iterator[Command]:
+def walk_commands(body: Sequence[Command]) -> Iterator[Command]:
+    """Every command of a body, each before the commands nested in it."""
     for c in body:
         yield c
         if isinstance(c, If):
-            yield from _walk_commands(c.then_body)
-            yield from _walk_commands(c.else_body)
+            yield from walk_commands(c.then_body)
+            yield from walk_commands(c.else_body)
         elif isinstance(c, (While, Loop)):
-            yield from _walk_commands(c.body)
+            yield from walk_commands(c.body)
 
 
 def validate(program: Program) -> Program:
     """Check program-level invariants, returning the program with warnings."""
     seen: dict[str, FunctionDecl] = {}
-    warnings: list[Diagnostic] = []
+    # id(assignment) -> its warning: one per assignment, however many
+    # enclosing loops share the counter it writes
+    warnings: dict[int, Diagnostic] = {}
     for decl in program.functions:
         line, col = decl.pos
         if decl.name in seen:
@@ -418,7 +421,7 @@ def validate(program: Program) -> Program:
             raise ParseError(
                 MAIN_HAS_PARAMETERS, "main must take no parameters", line, col
             )
-        for cmd in _walk_commands(decl.body):
+        for cmd in walk_commands(decl.body):
             if isinstance(cmd, Call):
                 cline, ccol = cmd.pos
                 callee = seen.get(cmd.function)
@@ -442,24 +445,18 @@ def validate(program: Program) -> Program:
                         cline, ccol,
                     )
             elif isinstance(cmd, Loop):
-                for inner in _walk_commands(cmd.body):
-                    tgt = (
-                        inner.target
-                        if isinstance(inner, (Assign, Call))
-                        else None
-                    )
-                    if tgt == cmd.counter:
-                        wline, wcol = inner.pos
-                        warnings.append(Diagnostic(
+                for inner in walk_commands(cmd.body):
+                    if isinstance(inner, (Assign, Call)) and inner.target == cmd.counter:
+                        warnings.setdefault(id(inner), Diagnostic(
                             LOOP_COUNTER_ASSIGNED,
                             f"loop counter {cmd.counter} is assigned inside its own body",
-                            wline, wcol,
+                            *inner.pos,
                         ))
         seen[decl.name] = decl
     mains = [f for f in program.functions if f.name == "main"]
     if len(mains) != 1:
         raise ParseError(MISSING_MAIN, "program needs exactly one function named main", 1, 1)
-    return Program(program.functions, tuple(warnings))
+    return Program(program.functions, tuple(warnings.values()))
 
 
 def parse(source: str) -> Program:

@@ -44,6 +44,7 @@ from mwpflow.semiring import (
 )
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(n: int, desc: str, started: float) -> None:
@@ -358,7 +359,13 @@ def test_criterion_9_byte_identical_reports(tmp_path):
     for f in files:
         outputs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+                ),
+            )
             proc = subprocess.run(
                 [
                     sys.executable,

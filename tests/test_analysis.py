@@ -243,7 +243,6 @@ def test_summary_single_copy_behavior():
     s = res.functions["f"].summary
     assert s.rows == ("X1",)
     assert s.behaviors == ((M,),)
-    assert s.representatives == ((),)
 
 
 def test_summary_three_behaviors():
@@ -271,19 +270,17 @@ def test_summary_keeps_only_clean_choices():
     s = res.functions["f"].summary
     assert s.rows == ("X1", "X3")
     assert s.behaviors == ((P, P),)
-    assert s.representatives == ((0,),)
 
 
-def _scanned_summary(result, returns):
-    """Behaviors and representatives from every clean assignment, in order."""
+def _scanned_behaviors(result, returns):
+    """Behaviors of every clean assignment, in order of first occurrence."""
     ret = result.matrix.index(returns)
     rows = [result.matrix.index(v) for v in result.summary.rows]
-    reps = {}
+    behaviors = {}
     for a in result.registry.assignments():
         if not result.matrix.evaluate(a).contains_inf():
-            vec = tuple(result.matrix.entry(i, ret).evaluate(a) for i in rows)
-            reps.setdefault(vec, a)
-    return tuple(reps), tuple(reps.values())
+            behaviors.setdefault(tuple(result.matrix.entry(i, ret).evaluate(a) for i in rows))
+    return tuple(behaviors)
 
 
 def test_summary_matches_full_scan_on_generated_callees():
@@ -300,9 +297,7 @@ def test_summary_matches_full_scan_on_generated_callees():
     for src in sources:
         prog = parse(src)
         f = analyze_program(prog).functions["f"]
-        behaviors, reps = _scanned_summary(f, prog.function("f").returns)
-        assert f.summary.behaviors == behaviors, src
-        assert f.summary.representatives == reps, src
+        assert f.summary.behaviors == _scanned_behaviors(f, prog.function("f").returns), src
 
 
 def test_call_maps_shared_variable_by_name():

@@ -187,6 +187,38 @@ def test_check_inline_flag(tmp_path, capsys):
     assert run([str(p), "--check-inline", "main", "nope"]) == 2
 
 
+def test_check_inline_names_what_it_cannot_check(tmp_path, capsys):
+    p = tmp_path / "three.imp"
+    p.write_text(
+        "function g(X1){ return X1; }\n"
+        "function f(X1){ X2 = X1 + X1; return X2; }\n"
+        "function main(){ X1 = g(X2); X3 = f(X1); }\n"
+    )
+    assert run([str(p), "--check-inline", "main", "f"]) == 2
+    assert capsys.readouterr().err == (
+        "mwpflow: main calls g, which the inline check of main -> f cannot follow\n"
+    )
+    assert run([str(p), "--check-inline", "nosuch", "f"]) == 2
+    assert capsys.readouterr().err == "mwpflow: no function named nosuch\n"
+    p.write_text(
+        "function g(X1){ return X1; }\n"
+        "function f(X1){ X2 = g(X1); return X2; }\n"
+        "function main(){ X3 = f(X1); }\n"
+    )
+    assert run([str(p), "--check-inline", "main", "f"]) == 2
+    assert capsys.readouterr().err.startswith("mwpflow: f calls g, ")
+
+
+def test_text_report_has_no_trailing_spaces(tmp_path, capsys):
+    empty = tmp_path / "empty.imp"
+    empty.write_text("function main(){ }\n")
+    for path in EXAMPLES + [empty]:
+        run([str(path)])
+        out = capsys.readouterr().out
+        assert "verdict: " in out
+        assert [line for line in out.splitlines() if line.endswith(" ")] == [], path
+
+
 def test_warning_printed_to_stderr(tmp_path, capsys):
     p = tmp_path / "warn.imp"
     p.write_text("function main(){ loop X1 { X1 = X1 + X2; } }")

@@ -117,6 +117,16 @@ def test_loop_counter_warning():
     assert clean.warnings == ()
 
 
+def test_loop_counter_warning_once_per_assignment_in_nested_loops():
+    prog = parse("function main(){ loop X2 { loop X2 { X2 = X1; } } }")
+    assert [(w.code, w.line, w.col) for w in prog.warnings] == [
+        ("loop-counter-assigned", 1, 38)
+    ]
+    # distinct assignments each get their own warning
+    prog = parse("function main(){ loop X1 { X1 = X2; loop X2 { X1 = X2; X2 = X1; } } }")
+    assert [(w.line, w.col) for w in prog.warnings] == [(1, 28), (1, 47), (1, 56)]
+
+
 def test_collect_vars_params_first():
     prog = parse("function f(X1){ X2 = X1; return X2; } function main(){ X1 = f(X3); }")
     assert variable_order(prog.functions[0]) == ("X1", "X2")

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from corpus import random_call_pair
+from mwpflow import analysis
 from mwpflow.analysis import analyze_program
+from mwpflow.delta_graph import DeltaGraph
 from mwpflow.frontend import parse, render
 from mwpflow.inline import build_inlined, check_call_theorem
 from mwpflow.frontend import Program
@@ -230,3 +233,51 @@ def test_theorem_random_pairs():
             continue
         assert report.ok, f"{src}\n{report.failure}"
         checked += 1
+
+
+# --- fault injection: each failure the check reports ----------------------
+
+THREE_BEHAVIORS = (
+    "function f(X1, X2){ X3 = X1 + X2; return X3; }"
+    " function main(){ X4 = X1 - X2; X3 = f(X1, X4); }"
+)
+
+
+def _check_with_callee_summary(monkeypatch, edit):
+    """Check THREE_BEHAVIORS with the summary of f passed through edit."""
+    build = analysis._FunctionRun._build_summary
+
+    def faulty(self, matrix):
+        summary = build(self, matrix)
+        return edit(summary) if summary.name == "f" else summary
+
+    monkeypatch.setattr(analysis._FunctionRun, "_build_summary", faulty)
+    prog = parse(THREE_BEHAVIORS)
+    return check_call_theorem(prog.function("main"), prog.function("f"))
+
+
+def test_theorem_catches_summary_missing_a_behavior(monkeypatch):
+    report = _check_with_callee_summary(
+        monkeypatch, lambda s: dataclasses.replace(s, behaviors=s.behaviors[:-1])
+    )
+    assert not report.ok
+    assert "unknown behavior" in report.failure
+
+
+def test_theorem_catches_summary_with_mislabeled_rows(monkeypatch):
+    # With the two parameter rows swapped, every clean block reads as
+    # the mirrored behavior, which the caller matrix does not produce.
+    report = _check_with_callee_summary(
+        monkeypatch, lambda s: dataclasses.replace(s, rows=s.rows[::-1])
+    )
+    assert not report.ok
+    assert "disagrees with behavior" in report.failure
+
+
+def test_theorem_catches_graph_poisoning_clean_blocks(monkeypatch):
+    # The analysis never asks covered(); only the check reads it.
+    monkeypatch.setattr(DeltaGraph, "covered", lambda self, assignment: True)
+    prog = parse(THREE_BEHAVIORS)
+    report = check_call_theorem(prog.function("main"), prog.function("f"))
+    assert not report.ok
+    assert "no infinity in projection" in report.failure

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .delta_graph import DeltaGraph
+from .delta_graph import DeltaGraph, Sweep
 from .frontend import (
     Assign,
     Call,
@@ -233,18 +233,15 @@ class _FunctionRun:
     def finish(self) -> FunctionAnalysis:
         start = time.perf_counter()
         matrix = self.matrix_of_body(self.decl.body)
-        total = self.registry.count_assignments()
         # The graph covers exactly the assignments whose matrix holds an
         # INF, so it answers every qualitative question on its own.
-        sample = self.graph.find_uncovered()
+        found, summary = self._build_summary(matrix)
         if not self.inserted:
-            verdict, clean_count = BOUNDED, total
-        elif sample is None:
-            verdict, clean_count = UNBOUNDED, 0
+            verdict = BOUNDED
+        elif found.sample is None:
+            verdict = UNBOUNDED
         else:
-            verdict, clean_count = CONDITIONALLY_BOUNDED, self.graph.count_uncovered()
-        summary = self._build_summary(matrix) if self.decl.returns is not None else None
-
+            verdict = CONDITIONALLY_BOUNDED
         blame = tuple(
             (self.variables[i], self.variables[j]) for i, j in matrix.inf_cells()
         )
@@ -256,43 +253,37 @@ class _FunctionRun:
             graph=self.graph,
             inserted=tuple(self.inserted),
             verdict=verdict,
-            sample=sample,
+            sample=found.sample,
             blame=blame,
             summary=summary,
-            clean_count=clean_count,
-            total_assignments=total,
+            clean_count=found.count,
+            total_assignments=self.registry.count_assignments(),
             choice_sites=self.choice_sites,
             elapsed=time.perf_counter() - start,
         )
 
-    def _build_summary(self, matrix: ChoiceMatrix) -> FunctionSummary:
-        """Behaviors of the clean assignments, in order of first occurrence.
+    def _build_summary(self, matrix: ChoiceMatrix) -> tuple[Sweep, FunctionSummary | None]:
+        """One sweep of the graph, and from it the summary when there is a return.
 
-        A behavior depends only on the indices in the return column and
-        cleanliness only on those in the graph, so the walk varies just
-        those and leaves the rest at 0: zeroing them keeps an assignment
-        clean, keeps its behavior and never makes it larger, so each
-        behavior's lexicographically first clean assignment, and with it
-        the order of the behaviors, is unchanged.
+        The sweep carries the return column's entries for the
+        parameters and shared inputs, so its behaviors come in order of
+        their first clean assignment.
         """
         decl = self.decl
+        if decl.returns is None:
+            return self.graph.sweep(), None
         ret = self.index[decl.returns]
         shared = tuple(
             v for v in self.variables
             if v not in decl.params and v != decl.returns
         )
         rows = decl.params + shared
-        column = [matrix.entry(self.index[v], ret) for v in rows]
-        walked = {i for p in column for i in p.choice_indices()}
-        walked.update(i for ds in self.graph.vertices() for i, _ in ds)
-        behaviors = dict.fromkeys(
-            tuple(p.evaluate(a) for p in column) for a in self.graph.uncovered(walked)
-        )
-        return FunctionSummary(
+        found = self.graph.sweep([matrix.entry(self.index[v], ret) for v in rows])
+        return found, FunctionSummary(
             name=decl.name,
             param_count=len(decl.params),
             rows=rows,
-            behaviors=tuple(behaviors),
+            behaviors=found.behaviors,
         )
 
 
@@ -302,7 +293,8 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     The result is a pure function of the AST: choice indices are
     allocated depth-first over each body, so repeated runs are
     identical.  Verdicts, clean counts, samples and summaries all come
-    from the delta graph; no assignment is ever scanned.
+    from one sweep of each function's delta graph; no assignment is
+    ever scanned.
     """
     summaries: dict[str, FunctionSummary] = {}
     results: dict[str, FunctionAnalysis] = {}

@@ -134,7 +134,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         with open(opts.file, encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"mwpflow: cannot read {opts.file}: {e}", file=sys.stderr)
         return 2
 
@@ -199,7 +199,7 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
             out.append(f"function {r.name} at [{','.join(map(str, picks))}]")
             out.append(f"  variables: {' '.join(r.variables)}")
             out.extend("  " + line for line in str(flow).splitlines())
-        print("\n".join(out))
+        print("\n".join(line.rstrip() for line in out))
         return 1 if any(r.verdict == UNBOUNDED for r in results) else 0
 
     if opts.json:

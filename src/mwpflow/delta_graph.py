@@ -6,22 +6,31 @@ for which the analysis produced INF somewhere.  Whenever all siblings
 of a vertex across one choice index are covered, the whole fan fuses
 into the list with that delta removed, so typical complete covers
 collapse to the single empty list.  Fusion cannot always finish that
-collapse, so every coverage question goes to one backtracking search
-for uncovered assignments, which returns at once when the empty list
-is stored.  The search decides completeness, supplies sample
-assignments, counts the uncovered assignments and lists them for
-callee summaries; it prunes whole subtrees on matched vertices and
-takes every completion at once when no vertex is left to match, so
+collapse, so every question about the uncovered assignments goes to
+one sweep over the choice indices.  It counts them, finds the first,
+and lists the values a column of polynomials takes on them, which are
+a callee's behaviors; an empty count means the graph is complete.
+Prefixes that leave the same live vertices and column merge, so an
+index that nothing left mentions never multiplies the work, and
 nothing ever enumerates the space.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .semiring import INF, ZERO
 
 if TYPE_CHECKING:
-    from .polynomial import Assignment, ChoiceRegistry, Delta
+    from .polynomial import Assignment, ChoiceRegistry, Delta, Polynomial
+
+
+class Sweep(NamedTuple):
+    """The uncovered assignments, as one sweep of the graph sees them."""
+
+    count: int
+    sample: Assignment | None  # the lexicographically smallest one
+    behaviors: tuple[tuple[int, ...], ...]  # distinct column values, first seen first
 
 
 class DeltaGraph:
@@ -93,76 +102,42 @@ class DeltaGraph:
                     return True
         return False
 
-    def is_complete(self) -> bool:
-        """True when every assignment is covered.
+    def sweep(self, column: Sequence[Polynomial] = ()) -> Sweep:
+        """Count, first member and column values of the uncovered assignments.
 
-        Decided by the uncovered-assignment search, which answers at
-        once when fusion has left the empty vertex.
+        Decides the choice indices in order, over all prefixes at once.
+        A state is the live vertices, as INF monomials, followed by the
+        column's entries, all restricted by the picks so far; a fully
+        matched vertex kills it.  Prefixes that reach the same state
+        merge into its count, and the first of them is kept.  States
+        stay in order of their first prefix, so the sample is the
+        lexicographically smallest uncovered assignment and the
+        behaviors (the distinct values of the column) come in order of
+        their first uncovered assignment.
         """
-        return self.find_uncovered() is None
-
-    def find_uncovered(self) -> Assignment | None:
-        """Lexicographically smallest assignment no vertex matches."""
-        return next(self.uncovered(), None)
-
-    def uncovered(self, free: Iterable[int] | None = None) -> Iterator[Assignment]:
-        """Uncovered assignments in lexicographic order.
-
-        Only the indices in ``free`` (all of them when None) vary; every
-        other index stays at 0.  Backtracking over choice indices: a
-        vertex whose deltas are all decided and matched kills the
-        subtree, vertices that mismatch a decided pick drop out of the
-        live set, and once none is live every completion is uncovered.
-        """
-        cards = self.registry.cardinalities
-        free = range(len(cards)) if free is None else set(free)
-        domains = [range(c) if pos in free else range(1) for pos, c in enumerate(cards)]
-        start = self._live()
-        if start is None:
-            return
-        stack = [((), start)]
-        while stack:
-            prefix, live = stack.pop()
-            pos = len(prefix)
-            if not live:
-                for tail in itertools.product(*domains[pos:]):
-                    yield prefix + tail
-                continue
-            children = []
-            for pick in domains[pos]:
-                rest = _restrict(live, pos, pick)
-                if rest is not None:
-                    children.append((prefix + (pick,), rest))
-            stack.extend(reversed(children))
-
-    def count_uncovered(self) -> int:
-        """Number of assignments no vertex matches.
-
-        The restriction step of ``uncovered``, swept one index at a time
-        over all prefixes at once: prefixes that leave the same live set
-        are merged and counted together, so the work follows the number
-        of distinct live sets, not of prefixes.  Once no vertex is live,
-        a prefix just multiplies by each remaining cardinality.
-        """
-        start = self._live()
-        if start is None:
-            return 0
-        states = {start: 1}  # live set -> number of prefixes that reach it
+        entries = [[(INF, ds) for ds in self._vertices]] + [p.monomials for p in column]
+        start = tuple(_settle(entry) for entry in entries)
+        states = {} if _MATCHED in start[0] else {start: (1, ())}
         for pos, card in enumerate(self.registry.cardinalities):
-            nxt: dict[frozenset[tuple[Delta, ...]], int] = {}
-            for live, ways in states.items():
+            nxt: dict[tuple[frozenset, ...], tuple[int, Assignment]] = {}
+            for state, (ways, first) in states.items():
                 for pick in range(card):
-                    rest = _restrict(live, pos, pick)
-                    if rest is not None:
-                        nxt[rest] = nxt.get(rest, 0) + ways
+                    child = tuple(_decide(entry, pos, pick) for entry in state)
+                    if _MATCHED in child[0]:
+                        continue
+                    if child in nxt:
+                        nxt[child] = (nxt[child][0] + ways, nxt[child][1])
+                    else:
+                        nxt[child] = (ways, first + (pick,))
             states = nxt
-        return sum(states.values())
-
-    def _live(self) -> frozenset[tuple[Delta, ...]] | None:
-        """The vertices as a live set for the walk; None when one is empty."""
-        if () in self._vertices:
-            return None
-        return frozenset(self._vertices)
+        return Sweep(
+            count=sum(ways for ways, _ in states.values()),
+            sample=next((first for _, first in states.values()), None),
+            behaviors=tuple(dict.fromkeys(
+                tuple(max((s for s, _ in entry), default=ZERO) for entry in state[1:])
+                for state in states
+            )),
+        )
 
     def covered(self, assignment: Sequence[int]) -> bool:
         self.registry.validate(assignment)
@@ -173,25 +148,37 @@ class DeltaGraph:
             f"layer={len(ds)} {' '.join(f'δ({v},{i})' for i, v in ds) or '(empty)'}"
             for ds in self.vertices()
         ]
-        lines.append(f"complete: {'yes' if self.is_complete() else 'no'}")
+        lines.append(f"complete: {'no' if self.sweep().count else 'yes'}")
         return "\n".join(lines)
 
 
-def _restrict(
-    live: frozenset[tuple[Delta, ...]], pos: int, pick: int
-) -> frozenset[tuple[Delta, ...]] | None:
-    """The live set after deciding ``pick`` at index ``pos``.
+_MATCHED = (INF, ())  # a vertex whose deltas are all matched
 
-    Every live vertex is a sorted delta list over indices >= pos.  None
-    when some vertex is fully matched, so the whole subtree is covered.
+
+def _decide(entry: frozenset, pos: int, pick: int) -> frozenset:
+    """The entry's monomials once ``pick`` is decided at index ``pos``.
+
+    Every delta list is sorted and over indices >= pos, so only its
+    first delta can be at pos: it is struck when it matches the pick,
+    and the monomial drops out when it does not.
     """
     out = []
-    for vs in live:
-        idx, val = vs[0]
-        if idx != pos:
-            out.append(vs)
-        elif val == pick:
-            if len(vs) == 1:
-                return None
-            out.append(vs[1:])
-    return frozenset(out)
+    for m in entry:
+        scalar, ds = m
+        if ds and ds[0][0] == pos:
+            if ds[0][1] != pick:
+                continue
+            m = (scalar, ds[1:])
+        out.append(m)
+    return _settle(out)
+
+
+def _settle(monos: Iterable[tuple[int, tuple[Delta, ...]]]) -> frozenset:
+    """Drop every monomial no larger than the best delta-free one.
+
+    No completion can raise the entry above that monomial, so the rest
+    only keep equal states apart.
+    """
+    monos = list(monos)
+    best = max((s for s, ds in monos if not ds), default=ZERO)
+    return frozenset(m for m in monos if m[0] > best or (m[0] == best and not m[1]))

@@ -136,7 +136,9 @@ def check_call_theorem(
     The lexicographically first block of each behavior counts as the
     image of a caller assignment, so every caller assignment is checked
     exactly once; later blocks of the same behavior count as merged
-    duplicates.
+    duplicates.  A pair the check cannot follow (another call, not
+    exactly one call to the callee, or a callee with no return) raises
+    ValueError before anything is analyzed.
     """
     for decl in (callee, caller):
         for c in walk_commands(decl.body):
@@ -145,6 +147,7 @@ def check_call_theorem(
                     f"{decl.name} calls {c.function}, which the inline check"
                     f" of {caller.name} -> {callee.name} cannot follow"
                 )
+    inlined = build_inlined(caller, callee)
     results = analyze_program(Program((callee, caller)))
     callee_res = results.functions[callee.name]
     caller_res = results.functions[caller.name]
@@ -155,10 +158,9 @@ def check_call_theorem(
         report.ok, report.failure = False, failure
         return report
 
-    if summary is None or not summary.behaviors:
+    if not summary.behaviors:
         return fail("callee has no usable behavior summary")
 
-    inlined = build_inlined(caller, callee)
     inlined_res = analyze_program(Program((inlined,))).functions[caller.name]
     i0 = caller_res.choice_sites[id(_the_call(caller, callee))]
     k = len(callee_res.registry)

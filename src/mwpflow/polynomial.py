@@ -190,9 +190,6 @@ class Polynomial:
             raise ValueError("assignment does not cover every choice index") from None
         return best
 
-    def choice_indices(self) -> set[int]:
-        return {i for m in self.monomials for i, _ in m.deltas}
-
     def has_inf(self) -> bool:
         return any(m.scalar == INF for m in self.monomials)
 

@@ -266,7 +266,7 @@ def test_criterion_6_delta_graph_oracle(corpus):
                 all(a[i] == v for i, v in ds) for ds in result.inserted
             )
             assert raw_covered == result.graph.covered(a), (src, a)
-        assert result.graph.is_complete() == (not clean), src
+        assert (result.graph.sweep().count == 0) == (not clean), src
         assert result.clean_count == len(clean), src
         assert result.sample == (clean[0] if clean else None), src
     elapsed = time.perf_counter() - started

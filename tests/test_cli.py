@@ -217,6 +217,42 @@ def test_text_report_has_no_trailing_spaces(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "verdict: " in out
         assert [line for line in out.splitlines() if line.endswith(" ")] == [], path
+    for path, picks in ((empty, ""), (EXAMPLES[0], "2,1")):
+        run([str(path), "--function", "main", "--eval", picks])
+        out = capsys.readouterr().out
+        assert "  variables:" in out
+        assert [line for line in out.splitlines() if line.endswith(" ")] == [], path
+
+
+def test_undecodable_source_exits_two(tmp_path, capsys):
+    p = tmp_path / "latin1.imp"
+    p.write_bytes(b"function main() { X1 = X2 \xff; }\n")
+    assert run([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mwpflow: cannot read {p}: ")
+    assert "can't decode byte 0xff" in captured.err
+
+
+@pytest.mark.parametrize("source, pair, message", [
+    ("function g(X1){ while (X1 < X1) { X2 = X2 + X2; } return X2; }\n"
+     "function main(){ X3 = X1; }\n",
+     ("main", "g"), "expected exactly one call to g in main, found 0"),
+    ("function g(X1){ X2 = X1 + X1; }\nfunction main(){ X3 = X1; }\n",
+     ("main", "g"), "expected exactly one call to g in main, found 0"),
+    ("function main(){ X3 = X1 + X2; }\n",
+     ("main", "main"), "expected exactly one call to main in main, found 0"),
+    ("function g(X1){ X2 = X1 + X1; }\nfunction f(X1){ X2 = X1; return X2; }\n"
+     "function main(){ X3 = f(X1); }\n",
+     ("f", "g"), "expected exactly one call to g in f, found 0"),
+])
+def test_check_inline_usage_errors_exit_two(tmp_path, capsys, source, pair, message):
+    p = tmp_path / "pair.imp"
+    p.write_text(source)
+    assert run([str(p), "--check-inline", *pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mwpflow: {message}\n"
 
 
 def test_warning_printed_to_stderr(tmp_path, capsys):

@@ -3,28 +3,33 @@ import random
 import pytest
 
 from mwpflow.delta_graph import DeltaGraph
-from mwpflow.polynomial import ChoiceRegistry, delta
+from mwpflow.polynomial import ChoiceRegistry, Monomial, Polynomial, delta
+from mwpflow.semiring import MWP_INF_VALUES
 
 
 def covered_by_raw(raw, assignment):
     return any(all(assignment[i] == v for i, v in ds) for ds in raw)
 
 
+def complete(g):
+    return g.sweep().count == 0
+
+
 def test_insert_single_vertex():
     g = DeltaGraph(ChoiceRegistry([1, 3]))
     g.insert([delta(0, 1)])
     assert g.vertices() == [(delta(0, 1),)]
-    assert not g.is_complete()
+    assert not complete(g)
 
 
 def test_full_fan_fuses_to_empty():
     g = DeltaGraph(ChoiceRegistry([1, 3]))
     g.insert([delta(0, 1)])
     g.insert([delta(1, 1)])
-    assert not g.is_complete()
+    assert not complete(g)
     g.insert([delta(2, 1)])
     assert g.vertices() == [()]
-    assert g.is_complete()
+    assert complete(g)
 
 
 def test_fuse_three_siblings_into_shorter():
@@ -52,7 +57,7 @@ def test_cascading_fusion_over_nine_vertices():
             ds = (delta(a, 0), delta(b, 1))
             raw.append(ds)
             g.insert(ds)
-    assert g.is_complete()
+    assert complete(g)
     for al in reg.assignments():
         assert g.covered(al) == covered_by_raw(raw, al) is True
 
@@ -65,14 +70,14 @@ def test_cardinality_one_domain_fuses_immediately():
 
 def test_is_complete_cases():
     empty = DeltaGraph(ChoiceRegistry([3]))
-    assert not empty.is_complete()
+    assert not complete(empty)
     g = DeltaGraph(ChoiceRegistry([3]))
     g.insert([])
-    assert g.is_complete()
+    assert complete(g)
     assert g.vertices() == [()]
     h = DeltaGraph(ChoiceRegistry([3, 3]))
     h.insert([delta(1, 1)])
-    assert not h.is_complete()
+    assert not complete(h)
     for al in h.registry.assignments():
         assert h.covered(al) == (al[1] == 1)
 
@@ -140,7 +145,7 @@ def test_fusion_preserves_coverage_and_matches_oracle():
             g.insert(ds)
             for al in reg.assignments():
                 assert g.covered(al) == covered_by_raw(raw, al)
-        assert g.is_complete() == all(g.covered(al) for al in reg.assignments())
+        assert complete(g) == all(g.covered(al) for al in reg.assignments())
 
 
 def test_fan_absorbed_into_shorter_vertices_still_fuses():
@@ -152,30 +157,41 @@ def test_fan_absorbed_into_shorter_vertices_still_fuses():
     g.insert([delta(1, 0)])
     g.insert([delta(0, 1)])
     g.insert([delta(2, 1)])
-    assert not g.is_complete()
+    assert not complete(g)
     g.insert([delta(2, 0), delta(1, 1)])
     assert g.vertices() == [()]
-    assert g.is_complete()
+    assert complete(g)
 
 
-def test_find_uncovered_matches_enumeration():
+def _random_column(rng, reg):
+    return [
+        Polynomial.of(
+            Monomial(rng.choice(MWP_INF_VALUES), ds)
+            for ds in _random_inserts(rng, reg, rng.randint(0, 4))
+        )
+        for _ in range(rng.randint(0, 3))
+    ]
+
+
+def test_sweep_matches_enumeration():
     rng = random.Random(53)
-    for _ in range(300):
-        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 5))])
+    holding_empty = 0
+    for _ in range(400):
+        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(0, 5))])
         g = DeltaGraph(reg)
-        for ds in _random_inserts(rng, reg, rng.randint(0, 6)):
+        raw = _random_inserts(rng, reg, rng.randint(0, 5))
+        for ds in raw:
             g.insert(ds)
-        uncovered = [al for al in reg.assignments() if not g.covered(al)]
-        expected = uncovered[0] if uncovered else None
-        assert g.find_uncovered() == expected
-        assert g.is_complete() == (expected is None)
-        assert g.count_uncovered() == len(uncovered)
-        assert list(g.uncovered()) == uncovered
-        free = set(rng.sample(range(len(reg)), rng.randint(0, len(reg))))
-        assert list(g.uncovered(free)) == [
-            al for al in uncovered
-            if all(v == 0 for i, v in enumerate(al) if i not in free)
-        ]
+        holding_empty += g.vertices() == [()]
+        column = _random_column(rng, reg)
+        uncovered = [al for al in reg.assignments() if not covered_by_raw(raw, al)]
+        found = g.sweep(column)
+        assert found.count == len(uncovered)
+        assert found.sample == (uncovered[0] if uncovered else None)
+        assert found.behaviors == tuple(dict.fromkeys(
+            tuple(p.evaluate(al) for p in column) for al in uncovered
+        ))
+    assert holding_empty >= 20
 
 
 def test_insert_never_shrinks_coverage():

@@ -248,8 +248,8 @@ def _check_with_callee_summary(monkeypatch, edit):
     build = analysis._FunctionRun._build_summary
 
     def faulty(self, matrix):
-        summary = build(self, matrix)
-        return edit(summary) if summary.name == "f" else summary
+        found, summary = build(self, matrix)
+        return found, (edit(summary) if self.decl.name == "f" else summary)
 
     monkeypatch.setattr(analysis._FunctionRun, "_build_summary", faulty)
     prog = parse(THREE_BEHAVIORS)

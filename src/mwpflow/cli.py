@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, parse, render
 from .inline import check_call_theorem
+from .polynomial import Monomial
 from .semiring import INF, value_char
 
 
@@ -26,17 +27,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", help="source file to analyze (conventionally .imp)")
     p.add_argument("--function", metavar="NAME", help="report only this function")
-    p.add_argument(
+    # Each mode prints its own output, so two would silently drop one.
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--eval", metavar="PICKS", dest="eval_picks",
         help="print the flow matrix for one comma-separated choice assignment",
     )
-    p.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    # Accepted for old command lines; every report is enumeration-free.
-    p.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--dump-ast", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument(
+    mode.add_argument("--json", action="store_true", help="emit a machine-readable report")
+    mode.add_argument("--dump-ast", action="store_true", help=argparse.SUPPRESS)
+    mode.add_argument(
         "--check-inline", nargs=2, metavar=("CALLER", "CALLEE"), help=argparse.SUPPRESS
     )
+    # Accepted for old command lines; every report is enumeration-free.
+    p.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
     return p
 
 
@@ -80,43 +83,80 @@ def render_report(results: Sequence[FunctionAnalysis]) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
-def _json_poly(poly) -> dict:
-    return {
-        "monomials": [
-            {
-                "scalar": "inf" if m.scalar == INF else value_char(m.scalar),
-                "deltas": [[v, i] for i, v in m.deltas],
-            }
-            for m in poly.monomials
-        ]
-    }
+def _block(items: Iterable[list[str]], depth: int, brackets: str = "[]") -> list[str]:
+    """Items as text pieces of one indent=2 JSON container closing at depth."""
+    pad = "\n" + "  " * (depth + 1)
+    out, sep = [brackets[0]], pad
+    for item in items:
+        out.append(sep)
+        out.extend(item)
+        sep = "," + pad
+    out.append(brackets[1] if len(out) == 1 else pad[:-2] + brackets[1])
+    return out
+
+
+def _obj(pairs: Iterable[tuple[str, list[str]]], depth: int) -> list[str]:
+    return _block(([json.dumps(k) + ": ", *v] for k, v in pairs), depth, "{}")
 
 
 def emit_json(results: Sequence[FunctionAnalysis]) -> str:
-    doc = {"functions": []}
+    """The report exactly as json.dumps(doc, indent=2) + "\n" prints it.
+
+    Monomials dominate large reports, so each distinct monomial is
+    rendered once per call, by one f-string at its fixed depth, and the
+    report is joined once from pieces that share those strings;
+    json.dumps only quotes names.
+    """
+    memo: dict[Monomial, list[str]] = {}
+    p7, p8, p9, p10 = ("  " * d for d in range(7, 11))
+
+    def mono(m: Monomial) -> list[str]:
+        text = memo.get(m)
+        if text is None:
+            scalar = "inf" if m.scalar == INF else value_char(m.scalar)
+            pairs = ",".join(f"\n{p9}[\n{p10}{v},\n{p10}{i}\n{p9}]" for i, v in m.deltas)
+            deltas = f"[{pairs}\n{p8}]" if pairs else "[]"
+            text = memo[m] = [
+                f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {deltas}\n{p7}}}'
+            ]
+        return text
+
+    def quoted(names: Iterable[str]) -> list[list[str]]:
+        return [[json.dumps(name)] for name in names]
+
+    functions = []
     for r in results:
         behaviors = []
         if r.summary is not None:
             for vec in r.summary.behaviors:
-                behaviors.append({
-                    v: ("inf" if f == INF else value_char(f))
+                behaviors.append(_obj((
+                    (v, ['"inf"' if f == INF else f'"{value_char(f)}"'])
                     for v, f in zip(r.summary.rows, vec)
                     if f
-                })
-        doc["functions"].append({
-            "name": r.name,
-            "variables": list(r.variables),
-            "choices": [
-                {"index": i, "domain": c}
+                ), 4))
+        matrix = _block((
+            _block((
+                _obj([("monomials", _block(map(mono, p.monomials), 6))], 5) for p in row
+            ), 4)
+            for row in r.matrix.entries
+        ), 3)
+        functions.append(_obj([
+            ("name", [json.dumps(r.name)]),
+            ("variables", _block(quoted(r.variables), 3)),
+            ("choices", _block((
+                _obj([("index", [str(i)]), ("domain", [str(c)])], 4)
                 for i, c in enumerate(r.registry.cardinalities)
-            ],
-            "matrix": [[_json_poly(p) for p in row] for row in r.matrix.entries],
-            "verdict": r.verdict,
-            "sample_assignment": list(r.sample) if r.sample is not None else None,
-            "blame": [list(pair) for pair in r.blame],
-            "behaviors": behaviors,
-        })
-    return json.dumps(doc, indent=2) + "\n"
+            ), 3)),
+            ("matrix", matrix),
+            ("verdict", [json.dumps(r.verdict)]),
+            ("sample_assignment",
+             ["null"] if r.sample is None else _block(([str(x)] for x in r.sample), 3)),
+            ("blame", _block((_block(quoted(pair), 4) for pair in r.blame), 3)),
+            ("behaviors", _block(behaviors, 3)),
+        ], 2))
+    doc = _obj([("functions", _block(functions, 1))], 0)
+    doc.append("\n")
+    return "".join(doc)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -13,6 +13,12 @@ compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products and scaling collect their raw monomials and
 hand them to Polynomial.of, the one place that sorts, merges duplicates
 and drops subsumed monomials.
+
+INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
+product verbatim, also with a zero factor.  In a matrix product every
+INF monomial of row i of the left factor or of column c of the right
+one therefore lands in cell (i, c); ChoiceMatrix.__mul__ carries these
+lists once per row and column instead of per index.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     cylinders, so the product vanishes.
     """
     da, db = a.deltas, b.deltas
+    if not da or not db:
+        return Monomial(mul_inf(a.scalar, b.scalar), da or db)
     out: list[Delta] = []
     i = j = 0
     while i < len(da) and j < len(db):
@@ -88,20 +96,34 @@ def _merge_duplicates(sorted_monos: Iterable[Monomial]) -> list[Monomial]:
 
 
 def _subsume(monos: list[Monomial]) -> list[Monomial]:
-    """Drop monomials whose delta list extends another's with <= scalar."""
-    if len(monos) < 2:
+    """Drop monomials whose delta list extends another's with <= scalar.
+
+    The list is duplicate-free, so one dict maps each delta tuple to its
+    scalar.  A monomial of L deltas looks up its proper sub-tuples there
+    (only those of lengths the list holds) when 2**L is at most the list
+    length, and otherwise scans the list for a shorter dominating one.
+    """
+    n = len(monos)
+    if n < 2:
         return monos
-    sets = [frozenset(m.deltas) for m in monos]
+    best = {m.deltas: m.scalar for m in monos}
+    sizes = sorted({len(ds) for ds in best})
     kept: list[Monomial] = []
-    for i, m in enumerate(monos):
-        si = sets[i]
-        dominated = any(
-            j != i
-            and m.scalar <= monos[j].scalar
-            and len(sets[j]) < len(si)
-            and sets[j] <= si
-            for j in range(len(monos))
-        )
+    for m in monos:
+        ds, s = m.deltas, m.scalar
+        size = len(ds)
+        if 1 << size <= n:
+            dominated = any(
+                best.get(sub, ZERO) >= s
+                for r in sizes if r < size
+                for sub in itertools.combinations(ds, r)
+            )
+        else:
+            mine = set(ds)
+            dominated = any(
+                len(o.deltas) < size and o.scalar >= s and mine.issuperset(o.deltas)
+                for o in monos
+            )
         if not dominated:
             kept.append(m)
     return kept
@@ -255,6 +277,21 @@ class ChoiceRegistry:
                 raise ValueError(f"pick {v} out of range for choice {j} (domain {c})")
 
 
+def _split(
+    polys: Iterable[Polynomial],
+) -> tuple[dict[int, list[Monomial]], list[Monomial]]:
+    """A row or column as its finite monomials by index, and its INF ones."""
+    fin: dict[int, list[Monomial]] = {}
+    inf: list[Monomial] = []
+    for k, poly in enumerate(polys):
+        for m in poly.monomials:
+            if m.scalar == INF:
+                inf.append(m)
+            else:
+                fin.setdefault(k, []).append(m)
+    return fin, inf
+
+
 class ChoiceMatrix:
     """Square matrix of choice polynomials with a named variable order."""
 
@@ -320,20 +357,29 @@ class ChoiceMatrix:
         )
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
+        """Matrix product with one Polynomial.of per cell.
+
+        INF spreads: as 0·∞ = ∞, every INF monomial of row i of self or
+        of column c of other reaches cell (i, c), whatever it meets.  So
+        a cell is those INF lists plus the finite products over shared
+        indices, which equals the sum over k of Polynomial products as
+        of(of(X) ∪ Y) == of(X ∪ Y).
+        """
         self._check_compatible(other)
-        n = self.dim
-        cols = tuple(zip(*other.entries))
+        rows = [_split(row) for row in self.entries]
+        cols = [_split(col) for col in zip(*other.entries)]
         out = []
-        for row in self.entries:
+        for row_fin, row_inf in rows:
             new_row = []
-            for col in cols:
-                acc = ZERO_POLY
-                for k in range(n):
-                    a, b = row[k], col[k]
-                    if a.is_zero and b.is_zero:
-                        continue
-                    acc = acc + a * b
-                new_row.append(acc)
+            for col_fin, col_inf in cols:
+                monos = row_inf + col_inf
+                for k, ps in row_fin.items():
+                    qs = col_fin.get(k)
+                    if qs is not None:
+                        monos.extend(
+                            r for p in ps for q in qs if (r := mono_mul(p, q)) is not None
+                        )
+                new_row.append(Polynomial.of(monos) if monos else ZERO_POLY)
             out.append(tuple(new_row))
         return ChoiceMatrix(self.variables, out, self.registry)
 

@@ -1,12 +1,15 @@
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from corpus import random_call_pair, random_program
 from mwpflow.cli import emit_json, run
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import parse
+from mwpflow.semiring import INF, value_char
 
 LOOP_SRC = "function main(){ loop X3 { X2 = X1 + X2; } }\n"
 WHILE_SRC = "function main(){ while (X1 < X2) { X2 = X1 + X2; } }\n"
@@ -131,6 +134,72 @@ def test_json_matches_library_emit(loop_file, capsys):
     cli_text = capsys.readouterr().out
     results = list(analyze_program(parse(LOOP_SRC)))
     assert cli_text == emit_json(results)
+
+
+def _reference_json(results):
+    """The report built as a dict and printed by json.dumps(indent=2)."""
+    def scalar(f):
+        return "inf" if f == INF else value_char(f)
+
+    return json.dumps({"functions": [
+        {
+            "name": r.name,
+            "variables": list(r.variables),
+            "choices": [
+                {"index": i, "domain": c} for i, c in enumerate(r.registry.cardinalities)
+            ],
+            "matrix": [
+                [
+                    {"monomials": [
+                        {"scalar": scalar(m.scalar), "deltas": [[v, i] for i, v in m.deltas]}
+                        for m in p.monomials
+                    ]}
+                    for p in row
+                ]
+                for row in r.matrix.entries
+            ],
+            "verdict": r.verdict,
+            "sample_assignment": list(r.sample) if r.sample is not None else None,
+            "blame": [list(pair) for pair in r.blame],
+            "behaviors": [
+                {v: scalar(f) for v, f in zip(r.summary.rows, vec) if f}
+                for vec in (r.summary.behaviors if r.summary is not None else ())
+            ],
+        }
+        for r in results
+    ]}, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_layout():
+    rng = random.Random(43)
+    sources = [path.read_text(encoding="utf-8") for path in EXAMPLES]
+    sources += [random_program(rng) for _ in range(80)]
+    sources += [random_call_pair(rng) for _ in range(60)]
+    sources += ["function main(){ }", LOOP_SRC, WHILE_SRC, PAIR_SRC]
+    seen = {"inf": 0, "behaviors": 0, "unbounded": 0}
+    for src in sources:
+        results = list(analyze_program(parse(src)))
+        assert emit_json(results) == _reference_json(results), src
+        seen["inf"] += any(r.matrix.inf_cells() for r in results)
+        seen["behaviors"] += any(r.summary and r.summary.behaviors for r in results)
+        seen["unbounded"] += any(r.sample is None for r in results)
+    assert min(seen.values()) >= 10
+
+
+@pytest.mark.parametrize("modes, message", [
+    (["--eval", "1", "--json"], "argument --json: not allowed with argument --eval"),
+    (["--json", "--eval", "1"], "argument --eval: not allowed with argument --json"),
+    (["--dump-ast", "--json"], "argument --json: not allowed with argument --dump-ast"),
+    (["--check-inline", "main", "main", "--json"],
+     "argument --json: not allowed with argument --check-inline"),
+    (["--eval", "1", "--dump-ast"], "argument --dump-ast: not allowed with argument --eval"),
+])
+def test_output_modes_are_exclusive(loop_file, capsys, modes, message):
+    # Each of these modes would silently drop the other's output.
+    assert run([loop_file, *modes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"mwpflow: error: {message}\n" in captured.err
 
 
 def test_json_is_deterministic_across_runs(loop_file, capsys):
@@ -306,3 +375,39 @@ def test_deeply_nested_expression_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mwpflow: ")
+
+
+def test_feedback_chain_48_decided(tmp_path, capsys):
+    # 48 counted loops over a rotating pool of five variables.
+    pool = [f"X{i + 1}" for i in range(5)]
+    p = tmp_path / "feedback.imp"
+    p.write_text("function main() {\n" + "".join(
+        f"    loop {pool[(i + 2) % 5]} {{ {pool[(i + 1) % 5]} = {pool[i % 5]} + {pool[(i + 1) % 5]}; }}\n"
+        for i in range(48)
+    ) + "}\n")
+    code, elapsed = _timed_run([str(p), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [f["verdict"] for f in doc["functions"]] == ["conditionally_bounded"]
+    assert elapsed < 6.0
+
+
+def test_accumulating_callee_keeps_four_behaviors(tmp_path, capsys):
+    p = tmp_path / "accumulate.imp"
+    p.write_text(
+        "function f(X1, X2) {\n"
+        + "".join(f"    X3 = X3 + X{1 + i % 2};\n" for i in range(8))
+        + "    return X3;\n}\nfunction main() {\n    X3 = f(X1, X2);\n}\n"
+    )
+    code, elapsed = _timed_run([str(p), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    f = doc["functions"][0]
+    assert f["name"] == "f"
+    assert f["behaviors"] == [
+        {"X1": "p", "X2": "p"},
+        {"X1": "p", "X2": "w"},
+        {"X1": "w", "X2": "p"},
+        {"X1": "w", "X2": "w"},
+    ]
+    assert elapsed < 6.0

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from mwpflow.analysis import analyze_program
+from mwpflow.frontend import parse
 from mwpflow.polynomial import (
     ChoiceMatrix,
     ChoiceRegistry,
@@ -9,6 +11,8 @@ from mwpflow.polynomial import (
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
+    _merge_duplicates,
+    _subsume,
     delta,
     mono_mul,
 )
@@ -222,6 +226,48 @@ def test_simplify_is_idempotent_and_eval_preserving():
             assert canon.evaluate(a) == raw
 
 
+def _all_pairs_subsume(monos):
+    """The definition: drop m when a shorter sub-list has scalar >= m's."""
+    return [
+        m for m in monos
+        if not any(
+            len(o.deltas) < len(m.deltas)
+            and o.scalar >= m.scalar
+            and set(o.deltas) <= set(m.deltas)
+            for o in monos
+        )
+    ]
+
+
+def test_subsume_matches_all_pairs_definition():
+    # Duplicate-free sorted lists, as Polynomial.of hands them over.
+    # Short lists of long monomials take the scan, long lists of short
+    # ones the sub-tuple lookup; both must give the definition's answer.
+    rng = random.Random(23)
+    lookups = scans = 0
+    for _ in range(600):
+        width = rng.choice((3, 6, 10))
+        cards = [rng.choice((1, 2, 3)) for _ in range(width)]
+        monos = [
+            Monomial(
+                rng.choice((M, W, P, INF, P, INF)),
+                tuple(sorted(
+                    (i, rng.randrange(cards[i]))
+                    for i in rng.sample(range(width), rng.randint(0, min(width, 7)))
+                )),
+            )
+            for _ in range(rng.choice((2, 5, 20, 80)))
+        ]
+        monos = _merge_duplicates(sorted(monos, key=lambda m: m.deltas))
+        for m in monos:
+            if 1 << len(m.deltas) <= len(monos):
+                lookups += 1
+            else:
+                scans += 1
+        assert _subsume(monos) == _all_pairs_subsume(monos)
+    assert lookups > 1000 and scans > 1000
+
+
 # --- canonical order and the merge-based product ------------------------
 
 def test_product_with_fixed_monomial_is_monotone_on_equal_index_sets():
@@ -390,6 +436,85 @@ def test_matrix_ops_commute_with_expansion():
         for al in assignments(reg):
             assert (a + b).evaluate(al) == a.evaluate(al) + b.evaluate(al)
             assert (a * b).evaluate(al) == a.evaluate(al) * b.evaluate(al)
+
+
+def _cellwise_product(a, b):
+    """The product by its definition: cell (i, c) is the sum over k of A[i][k] * B[k][c]."""
+    n = a.dim
+    entries = []
+    for i in range(n):
+        row = []
+        for c in range(n):
+            acc = ZERO_POLY
+            for k in range(n):
+                acc = acc + a.entry(i, k) * b.entry(k, c)
+            row.append(acc)
+        entries.append(row)
+    return ChoiceMatrix(a.variables, entries, a.registry)
+
+
+def test_matrix_product_matches_cellwise_definition():
+    # INF monomials sit opposite zero entries: 0·∞ = ∞ carries them into
+    # every cell of their row (left factor) or column (right factor).
+    rng = random.Random(31)
+    inf_opposite_zero = 0
+    for _ in range(150):
+        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 3))])
+        n = rng.randint(1, 4)
+        names = tuple(f"V{i}" for i in range(n))
+
+        def entry():
+            return ZERO_POLY if rng.random() < 0.4 else _random_poly(rng, reg, allow_inf=True)
+
+        a = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
+        b = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
+        inf_opposite_zero += sum(
+            (a.entry(i, k).has_inf() and b.entry(k, c).is_zero)
+            or (a.entry(i, k).is_zero and b.entry(k, c).has_inf())
+            for i in range(n) for k in range(n) for c in range(n)
+        )
+        assert a * b == _cellwise_product(a, b)
+    assert inf_opposite_zero > 100
+
+
+def _product_skipping_zero_factors(a, b):
+    """A wrong product: a zero factor drops the INF monomials it meets."""
+    n = a.dim
+    return ChoiceMatrix(a.variables, [
+        [
+            sum((a.entry(i, k) * b.entry(k, c) for k in range(n)
+                 if not a.entry(i, k).is_zero and not b.entry(k, c).is_zero), ZERO_POLY)
+            for c in range(n)
+        ]
+        for i in range(n)
+    ], a.registry)
+
+
+def test_loop_chain_product_spreads_inf(monkeypatch):
+    # 20 loops over a 22-variable chain: every product the analysis takes
+    # equals the cellwise definition, and a product that lets a zero
+    # factor drop INF monomials changes 274 cells of the final matrix.
+    src = "function main() {\n" + "".join(
+        f"    loop X{i + 1} {{ X{i + 3} = X{i + 2} * X{i + 3}; }}\n" for i in range(20)
+    ) + "}\n"
+    product = ChoiceMatrix.__mul__
+    checked = []
+
+    def checked_product(a, b):
+        out = product(a, b)
+        assert out == _cellwise_product(a, b)
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
+    main = analyze_program(parse(src)).functions["main"]
+    assert len(checked) > 20
+    monkeypatch.setattr(ChoiceMatrix, "__mul__", _product_skipping_zero_factors)
+    wrong = analyze_program(parse(src)).functions["main"]
+    changed = sum(
+        p != q for rp, rq in zip(main.matrix.entries, wrong.matrix.entries) for p, q in zip(rp, rq)
+    )
+    assert changed == 274
 
 
 def test_rendering():

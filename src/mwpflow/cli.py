@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
-from .frontend import ParseError, parse, render
+from .frontend import ParseError, Program, parse, render
 from .inline import check_call_theorem
 from .polynomial import Monomial
 from .semiring import INF, value_char
@@ -168,6 +168,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         opts = parser.parse_args(args)
+        if opts.check_inline and opts.function is not None:
+            # The check names its own two functions.
+            parser.error("argument --function: not allowed with argument --check-inline")
     except SystemExit as e:
         return 0 if e.code == 0 else 2
 
@@ -196,8 +199,13 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
     for w in program.warnings:
         print(f"{opts.file}:{w}", file=sys.stderr)
 
+    shown = tuple(f for f in program.functions if opts.function in (None, f.name))
+    if opts.function is not None and not shown:
+        print(f"mwpflow: no function named {opts.function}", file=sys.stderr)
+        return 2
+
     if opts.dump_ast:
-        print(render(program), end="")
+        print(render(Program(shown)), end="")
         return 0
 
     if opts.check_inline:
@@ -213,13 +221,7 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
         print(report)
         return 0 if report.ok else 1
 
-    analysis = analyze_program(program)
-    results = list(analysis)
-    if opts.function is not None:
-        results = [r for r in results if r.name == opts.function]
-        if not results:
-            print(f"mwpflow: no function named {opts.function}", file=sys.stderr)
-            return 2
+    results = [r for r in analyze_program(program) if opts.function in (None, r.name)]
 
     if opts.eval_picks is not None:
         try:

@@ -17,8 +17,13 @@ and drops subsumed monomials.
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
 INF monomial of row i of the left factor or of column c of the right
-one therefore lands in cell (i, c); ChoiceMatrix.__mul__ carries these
-lists once per row and column instead of per index.
+one therefore lands in cell (i, c).  ChoiceMatrix.__mul__ canonicalizes
+each row's and each column's INF list once, as one Polynomial; a cell
+with no finite products is just the sum of its row's and column's
+lists.  A command matrix is the identity outside the columns it
+writes, and a right-factor column that is the unit vector e_c passes
+cell (i, c) of the left factor through unchanged when row i holds no
+INF.
 """
 
 from __future__ import annotations
@@ -161,8 +166,8 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not self.monomials:
             return other
-        if not other.monomials:
-            return self
+        if not other.monomials or self.monomials == other.monomials:
+            return self  # max is idempotent
         return Polynomial.of(self.monomials + other.monomials)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -279,8 +284,12 @@ class ChoiceRegistry:
 
 def _split(
     polys: Iterable[Polynomial],
-) -> tuple[dict[int, list[Monomial]], list[Monomial]]:
-    """A row or column as its finite monomials by index, and its INF ones."""
+) -> tuple[dict[int, list[Monomial]], Polynomial]:
+    """A row or column as its finite monomials by index, and its INF ones.
+
+    The INF monomials come back as one canonical Polynomial, so a list
+    that repeats across the cells of a row or column is merged once.
+    """
     fin: dict[int, list[Monomial]] = {}
     inf: list[Monomial] = []
     for k, poly in enumerate(polys):
@@ -289,7 +298,7 @@ def _split(
                 inf.append(m)
             else:
                 fin.setdefault(k, []).append(m)
-    return fin, inf
+    return fin, Polynomial.of(inf) if inf else ZERO_POLY
 
 
 class ChoiceMatrix:
@@ -357,29 +366,44 @@ class ChoiceMatrix:
         )
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
-        """Matrix product with one Polynomial.of per cell.
+        """Matrix product with at most one Polynomial.of per cell.
 
         INF spreads: as 0·∞ = ∞, every INF monomial of row i of self or
         of column c of other reaches cell (i, c), whatever it meets.  So
-        a cell is those INF lists plus the finite products over shared
-        indices, which equals the sum over k of Polynomial products as
-        of(of(X) ∪ Y) == of(X ∪ Y).
+        a cell is those two canonical INF lists plus the finite products
+        over shared indices, which equals the sum over k of Polynomial
+        products as of(of(X) ∪ Y) == of(X ∪ Y).  A cell with no finite
+        products is the sum of the two lists.  A column of other that is
+        the unit vector e_c multiplies nothing: its finite products are
+        the finite part of self's cell (i, c), and that cell passes
+        through as it is when row i holds no INF.
         """
         self._check_compatible(other)
         rows = [_split(row) for row in self.entries]
         cols = [_split(col) for col in zip(*other.entries)]
+        unit = [Monomial(M, ())]
+        units = {c for c, (fin, inf) in enumerate(cols) if inf.is_zero and fin == {c: unit}}
         out = []
-        for row_fin, row_inf in rows:
+        for row, (row_fin, row_inf) in zip(self.entries, rows):
             new_row = []
-            for col_fin, col_inf in cols:
-                monos = row_inf + col_inf
-                for k, ps in row_fin.items():
-                    qs = col_fin.get(k)
-                    if qs is not None:
-                        monos.extend(
-                            r for p in ps for q in qs if (r := mono_mul(p, q)) is not None
-                        )
-                new_row.append(Polynomial.of(monos) if monos else ZERO_POLY)
+            for c, (col_fin, col_inf) in enumerate(cols):
+                if c in units:
+                    if row_inf.is_zero:
+                        new_row.append(row[c])
+                        continue
+                    monos = row_fin.get(c, [])
+                else:
+                    monos = []
+                    for k, ps in row_fin.items():
+                        qs = col_fin.get(k)
+                        if qs is not None:
+                            monos.extend(
+                                r for p in ps for q in qs if (r := mono_mul(p, q)) is not None
+                            )
+                new_row.append(
+                    Polynomial.of([*row_inf.monomials, *col_inf.monomials, *monos])
+                    if monos else row_inf + col_inf
+                )
             out.append(tuple(new_row))
         return ChoiceMatrix(self.variables, out, self.registry)
 

@@ -227,6 +227,39 @@ def test_function_filter(tmp_path, capsys):
     assert run([str(p), "--function", "nope"]) == 2
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--eval", "0"], ["--dump-ast"]])
+def test_unknown_function_exits_two_in_every_mode(tmp_path, capsys, mode):
+    p = tmp_path / "pair.imp"
+    p.write_text(PAIR_SRC)
+    assert run([str(p), "--function", "nosuch", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mwpflow: no function named nosuch\n"
+
+
+def test_dump_ast_prints_only_the_named_function(tmp_path, capsys):
+    p = tmp_path / "pair.imp"
+    p.write_text(PAIR_SRC)
+    assert run([str(p), "--dump-ast"]) == 0
+    f_block, _ = capsys.readouterr().out.split("\n\n")
+    assert run([str(p), "--function", "f", "--dump-ast"]) == 0
+    assert capsys.readouterr().out == f_block + "\n"
+    assert f_block.startswith("function f(X1) {") and "main" not in f_block
+
+
+def test_check_inline_rejects_function_filter(tmp_path, capsys):
+    # The check names its own caller and callee.
+    p = tmp_path / "pair.imp"
+    p.write_text(PAIR_SRC)
+    for name in ("main", "nosuch"):
+        assert run([str(p), "--check-inline", "main", "f", "--function", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "mwpflow: error: argument --function: not allowed with argument --check-inline\n"
+        )
+
+
 def test_fast_flag_matches_default_verdict(tmp_path, capsys):
     for src in (LOOP_SRC, WHILE_SRC, PAIR_SRC):
         p = tmp_path / "prog.imp"

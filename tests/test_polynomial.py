@@ -453,28 +453,138 @@ def _cellwise_product(a, b):
     return ChoiceMatrix(a.variables, entries, a.registry)
 
 
+def _unit_outside_columns(rng, n, entry):
+    """The identity outside one or two columns, as a command matrix is."""
+    written = rng.sample(range(n), min(n, rng.randint(1, 2)))
+    return [
+        [entry() if c in written else UNIT_POLY if r == c else ZERO_POLY for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def _rows_repeating_inf(rng, reg, n, entry):
+    """Rows that carry one INF monomial in several of their cells."""
+    rows = []
+    for _ in range(n):
+        row = [entry() for _ in range(n)]
+        idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
+        inf = Polynomial.of([Monomial(
+            INF, tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx))
+        )])
+        for c in rng.sample(range(n), rng.randint(min(2, n), n)):
+            row[c] = row[c] + inf
+        rows.append(row)
+    return rows
+
+
+def _unit_column_rows(a, b):
+    """For each cell (i, c) where column c of b is the unit vector e_c:
+    whether row i of a holds INF."""
+    n = a.dim
+    return [
+        any(p.has_inf() for p in a.entries[i])
+        for c in range(n)
+        if all(b.entry(k, c) == (UNIT_POLY if k == c else ZERO_POLY) for k in range(n))
+        for i in range(n)
+    ]
+
+
 def test_matrix_product_matches_cellwise_definition():
     # INF monomials sit opposite zero entries: 0·∞ = ∞ carries them into
     # every cell of their row (left factor) or column (right factor).
+    # Right factors that are the identity outside a few columns pass
+    # cells of the left factor through, with or without row INF.
     rng = random.Random(31)
-    inf_opposite_zero = 0
-    for _ in range(150):
-        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 3))])
-        n = rng.randint(1, 4)
-        names = tuple(f"V{i}" for i in range(n))
+    for shape in ("dense", "unit columns", "repeated INF rows"):
+        inf_opposite_zero = 0
+        unit_cells = {False: 0, True: 0}  # by whether the left row holds INF
+        for _ in range(150):
+            reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(1, 3))])
+            n = rng.randint(1, 4)
+            names = tuple(f"V{i}" for i in range(n))
 
-        def entry():
-            return ZERO_POLY if rng.random() < 0.4 else _random_poly(rng, reg, allow_inf=True)
+            def entry():
+                return ZERO_POLY if rng.random() < 0.4 else _random_poly(rng, reg, allow_inf=True)
 
-        a = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
-        b = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
-        inf_opposite_zero += sum(
-            (a.entry(i, k).has_inf() and b.entry(k, c).is_zero)
-            or (a.entry(i, k).is_zero and b.entry(k, c).has_inf())
-            for i in range(n) for k in range(n) for c in range(n)
-        )
-        assert a * b == _cellwise_product(a, b)
-    assert inf_opposite_zero > 100
+            def dense():
+                return [[entry() for _ in range(n)] for _ in range(n)]
+
+            a = ChoiceMatrix(names, (
+                _rows_repeating_inf(rng, reg, n, entry) if shape == "repeated INF rows"
+                else dense()
+            ), reg)
+            b = ChoiceMatrix(names, (
+                _unit_outside_columns(rng, n, entry) if shape == "unit columns" else dense()
+            ), reg)
+            inf_opposite_zero += sum(
+                (a.entry(i, k).has_inf() and b.entry(k, c).is_zero)
+                or (a.entry(i, k).is_zero and b.entry(k, c).has_inf())
+                for i in range(n) for k in range(n) for c in range(n)
+            )
+            for row_has_inf in _unit_column_rows(a, b):
+                unit_cells[row_has_inf] += 1
+            assert a * b == _cellwise_product(a, b), shape
+        assert inf_opposite_zero > 100, shape
+        if shape == "unit columns":
+            assert min(unit_cells.values()) > 100
+
+
+def _product_checker(monkeypatch):
+    """Check every product the analysis takes against the definition."""
+    product = ChoiceMatrix.__mul__
+    checked = []
+
+    def checked_product(a, b):
+        out = product(a, b)
+        assert out == _cellwise_product(a, b)
+        checked.append((a, b))
+        return out
+
+    monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
+    return checked
+
+
+def _pool_main(lines):
+    return "function main() {\n" + "".join(f"    {line}\n" for line in lines) + "}\n"
+
+
+def _feedback_loops(k, n=5):
+    x = [f"X{i + 1}" for i in range(n)]
+    return _pool_main([
+        f"loop {x[(i + 2) % n]} {{ {x[(i + 1) % n]} = {x[i % n]} + {x[(i + 1) % n]}; }}"
+        for i in range(k)
+    ])
+
+
+def _while_loops(k, n=6):
+    x = [f"X{i + 1}" for i in range(n)]
+    return _pool_main([
+        f"while ({x[i % n]} < {x[(i + 1) % n]}) {{ {x[(i + 1) % n]} = {x[i % n]} + {x[(i + 1) % n]}; }}"
+        for i in range(k)
+    ])
+
+
+def _branch_blocks(k, n=6):
+    x = [f"X{i + 1}" for i in range(n)]
+    return _pool_main([
+        f"if ({x[(s + 1) % n]} < {x[(s + 2) % n]}) {{ {x[s % n]} = {x[(s + 1) % n]} + {x[(s + 2) % n]}; }}"
+        f" else {{ {x[s % n]} = {x[(s + 2) % n]} - {x[(s + 1) % n]}; }}"
+        for s in range(k)
+    ])
+
+
+@pytest.mark.parametrize("src, inf_rows_met", [
+    (_feedback_loops(6), 50), (_while_loops(5), 50), (_branch_blocks(12), 0),
+], ids=["feedback", "while", "branch"])
+def test_analysis_products_match_cellwise_definition(monkeypatch, src, inf_rows_met):
+    # Loops leave INF in rows that later command matrices, the identity
+    # outside the column they write, must carry along; branches are
+    # INF-free, so their cells all pass through.
+    checked = _product_checker(monkeypatch)
+    analyze_program(parse(src))
+    unit_with_row_inf = sum(sum(_unit_column_rows(a, b)) for a, b in checked)
+    assert len(checked) > 10
+    assert unit_with_row_inf >= inf_rows_met
 
 
 def _product_skipping_zero_factors(a, b):
@@ -497,16 +607,7 @@ def test_loop_chain_product_spreads_inf(monkeypatch):
     src = "function main() {\n" + "".join(
         f"    loop X{i + 1} {{ X{i + 3} = X{i + 2} * X{i + 3}; }}\n" for i in range(20)
     ) + "}\n"
-    product = ChoiceMatrix.__mul__
-    checked = []
-
-    def checked_product(a, b):
-        out = product(a, b)
-        assert out == _cellwise_product(a, b)
-        checked.append(out)
-        return out
-
-    monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
+    checked = _product_checker(monkeypatch)
     main = analyze_program(parse(src)).functions["main"]
     assert len(checked) > 20
     monkeypatch.setattr(ChoiceMatrix, "__mul__", _product_skipping_zero_factors)

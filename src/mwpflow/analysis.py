@@ -4,10 +4,11 @@ Each function body is folded into a single choice matrix: assignments
 replace one column with the expression's vector, sequences multiply,
 branches of a conditional join by entry-wise max over independent choice
 indices, and the two iteration rules close the body matrix and then top
-the cells that break the polynomial-growth argument with INF.  Every
-INF-bearing monomial is mirrored into the run's delta graph the moment
-it is created, so the qualitative verdict is available without touching
-the assignment space.
+the cells that break the polynomial-growth argument with INF.  The
+final matrix is the only record of infinity: once the body is folded,
+the delta lists of its INF monomials become the function's delta graph,
+so the qualitative verdict is available without touching the
+assignment space.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .polynomial import (
     Assignment,
     ChoiceMatrix,
     ChoiceRegistry,
-    Delta,
     INF_POLY,
     Monomial,
     Polynomial,
@@ -76,7 +76,6 @@ class FunctionAnalysis:
     registry: ChoiceRegistry
     matrix: ChoiceMatrix
     graph: DeltaGraph
-    inserted: tuple[tuple[Delta, ...], ...]
     verdict: str
     sample: Assignment | None
     blame: tuple[tuple[str, str], ...]
@@ -100,8 +99,7 @@ class _FunctionRun:
         self.decl = decl
         self.summaries = summaries
         self.registry = ChoiceRegistry()
-        self.graph = DeltaGraph(self.registry)
-        self.inserted: list[tuple[Delta, ...]] = []
+        self.poisoned = False  # a call INF-floods every assignment
         self.choice_sites: dict[int, int] = {}
         self.variables = variable_order(decl, self._call_rows)
         self.index = {v: i for i, v in enumerate(self.variables)}
@@ -160,10 +158,6 @@ class _FunctionRun:
             return self._iterate(self.matrix_of_body(c.body), counter=self.index[c.counter])
         raise TypeError(f"unknown command {c!r}")
 
-    def _record_inf(self, deltas: tuple[Delta, ...]) -> None:
-        self.inserted.append(deltas)
-        self.graph.insert(deltas)
-
     def _iterate(self, body: ChoiceMatrix, counter: int | None) -> ChoiceMatrix:
         """Apply the iteration rule to a closed body matrix.
 
@@ -179,14 +173,12 @@ class _FunctionRun:
             for m in star.entry(j, j).monomials:
                 if m.scalar > M:
                     extra[j][j].append(Monomial(INF, m.deltas))
-                    self._record_inf(m.deltas)
         if counter is None:
             for i in range(n):
                 for j in range(n):
                     for m in star.entry(i, j).monomials:
                         if m.scalar == P:
                             extra[i][j].append(Monomial(INF, m.deltas))
-                            self._record_inf(m.deltas)
         else:
             for j in range(n):
                 hits = [
@@ -215,8 +207,9 @@ class _FunctionRun:
         column = [ZERO_POLY] * len(self.variables)
         if not summary.behaviors:
             # A callee with no growth certificate cannot confer one: every
-            # input floods the target with INF, unconditionally.
-            self._record_inf(())
+            # input floods the target with INF, unconditionally, even
+            # with no input row to hold it.
+            self.poisoned = True
             for r in row_targets:
                 column[r] = INF_POLY
             return base.replace_column(target, column)
@@ -233,10 +226,17 @@ class _FunctionRun:
     def finish(self) -> FunctionAnalysis:
         start = time.perf_counter()
         matrix = self.matrix_of_body(self.decl.body)
-        # The graph covers exactly the assignments whose matrix holds an
-        # INF, so it answers every qualitative question on its own.
-        found, summary = self._build_summary(matrix)
-        if not self.inserted:
+        # The final matrix's INF monomials cover exactly the assignments
+        # that hold an INF, so their graph answers every qualitative
+        # question on its own.
+        cover = {()} if self.poisoned else {
+            m.deltas for row in matrix.entries for p in row for m in p.monomials if m.scalar == INF
+        }
+        graph = DeltaGraph(self.registry)
+        for ds in sorted(cover, key=len):
+            graph.insert(ds)
+        found, summary = self._build_summary(matrix, graph)
+        if not cover:
             verdict = BOUNDED
         elif found.sample is None:
             verdict = UNBOUNDED
@@ -250,8 +250,7 @@ class _FunctionRun:
             variables=self.variables,
             registry=self.registry,
             matrix=matrix,
-            graph=self.graph,
-            inserted=tuple(self.inserted),
+            graph=graph,
             verdict=verdict,
             sample=found.sample,
             blame=blame,
@@ -262,7 +261,9 @@ class _FunctionRun:
             elapsed=time.perf_counter() - start,
         )
 
-    def _build_summary(self, matrix: ChoiceMatrix) -> tuple[Sweep, FunctionSummary | None]:
+    def _build_summary(
+        self, matrix: ChoiceMatrix, graph: DeltaGraph
+    ) -> tuple[Sweep, FunctionSummary | None]:
         """One sweep of the graph, and from it the summary when there is a return.
 
         The sweep carries the return column's entries for the
@@ -271,14 +272,14 @@ class _FunctionRun:
         """
         decl = self.decl
         if decl.returns is None:
-            return self.graph.sweep(), None
+            return graph.sweep(), None
         ret = self.index[decl.returns]
         shared = tuple(
             v for v in self.variables
             if v not in decl.params and v != decl.returns
         )
         rows = decl.params + shared
-        found = self.graph.sweep([matrix.entry(self.index[v], ret) for v in rows])
+        found = graph.sweep([matrix.entry(self.index[v], ret) for v in rows])
         return found, FunctionSummary(
             name=decl.name,
             param_count=len(decl.params),

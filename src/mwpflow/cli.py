@@ -225,9 +225,10 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
 
     if opts.eval_picks is not None:
         try:
-            picks = tuple(
-                int(x) for x in opts.eval_picks.split(",") if x.strip() != ""
-            )
+            # Only a blank string is the empty assignment; an empty
+            # field is an error, not a pick to drop.
+            fields = opts.eval_picks.split(",") if opts.eval_picks.strip() else []
+            picks = tuple(int(x) for x in fields)
         except ValueError:
             print(f"mwpflow: bad assignment {opts.eval_picks!r}", file=sys.stderr)
             return 2

@@ -1,18 +1,22 @@
 """Record of the monomials that acquired an infinite coefficient.
 
 Vertices are delta lists.  A stored list covers the cylinder of
-assignments it matches; the graph as a whole covers every assignment
-for which the analysis produced INF somewhere.  Whenever all siblings
+assignments it matches; an analysis builds one graph per function, once,
+from the delta lists of its final matrix's INF monomials, so the graph
+covers every assignment for which the analysis produced INF somewhere.
+Inserting keeps the vertices an antichain and nothing more.  Every
+question about the uncovered assignments goes to one sweep over the
+choice indices, which sees only the covered set, not the vertices that
+spell it.  It counts them, finds the first, and lists the values a
+column of polynomials takes on them, which are a callee's behaviors; an
+empty count means the graph is complete.  Prefixes that leave the same
+live vertices and column merge, so an index that nothing left mentions
+never multiplies the work, and nothing ever enumerates the space.
+
+Fan fusion is a normal form, not part of any verdict: when all siblings
 of a vertex across one choice index are covered, the whole fan fuses
-into the list with that delta removed, so typical complete covers
-collapse to the single empty list.  Fusion cannot always finish that
-collapse, so every question about the uncovered assignments goes to
-one sweep over the choice indices.  It counts them, finds the first,
-and lists the values a column of polynomials takes on them, which are
-a callee's behaviors; an empty count means the graph is complete.
-Prefixes that leave the same live vertices and column merge, so an
-index that nothing left mentions never multiplies the work, and
-nothing ever enumerates the space.
+into the list with that delta removed.  Only ChoiceMatrix.from_tables
+asks for it, so that constant behavior collapses to short cylinders.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class Sweep(NamedTuple):
 
 
 class DeltaGraph:
-    """Mutable accumulator owned by one analysis run."""
+    """An antichain of delta lists over one registry's choice indices."""
 
     def __init__(self, registry: ChoiceRegistry):
         self.registry = registry
@@ -56,7 +60,7 @@ class DeltaGraph:
         )
 
     def insert(self, deltas: Iterable[Delta]) -> None:
-        """Add one INF monomial's delta list and fuse to fixpoint.
+        """Add one INF monomial's delta list.
 
         A list already covered by a stored vertex is a no-op; stored
         extensions of the new list are dropped as redundant.
@@ -66,7 +70,6 @@ class DeltaGraph:
             if not 0 <= v < self.registry.cardinality(idx):
                 raise ValueError(f"delta ({v},{idx}) outside its registered domain")
         self._add(ds)
-        self.fuse()
 
     def _add(self, ds: tuple[Delta, ...]) -> None:
         if self._covers_list(ds):
@@ -82,8 +85,8 @@ class DeltaGraph:
 
         A vertex fuses across index j when each of its siblings at j is
         covered by the graph, whether stored verbatim or absorbed into a
-        shorter vertex.  Longer vertices are tried first.  Kept at
-        fixpoint by insert.
+        shorter vertex.  Longer vertices are tried first.  Coverage is
+        unchanged.
         """
         while self._fuse_one():
             pass

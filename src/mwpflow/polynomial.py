@@ -199,11 +199,17 @@ class Polynomial:
         """Multiply by the single delta d(value, index).
 
         Only valid when index is fresh (larger than any index already
-        used), which keeps every monomial sorted by plain appending.
+        used), which keeps each delta list sorted by plain appending.
+        A delta list that is a proper prefix of another sorts before it,
+        but not once both gain d, so the monomials are sorted again.
+        Subsumption is unchanged.
         """
         d = (index, value)
-        monos = tuple(Monomial(m.scalar, m.deltas + (d,)) for m in self.monomials)
-        return Polynomial(monos)
+        monos = sorted(
+            (Monomial(m.scalar, m.deltas + (d,)) for m in self.monomials),
+            key=lambda m: m.deltas,
+        )
+        return Polynomial(tuple(monos))
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         best = ZERO
@@ -465,6 +471,8 @@ class ChoiceMatrix:
                         if v not in graphs:
                             graphs[v] = DeltaGraph(registry)
                         graphs[v].insert(enumerate(a))
+                for g in graphs.values():
+                    g.fuse()
                 row.append(Polynomial.of(
                     Monomial(v, ds) for v, g in graphs.items() for ds in g.vertices()
                 ))

@@ -262,10 +262,6 @@ def test_criterion_6_delta_graph_oracle(corpus):
             if not has_inf:
                 clean.append(a)
             assert result.graph.covered(a) == has_inf, (src, a)
-            raw_covered = any(
-                all(a[i] == v for i, v in ds) for ds in result.inserted
-            )
-            assert raw_covered == result.graph.covered(a), (src, a)
         assert (result.graph.sweep().count == 0) == (not clean), src
         assert result.clean_count == len(clean), src
         assert result.sample == (clean[0] if clean else None), src

@@ -11,7 +11,7 @@ from mwpflow.analysis import (
     analyze_program,
 )
 from mwpflow.frontend import parse
-from mwpflow.polynomial import Monomial, Polynomial, delta
+from mwpflow.polynomial import ChoiceMatrix, Monomial, Polynomial, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
 
 
@@ -398,3 +398,44 @@ def test_call_inside_loop_body():
     assert all(
         r.matrix.evaluate(a).contains_inf() for a in r.registry.assignments()
     )
+
+
+def test_analysis_matrices_are_canonical(monkeypatch):
+    # Equality, the sum's shortcuts and the product's pass-through all
+    # compare monomial tuples, so every entry of every matrix the
+    # analysis builds must already be in Polynomial.of's form.
+    built = []
+    init = ChoiceMatrix.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ChoiceMatrix, "__init__", recording_init)
+    rng = random.Random(61)
+    sources = [random_program(rng) for _ in range(60)]
+    sources += [random_call_pair(rng) for _ in range(40)]
+    x = [f"X{i + 1}" for i in range(5)]
+    chains = (
+        # counted loops feeding a rotating pool
+        "".join(
+            f"loop {x[(i + 2) % 5]} {{ {x[(i + 1) % 5]} = {x[i % 5]} + {x[(i + 1) % 5]}; }} "
+            for i in range(6)
+        ),
+        # while loops, each feeding one variable into the next
+        "".join(
+            f"while ({x[i % 5]} < {x[(i + 1) % 5]}) {{ {x[(i + 1) % 5]} = {x[i % 5]} - {x[(i + 1) % 5]}; }} "
+            for i in range(5)
+        ),
+        # one variable accumulating additive sites
+        "".join(f"X5 = X5 + {x[i % 4]}; " for i in range(6)),
+    )
+    sources += [f"function main() {{ {body}}}" for body in chains]
+    for src in sources:
+        built.clear()
+        analyze_program(parse(src))
+        assert built, src
+        for m in built:
+            for row in m.entries:
+                for p in row:
+                    assert p == Polynomial.of(p.monomials), (src, p)

@@ -79,6 +79,14 @@ def test_eval_validation(loop_file, capsys):
     assert run([loop_file, "--eval", "0,1"]) == 2
     assert run([loop_file, "--eval", "7"]) == 2
     assert run([loop_file, "--eval", "zero"]) == 2
+    # An empty field is an error, not a field to drop: "0," and ",0"
+    # would otherwise evaluate [0], and "0,,1" would evaluate [0,1].
+    capsys.readouterr()
+    for picks in ("0,", ",0", "0,,1"):
+        assert run([loop_file, "--eval", picks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mwpflow: bad assignment {picks!r}\n"
 
 
 def test_json_output_schema(loop_file, capsys):

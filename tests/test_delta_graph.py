@@ -28,6 +28,8 @@ def test_full_fan_fuses_to_empty():
     g.insert([delta(1, 1)])
     assert not complete(g)
     g.insert([delta(2, 1)])
+    assert complete(g)
+    g.fuse()
     assert g.vertices() == [()]
     assert complete(g)
 
@@ -36,6 +38,7 @@ def test_fuse_three_siblings_into_shorter():
     g = DeltaGraph(ChoiceRegistry([1, 3, 3]))
     for k in range(3):
         g.insert([delta(k, 1), delta(0, 2)])
+    g.fuse()
     assert g.vertices() == [(delta(0, 2),)]
 
 
@@ -65,6 +68,7 @@ def test_cascading_fusion_over_nine_vertices():
 def test_cardinality_one_domain_fuses_immediately():
     g = DeltaGraph(ChoiceRegistry([1, 3]))
     g.insert([delta(0, 0), delta(1, 1)])
+    g.fuse()
     assert g.vertices() == [(delta(1, 1),)]
 
 
@@ -159,6 +163,8 @@ def test_fan_absorbed_into_shorter_vertices_still_fuses():
     g.insert([delta(2, 1)])
     assert not complete(g)
     g.insert([delta(2, 0), delta(1, 1)])
+    assert complete(g)
+    g.fuse()
     assert g.vertices() == [()]
     assert complete(g)
 
@@ -182,10 +188,12 @@ def test_sweep_matches_enumeration():
         raw = _random_inserts(rng, reg, rng.randint(0, 5))
         for ds in raw:
             g.insert(ds)
-        holding_empty += g.vertices() == [()]
         column = _random_column(rng, reg)
         uncovered = [al for al in reg.assignments() if not covered_by_raw(raw, al)]
         found = g.sweep(column)
+        g.fuse()
+        holding_empty += g.vertices() == [()]
+        assert g.sweep(column) == found
         assert found.count == len(uncovered)
         assert found.sample == (uncovered[0] if uncovered else None)
         assert found.behaviors == tuple(dict.fromkeys(
@@ -205,6 +213,8 @@ def test_insert_never_shrinks_coverage():
             now = {al for al in reg.assignments() if g.covered(al)}
             assert prev <= now
             prev = now
+        g.fuse()
+        assert {al for al in reg.assignments() if g.covered(al)} == prev
 
 
 def test_dump_format():

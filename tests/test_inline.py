@@ -203,6 +203,10 @@ def test_empty_blame_verdict_matches_inlined_program():
     expected = analyze_program(Program((inlined,))).functions["main"]
     assert main.blame == ()
     assert main.verdict == expected.verdict
+    # The matrix has no cell to hold this infinity, yet the graph
+    # covers every assignment.
+    assert main.matrix.inf_cells() == []
+    assert main.graph.sweep().count == 0
 
 
 # A callee write to a local that the caller also names (X4), and a
@@ -247,8 +251,8 @@ def _check_with_callee_summary(monkeypatch, edit):
     """Check THREE_BEHAVIORS with the summary of f passed through edit."""
     build = analysis._FunctionRun._build_summary
 
-    def faulty(self, matrix):
-        found, summary = build(self, matrix)
+    def faulty(self, *args):
+        found, summary = build(self, *args)
         return found, (edit(summary) if self.decl.name == "f" else summary)
 
     monkeypatch.setattr(analysis._FunctionRun, "_build_summary", faulty)

@@ -315,6 +315,25 @@ def _random_poly(rng, reg, allow_inf=False):
     return Polynomial.of(monos)
 
 
+def test_attach_returns_canonical_order():
+    # A delta-free monomial sorts first, but not once it gains a delta.
+    p = Polynomial.of([Monomial(M, ()), Monomial(P, (delta(0, 0),))])
+    attached = p.attach(1, 0)
+    assert attached == Polynomial.of(attached.monomials)
+    assert [m.deltas for m in attached.monomials] == [
+        (delta(0, 0), delta(0, 1)), (delta(0, 1),),
+    ]
+    rng = random.Random(29)
+    for _ in range(300):
+        reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(0, 3))])
+        q = _random_poly(rng, reg, allow_inf=True)
+        j = reg.fresh(3)
+        v = rng.randrange(3)
+        assert q.attach(j, v) == Polynomial.of(
+            Monomial(m.scalar, m.deltas + (delta(v, j),)) for m in q.monomials
+        )
+
+
 def test_eval_is_a_homomorphism():
     rng = random.Random(11)
     for _ in range(200):

@@ -111,45 +111,51 @@ class _FunctionRun:
 
     def vector_of(self, e: Expr) -> list[Polynomial]:
         n = len(self.variables)
+        v = [ZERO_POLY] * n
         if isinstance(e, Var):
-            v = [ZERO_POLY] * n
             v[self.index[e.name]] = UNIT_POLY
             return v
         v1 = self.vector_of(e.left)
         v2 = self.vector_of(e.right)
-        joined = [a + b for a, b in zip(v1, v2)]
+        support = [k for k in range(n) if v1[k].monomials or v2[k].monomials]
         if e.op == "*":
-            return [p.scale(W) for p in joined]
+            for k in support:
+                v[k] = (v1[k] + v2[k]).scale(W)
+            return v
         # Additive operator: three ways to distribute the polynomial
         # penalty, tracked under a fresh three-valued choice index.
         j = self.registry.fresh(3)
         self.choice_sites.setdefault(id(e), j)
-        branch0 = [a + b.scale(P) for a, b in zip(v1, v2)]
-        branch1 = [a.scale(P) + b for a, b in zip(v1, v2)]
-        branch2 = [p.scale(W) for p in joined]
-        return [
-            b0.attach(j, 0) + b1.attach(j, 1) + b2.attach(j, 2)
-            for b0, b1, b2 in zip(branch0, branch1, branch2)
-        ]
+        for k in support:
+            a, b = v1[k], v2[k]
+            v[k] = (
+                (a + b.scale(P)).attach(j, 0)
+                + (a.scale(P) + b).attach(j, 1)
+                + (a + b).scale(W).attach(j, 2)
+            )
+        return v
 
     # -- commands -------------------------------------------------------
 
     def matrix_of_body(self, body: Sequence[Command]) -> ChoiceMatrix:
+        """Fold a body left to right; an assignment or call after the
+        first command updates its target column in place of a product."""
         out: ChoiceMatrix | None = None
         for c in body:
-            m = self.matrix_of(c)
-            out = m if out is None else out * m
+            if out is not None and isinstance(c, (Assign, Call)):
+                target, column = self.column_of(c)
+                out = out.update_columns({target: column})
+            else:
+                m = self.matrix_of(c)
+                out = m if out is None else out * m
         if out is None:
             return ChoiceMatrix.identity(self.variables, self.registry)
         return out
 
     def matrix_of(self, c: Command) -> ChoiceMatrix:
-        if isinstance(c, Assign):
-            column = self.vector_of(c.value)
+        if isinstance(c, (Assign, Call)):
             base = ChoiceMatrix.identity(self.variables, self.registry)
-            return base.replace_column(self.index[c.target], column)
-        if isinstance(c, Call):
-            return self._call_matrix(c)
+            return base.replace_column(*self.column_of(c))
         if isinstance(c, If):
             return self.matrix_of_body(c.then_body) + self.matrix_of_body(c.else_body)
         if isinstance(c, While):
@@ -198,10 +204,12 @@ class _FunctionRun:
             ))
         return ChoiceMatrix(self.variables, rows, self.registry)
 
-    def _call_matrix(self, c: Call) -> ChoiceMatrix:
-        summary = self.summaries[c.function]
-        base = ChoiceMatrix.identity(self.variables, self.registry)
+    def column_of(self, c: Assign | Call) -> tuple[int, list[Polynomial]]:
+        """The target index and new column of an assignment or call."""
         target = self.index[c.target]
+        if isinstance(c, Assign):
+            return target, self.vector_of(c.value)
+        summary = self.summaries[c.function]
         row_targets = [self.index[a] for a in c.arguments]
         row_targets += [self.index[v] for v in summary.shared_rows]
         column = [ZERO_POLY] * len(self.variables)
@@ -212,14 +220,14 @@ class _FunctionRun:
             self.poisoned = True
             for r in row_targets:
                 column[r] = INF_POLY
-            return base.replace_column(target, column)
+            return target, column
         j = self.registry.fresh(len(summary.behaviors))
         self.choice_sites.setdefault(id(c), j)
         for b, behavior in enumerate(summary.behaviors):
             for r, flow in zip(row_targets, behavior):
                 if flow != ZERO:
                     column[r] = column[r] + Polynomial.const(flow).attach(j, b)
-        return base.replace_column(target, column)
+        return target, column
 
     # -- results ---------------------------------------------------------
 

@@ -107,18 +107,17 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     report is joined once from pieces that share those strings;
     json.dumps only quotes names.
     """
-    memo: dict[Monomial, list[str]] = {}
+    memo: dict[Monomial, str] = {}
     p7, p8, p9, p10 = ("  " * d for d in range(7, 11))
+    open6, sep6, close6 = f"[\n{p7}", f",\n{p7}", f"\n{'  ' * 6}]"
 
-    def mono(m: Monomial) -> list[str]:
+    def mono(m: Monomial) -> str:
         text = memo.get(m)
         if text is None:
             scalar = "inf" if m.scalar == INF else value_char(m.scalar)
             pairs = ",".join(f"\n{p9}[\n{p10}{v},\n{p10}{i}\n{p9}]" for i, v in m.deltas)
             deltas = f"[{pairs}\n{p8}]" if pairs else "[]"
-            text = memo[m] = [
-                f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {deltas}\n{p7}}}'
-            ]
+            text = memo[m] = f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {deltas}\n{p7}}}'
         return text
 
     def quoted(names: Iterable[str]) -> list[list[str]]:
@@ -136,7 +135,9 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
                 ), 4))
         matrix = _block((
             _block((
-                _obj([("monomials", _block(map(mono, p.monomials), 6))], 5) for p in row
+                _obj([("monomials", [open6, sep6.join(map(mono, p.monomials)), close6]
+                                    if p.monomials else ["[]"])], 5)
+                for p in row
             ), 4)
             for row in r.matrix.entries
         ), 3)

@@ -266,15 +266,16 @@ class _Parser:
         name = self.expect("IDENT").text
         self.expect("(")
         params: list[str] = []
-        if self.cur.kind == "IDENT":
-            params.append(self.expect("IDENT").text)
-            while self.accept(","):
-                params.append(self.expect("IDENT").text)
+        more = self.cur.kind == "IDENT"
+        while more:
+            t = self.expect("IDENT")
+            if t.text in params:
+                raise ParseError(
+                    SYNTAX_ERROR, f"duplicate parameter {t.text} in {name}", t.line, t.col
+                )
+            params.append(t.text)
+            more = self.accept(",") is not None
         self.expect(")")
-        if len(set(params)) != len(params):
-            raise ParseError(
-                SYNTAX_ERROR, f"duplicate parameter name in {name}", start.line, start.col
-            )
         self.expect("{")
         body: list[Command] = []
         returns = None

@@ -17,18 +17,19 @@ and drops subsumed monomials.
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
 INF monomial of row i of the left factor or of column c of the right
-one therefore lands in cell (i, c).  ChoiceMatrix.__mul__ canonicalizes
-each row's and each column's INF list once, as one Polynomial; a cell
-with no finite products is just the sum of its row's and column's
-lists.  A command matrix is the identity outside the columns it
-writes, and a right-factor column that is the unit vector e_c passes
-cell (i, c) of the left factor through unchanged when row i holds no
-INF.
+one therefore lands in cell (i, c).  A command matrix is the identity
+outside the columns it writes, so a product is a column update
+(ChoiceMatrix.update_columns), and the fold of a body calls it directly
+for assignments and calls.  Each row's INF list is canonicalized once;
+a cell of a unit column passes through when it already holds that
+list, and any other cell filters its finite monomials against it and
+merges the two sorted runs.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .delta_graph import DeltaGraph
@@ -37,6 +38,8 @@ from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 Delta = tuple[int, int]  # (choice index, chosen value)
 
 Assignment = tuple[int, ...]
+
+_DELTAS = itemgetter(1)  # Monomial.deltas
 
 
 def delta(value: int, index: int) -> Delta:
@@ -104,34 +107,68 @@ def _subsume(monos: list[Monomial]) -> list[Monomial]:
     """Drop monomials whose delta list extends another's with <= scalar.
 
     The list is duplicate-free, so one dict maps each delta tuple to its
-    scalar.  A monomial of L deltas looks up its proper sub-tuples there
-    (only those of lengths the list holds) when 2**L is at most the list
-    length, and otherwise scans the list for a shorter dominating one.
+    scalar, and a monomial of the shortest length present can only be
+    kept.  A longer monomial of L deltas looks up its proper sub-tuples
+    there (only those of lengths the list holds) when 2**L is at most
+    the list length, and otherwise scans the strictly shorter monomials
+    for a dominating one.
     """
     n = len(monos)
     if n < 2:
         return monos
     best = {m.deltas: m.scalar for m in monos}
-    sizes = sorted({len(ds) for ds in best})
+    by_size: dict[int, list[Monomial]] = {}
+    for m in monos:
+        by_size.setdefault(len(m.deltas), []).append(m)
+    if len(by_size) == 1:
+        return monos
+    sizes = sorted(by_size)
     kept: list[Monomial] = []
     for m in monos:
         ds, s = m.deltas, m.scalar
-        size = len(ds)
-        if 1 << size <= n:
+        shorter = [r for r in sizes if r < len(ds)]
+        if not shorter:
+            dominated = False
+        elif 1 << len(ds) <= n:
             dominated = any(
-                best.get(sub, ZERO) >= s
-                for r in sizes if r < size
-                for sub in itertools.combinations(ds, r)
+                best.get(sub, ZERO) >= s for r in shorter for sub in itertools.combinations(ds, r)
             )
         else:
             mine = set(ds)
             dominated = any(
-                len(o.deltas) < size and o.scalar >= s and mine.issuperset(o.deltas)
-                for o in monos
+                o.scalar >= s and mine.issuperset(o.deltas) for r in shorter for o in by_size[r]
             )
         if not dominated:
             kept.append(m)
     return kept
+
+
+def _with_inf(p: "Polynomial", inf: "Polynomial") -> "Polynomial":
+    """Polynomial.of(p ∪ inf) for a canonical p and a canonical INF-only
+    inf that covers p's own INF monomials.
+
+    A finite monomial never subsumes an INF one and inf is an antichain,
+    so inf is kept whole; p's finite part is subsumption-free and loses
+    exactly the monomials whose delta list holds one of inf's.  The two
+    sorted runs then merge, as one sort.
+    """
+    if tuple(m for m in p.monomials if m.scalar == INF) == inf.monomials:
+        return p
+    fin = [m for m in p.monomials if m.scalar != INF]
+    if not fin or not inf.monomials[0].deltas:
+        return inf
+    # A delta list inside f's starts with one of f's deltas.
+    covers: dict[Delta, list[tuple[Delta, ...]]] = {}
+    for m in inf.monomials:
+        covers.setdefault(m.deltas[0], []).append(m.deltas)
+    keep = []
+    for f in fin:
+        mine = set(f.deltas)
+        if not any(mine.issuperset(c) for d in f.deltas for c in covers.get(d, ())):
+            keep.append(f)
+    if not keep:
+        return inf
+    return Polynomial(tuple(sorted(keep + list(inf.monomials), key=_DELTAS)))
 
 
 class Polynomial:
@@ -144,7 +181,7 @@ class Polynomial:
 
     @classmethod
     def of(cls, monomials: Iterable[Monomial]) -> "Polynomial":
-        ms = sorted(monomials, key=lambda m: m.deltas)
+        ms = sorted(monomials, key=_DELTAS)
         return cls(tuple(_subsume(_merge_duplicates(ms))))
 
     @classmethod
@@ -189,7 +226,7 @@ class Polynomial:
         return Polynomial.of(out)
 
     def scale(self, scalar: int) -> "Polynomial":
-        if scalar == ZERO:
+        if scalar == ZERO or not self.monomials:
             return ZERO_POLY
         return Polynomial.of(
             Monomial(mul_inf(scalar, m.scalar), m.deltas) for m in self.monomials
@@ -204,6 +241,8 @@ class Polynomial:
         but not once both gain d, so the monomials are sorted again.
         Subsumption is unchanged.
         """
+        if not self.monomials:
+            return self
         d = (index, value)
         monos = sorted(
             (Monomial(m.scalar, m.deltas + (d,)) for m in self.monomials),
@@ -291,17 +330,17 @@ class ChoiceRegistry:
 def _split(
     polys: Iterable[Polynomial],
 ) -> tuple[dict[int, list[Monomial]], Polynomial]:
-    """A row or column as its finite monomials by index, and its INF ones.
+    """A column as its finite monomials by index, and its INF ones.
 
     The INF monomials come back as one canonical Polynomial, so a list
-    that repeats across the cells of a row or column is merged once.
+    that repeats across the cells of a column is merged once.
     """
     fin: dict[int, list[Monomial]] = {}
-    inf: list[Monomial] = []
+    inf: set[Monomial] = set()
     for k, poly in enumerate(polys):
         for m in poly.monomials:
             if m.scalar == INF:
-                inf.append(m)
+                inf.add(m)
             else:
                 fin.setdefault(k, []).append(m)
     return fin, Polynomial.of(inf) if inf else ZERO_POLY
@@ -372,44 +411,47 @@ class ChoiceMatrix:
         )
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
-        """Matrix product with at most one Polynomial.of per cell.
-
-        INF spreads: as 0·∞ = ∞, every INF monomial of row i of self or
-        of column c of other reaches cell (i, c), whatever it meets.  So
-        a cell is those two canonical INF lists plus the finite products
-        over shared indices, which equals the sum over k of Polynomial
-        products as of(of(X) ∪ Y) == of(X ∪ Y).  A cell with no finite
-        products is the sum of the two lists.  A column of other that is
-        the unit vector e_c multiplies nothing: its finite products are
-        the finite part of self's cell (i, c), and that cell passes
-        through as it is when row i holds no INF.
-        """
+        """Matrix product: the columns of other that are not unit vectors
+        update self, the others pass through (see update_columns)."""
         self._check_compatible(other)
-        rows = [_split(row) for row in self.entries]
-        cols = [_split(col) for col in zip(*other.entries)]
-        unit = [Monomial(M, ())]
-        units = {c for c, (fin, inf) in enumerate(cols) if inf.is_zero and fin == {c: unit}}
+        return self.update_columns({
+            c: col for c, col in enumerate(zip(*other.entries))
+            if col[c] != UNIT_POLY or col.count(ZERO_POLY) != len(col) - 1
+        })
+
+    def update_columns(self, columns: Mapping[int, Sequence[Polynomial]]) -> "ChoiceMatrix":
+        """self times the matrix that is the identity outside the keys of
+        columns, whose column c is columns[c].
+
+        INF spreads: as 0·∞ = ∞, every INF monomial of row i of self
+        reaches every cell of row i, and every INF monomial of a written
+        column c reaches every cell of column c.  So a cell of a written
+        column is the canonical finite products over shared indices,
+        merged with the row's and column's canonical INF lists, which
+        equals the sum over k of Polynomial products as
+        of(of(X) ∪ Y) == of(X ∪ Y).  A unit column multiplies nothing:
+        cell (i, c) keeps self's cell, merged with row i's INF list, and
+        passes through as it is when it already holds that list.
+        """
+        cols = {c: _split(col) for c, col in columns.items()}
         out = []
-        for row, (row_fin, row_inf) in zip(self.entries, rows):
-            new_row = []
-            for c, (col_fin, col_inf) in enumerate(cols):
-                if c in units:
-                    if row_inf.is_zero:
-                        new_row.append(row[c])
-                        continue
-                    monos = row_fin.get(c, [])
-                else:
-                    monos = []
-                    for k, ps in row_fin.items():
-                        qs = col_fin.get(k)
-                        if qs is not None:
-                            monos.extend(
-                                r for p in ps for q in qs if (r := mono_mul(p, q)) is not None
-                            )
-                new_row.append(
-                    Polynomial.of([*row_inf.monomials, *col_inf.monomials, *monos])
-                    if monos else row_inf + col_inf
-                )
+        for row in self.entries:
+            inf = {m for p in row if p.monomials for m in p.monomials if m.scalar == INF}
+            row_inf = Polynomial.of(inf) if inf else ZERO_POLY
+            new_row = list(row)
+            if inf:
+                for c, p in enumerate(row):
+                    if c not in cols:
+                        new_row[c] = _with_inf(p, row_inf)
+            for c, (col_fin, col_inf) in cols.items():
+                monos = [
+                    r
+                    for k, qs in col_fin.items()
+                    for p in row[k].monomials if p.scalar != INF
+                    for q in qs if (r := mono_mul(p, q)) is not None
+                ]
+                both = row_inf + col_inf
+                new_row[c] = _with_inf(Polynomial.of(monos), both) if monos else both
             out.append(tuple(new_row))
         return ChoiceMatrix(self.variables, out, self.registry)
 

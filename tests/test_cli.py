@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -224,6 +225,34 @@ def test_json_report_bytes_match_golden(path, capsys):
     run([str(path), "--json"])
     golden = ROOT / "tests" / "golden" / f"{path.stem}.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+WIDE_PROGRAMS = {
+    # A 40-variable product chain: every assignment updates one column.
+    "chain-40": (
+        "".join(f"    X{i + 2} = X{i + 1} * X{i + 2};\n" for i in range(40)),
+        0,
+        "b87027d8da4c1278735c3e7ce303eb3a3528679bdd0ae40c9216ba25f0dfa263",
+    ),
+    # Twelve loops whose INF rows spread along a 14-variable chain.
+    "loops-12": (
+        "".join(f"    loop X{i + 1} {{ X{i + 3} = X{i + 2} * X{i + 3}; }}\n" for i in range(12)),
+        1,
+        "980f49324a035539609b1fdc1fda4b0531bc91ca9e9a0a4e3a2cd71badc02f5b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PROGRAMS))
+def test_wide_program_json_digest(name, tmp_path, capsys):
+    # Wider than any golden example, so the column-update fold and INF
+    # spreading along long rows are pinned byte for byte.
+    body, exit_code, digest = WIDE_PROGRAMS[name]
+    p = tmp_path / f"{name}.imp"
+    p.write_text("function main() {\n" + body + "}\n")
+    assert run([str(p), "--json"]) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_function_filter(tmp_path, capsys):

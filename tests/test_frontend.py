@@ -109,6 +109,14 @@ def test_diagnostic_codes(src, code):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+def test_duplicate_parameter_named_at_its_repeat():
+    with pytest.raises(ParseError) as err:
+        parse("function f(X1,\n    X2, X1){ return X1; }\nfunction main(){}")
+    assert err.value.code == "syntax-error"
+    assert err.value.reason == "duplicate parameter X1 in f"
+    assert (err.value.line, err.value.col) == (2, 9)
+
+
 def test_loop_counter_warning():
     prog = parse("function main(){ loop X1 { X1 = X1 + X2; } }")
     assert len(prog.warnings) == 1

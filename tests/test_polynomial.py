@@ -267,6 +267,48 @@ def test_subsume_matches_all_pairs_definition():
         assert _subsume(monos) == _all_pairs_subsume(monos)
     assert lookups > 1000 and scans > 1000
 
+    # Polynomial.of on raw lists of the shapes products hand it: one
+    # length throughout (nothing to drop), many INF monomials beside a
+    # few finite ones, and a delta-free INF that covers everything.
+    def deltas(width, cards, k):
+        return tuple(sorted((i, rng.randrange(cards[i])) for i in rng.sample(range(width), k)))
+
+    finite_dropped = finite_kept = 0
+    for shape in ("one length", "inf heavy", "delta-free inf"):
+        for _ in range(200):
+            width = rng.choice((3, 6, 10))
+            cards = [rng.choice((1, 2, 3)) for _ in range(width)]
+            size = rng.choice((2, 5, 20, 80))
+            if shape == "one length":
+                k = rng.randint(0, min(width, 7))
+                raw = [Monomial(rng.choice((M, W, P, INF)), deltas(width, cards, k))
+                       for _ in range(size)]
+            else:
+                raw = [Monomial(INF, deltas(width, cards, rng.randint(1, min(width, 4))))
+                       for _ in range(size)]
+                raw += [Monomial(rng.choice((M, W, P)),
+                                 deltas(width, cards, rng.randint(0, min(width, 7))))
+                        for _ in range(rng.randint(1, 3))]
+                if shape == "delta-free inf":
+                    raw.append(Monomial(INF, ()))
+            rng.shuffle(raw)
+            best = {}
+            for m in raw:
+                best[m.deltas] = max(best.get(m.deltas, ZERO), m.scalar)
+            merged = sorted((Monomial(s, ds) for ds, s in best.items()), key=lambda m: m.deltas)
+            expected = _all_pairs_subsume(merged)
+            assert Polynomial.of(raw).monomials == tuple(expected), shape
+            if shape == "one length":
+                assert expected == merged
+            elif shape == "delta-free inf":
+                assert expected == [Monomial(INF, ())]
+            else:
+                finite = sum(m.scalar != INF for m in merged)
+                kept = sum(m.scalar != INF for m in expected)
+                finite_kept += kept
+                finite_dropped += finite - kept
+    assert finite_kept > 100 and finite_dropped > 100
+
 
 # --- canonical order and the merge-based product ------------------------
 
@@ -549,18 +591,50 @@ def test_matrix_product_matches_cellwise_definition():
 
 
 def _product_checker(monkeypatch):
-    """Check every product the analysis takes against the definition."""
+    """Check every product the analysis takes against the definition.
+
+    The fold updates columns without a right factor, so each column
+    update is also checked against the product with the matrix it
+    stands for: the identity with those columns replaced.  A check runs
+    the unpatched routines, and only the outermost call is checked.
+    """
     product = ChoiceMatrix.__mul__
+    update = ChoiceMatrix.update_columns
     checked = []
+    updates = []  # the pairs of column updates the fold takes directly
+    busy = []
 
     def checked_product(a, b):
-        out = product(a, b)
-        assert out == _cellwise_product(a, b)
+        if busy:
+            return product(a, b)
+        busy.append(b)
+        try:
+            out = product(a, b)
+            assert out == _cellwise_product(a, b)
+        finally:
+            busy.pop()
         checked.append((a, b))
         return out
 
+    def checked_update(a, columns):
+        if busy:
+            return update(a, columns)
+        b = ChoiceMatrix.identity(a.variables, a.registry)
+        for c, col in columns.items():
+            b = b.replace_column(c, col)
+        busy.append(b)
+        try:
+            out = update(a, columns)
+            assert out == product(a, b) == _cellwise_product(a, b)
+        finally:
+            busy.pop()
+        checked.append((a, b))
+        updates.append((a, b))
+        return out
+
     monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
-    return checked
+    monkeypatch.setattr(ChoiceMatrix, "update_columns", checked_update)
+    return checked, updates
 
 
 def _pool_main(lines):
@@ -599,11 +673,38 @@ def test_analysis_products_match_cellwise_definition(monkeypatch, src, inf_rows_
     # Loops leave INF in rows that later command matrices, the identity
     # outside the column they write, must carry along; branches are
     # INF-free, so their cells all pass through.
-    checked = _product_checker(monkeypatch)
+    checked, _ = _product_checker(monkeypatch)
     analyze_program(parse(src))
     unit_with_row_inf = sum(sum(_unit_column_rows(a, b)) for a, b in checked)
     assert len(checked) > 10
     assert unit_with_row_inf >= inf_rows_met
+
+
+def test_fold_column_updates_match_cellwise_definition(monkeypatch):
+    # Assignments and calls after a body's first command update columns
+    # without a product.  Here they meet rows that a loop left holding
+    # INF, and a call to a callee with no behaviors writes INF into its
+    # target's column.
+    src = (
+        "function f(X1) { while (X1 < X2) { X2 = X1 + X2; } return X2; }\n"
+        "function main() {\n"
+        "    loop X3 { X2 = X1 + X2; X1 = X2 * X1; }\n"
+        "    X4 = X1 + X2;\n"
+        "    X2 = f(X4);\n"
+        "    while (X1 < X4) { X4 = X4 + X1; X3 = X4 * X2; }\n"
+        "    X1 = X3 + X4;\n"
+        "    X3 = f(X1);\n"
+        "    X4 = X3 * X2;\n"
+        "}\n"
+    )
+    _, updates = _product_checker(monkeypatch)
+    analyze_program(parse(src))
+    inf_rows = sum(any(p.has_inf() for p in row) for a, _ in updates for row in a.entries)
+    inf_columns = sum(
+        any(b.entry(k, c).has_inf() for k in range(b.dim))
+        for _, b in updates for c in range(b.dim)
+    )
+    assert (len(updates), inf_rows, inf_columns) == (7, 16, 2)
 
 
 def _product_skipping_zero_factors(a, b):
@@ -626,7 +727,7 @@ def test_loop_chain_product_spreads_inf(monkeypatch):
     src = "function main() {\n" + "".join(
         f"    loop X{i + 1} {{ X{i + 3} = X{i + 2} * X{i + 3}; }}\n" for i in range(20)
     ) + "}\n"
-    checked = _product_checker(monkeypatch)
+    checked, _ = _product_checker(monkeypatch)
     main = analyze_program(parse(src)).functions["main"]
     assert len(checked) > 20
     monkeypatch.setattr(ChoiceMatrix, "__mul__", _product_skipping_zero_factors)

@@ -108,8 +108,8 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     json.dumps only quotes names.
     """
     memo: dict[Monomial, str] = {}
-    p7, p8, p9, p10 = ("  " * d for d in range(7, 11))
-    open6, sep6, close6 = f"[\n{p7}", f",\n{p7}", f"\n{'  ' * 6}]"
+    p6, p7, p8, p9, p10 = ("  " * d for d in range(6, 11))
+    open6, sep6, close6 = f"[\n{p7}", f",\n{p7}", f"\n{p6}]"
 
     def mono(m: Monomial) -> str:
         text = memo.get(m)

@@ -5,7 +5,8 @@ replace one column with the expression's vector, sequences multiply,
 branches of a conditional join by entry-wise max over independent choice
 indices, and the two iteration rules close the body matrix and then top
 the cells that break the polynomial-growth argument with INF.  The
-final matrix is the only record of infinity: once the body is folded,
+final matrix is the only record of infinity, except for a call that
+poisons every assignment (see poisoned): once the body is folded,
 the delta lists of its INF monomials become the function's delta graph,
 so the qualitative verdict is available without touching the
 assignment space.
@@ -167,41 +168,25 @@ class _FunctionRun:
     def _iterate(self, body: ChoiceMatrix, counter: int | None) -> ChoiceMatrix:
         """Apply the iteration rule to a closed body matrix.
 
-        Both rules top every diagonal entry that can exceed m with INF.
-        A counted loop additionally marks the counter's polynomial
-        influence on every column that holds a p somewhere; an
-        unbounded while tops those p cells themselves.
+        Both rules give every diagonal monomial above m an INF twin.  An
+        unbounded while also tops each p monomial in its own cell; a
+        counted loop instead adds the p monomials of every column to the
+        counter's row.  Each column of the closure is read once, and
+        only the cells the rule tops are written, into a copy.
         """
         star = body.closure()
-        n = star.dim
-        extra: list[list[list[Monomial]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for m in star.entry(j, j).monomials:
-                if m.scalar > M:
-                    extra[j][j].append(Monomial(INF, m.deltas))
-        if counter is None:
-            for i in range(n):
-                for j in range(n):
-                    for m in star.entry(i, j).monomials:
-                        if m.scalar == P:
-                            extra[i][j].append(Monomial(INF, m.deltas))
-        else:
-            for j in range(n):
-                hits = [
-                    Monomial(P, m.deltas)
-                    for i in range(n)
-                    for m in star.entry(i, j).monomials
-                    if m.scalar == P
-                ]
+        rows = [list(row) for row in star.entries]
+        for j, column in enumerate(zip(*star.entries)):
+            for i in range(len(column)) if counter is None else (j,):
+                floor = M if i == j else W
+                twins = [Monomial(INF, m.deltas) for m in column[i].monomials
+                         if floor < m.scalar < INF]
+                if twins:
+                    rows[i][j] = column[i] + Polynomial.of(twins)
+            if counter is not None:
+                hits = [m for p in column for m in p.monomials if m.scalar == P]
                 if hits:
-                    extra[counter][j].extend(hits)
-        rows = []
-        for i in range(n):
-            rows.append(tuple(
-                star.entry(i, j) + Polynomial.of(extra[i][j]) if extra[i][j]
-                else star.entry(i, j)
-                for j in range(n)
-            ))
+                    rows[counter][j] = rows[counter][j] + Polynomial.of(hits)
         return ChoiceMatrix(self.variables, rows, self.registry)
 
     def column_of(self, c: Assign | Call) -> tuple[int, list[Polynomial]]:

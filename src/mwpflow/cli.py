@@ -226,10 +226,14 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
 
     if opts.eval_picks is not None:
         try:
-            # Only a blank string is the empty assignment; an empty
-            # field is an error, not a pick to drop.
+            # Only a blank string is the empty assignment.  A field is
+            # ASCII digits with optional spaces around them, so an empty
+            # field, "+1", "1_0" and non-ASCII digits are errors.
             fields = opts.eval_picks.split(",") if opts.eval_picks.strip() else []
-            picks = tuple(int(x) for x in fields)
+            fields = [x.strip() for x in fields]
+            if not all(x.isascii() and x.isdigit() for x in fields):
+                raise ValueError(opts.eval_picks)
+            picks = tuple(map(int, fields))
         except ValueError:
             print(f"mwpflow: bad assignment {opts.eval_picks!r}", file=sys.stderr)
             return 2

@@ -34,6 +34,9 @@ from .frontend import (
 # variable name, every other field a subtree or a tuple of either.
 _NOT_VARIABLES = ("op", "function", "pos")
 
+# Most caller and inlined assignments, together, the inline check enumerates.
+_BUDGET = 3 ** 9
+
 
 def _rebuild(node, names: dict[str, str], call: Call | None = None,
              replacement: Sequence[Command] = ()):
@@ -120,11 +123,7 @@ class InlineReport:
         return f"call composition FAILED for {self.caller} -> {self.callee}: {self.failure}"
 
 
-def check_call_theorem(
-    caller: FunctionDecl,
-    callee: FunctionDecl,
-    budget: int = 3 ** 9,
-) -> InlineReport:
+def check_call_theorem(caller: FunctionDecl, callee: FunctionDecl) -> InlineReport:
     """Compare call-rule analysis of the caller against full inlining.
 
     Each callee block (an assignment of the callee's own choices) is
@@ -138,7 +137,9 @@ def check_call_theorem(
     exactly once; later blocks of the same behavior count as merged
     duplicates.  A pair the check cannot follow (another call, not
     exactly one call to the callee, or a callee with no return) raises
-    ValueError before anything is analyzed.
+    ValueError before anything is analyzed; a pair with more than
+    _BUDGET caller and inlined assignments together raises it before
+    any assignment is enumerated.
     """
     for decl in (callee, caller):
         for c in walk_commands(decl.body):
@@ -169,9 +170,9 @@ def check_call_theorem(
 
     n_caller = caller_res.registry.count_assignments()
     n_inlined = inlined_res.registry.count_assignments()
-    if n_caller + n_inlined > budget:
+    if n_caller + n_inlined > _BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: {n_caller} + {n_inlined} assignments > {budget}"
+            f"enumeration budget exceeded: {n_caller} + {n_inlined} assignments > {_BUDGET}"
         )
 
     # block -> None when poisoned, else (behavior, first block of it?)

@@ -456,22 +456,30 @@ class ChoiceMatrix:
         return ChoiceMatrix(self.variables, out, self.registry)
 
     def closure(self) -> "ChoiceMatrix":
-        s = ChoiceMatrix.identity(self.variables, self.registry) + self
-        while True:
-            nxt = s + s * self
-            if nxt == s:
-                return s
+        """Least fixpoint of s = 1 + s·M, reached as s·(1+M) per round.
+
+        s·(1+M) has the same canonical cells as s + s·M: the product
+        distributes over the sum, and a monomial that Polynomial.of drops
+        stays dominated once multiplied.  So each round takes one product
+        and no matrix sum, and the rounds are the same.  1 + M differs
+        from M on the diagonal only.
+        """
+        step = ChoiceMatrix(
+            self.variables,
+            (r[:i] + (UNIT_POLY + r[i],) + r[i + 1:] for i, r in enumerate(self.entries)),
+            self.registry,
+        )
+        s = step
+        while (nxt := s * step) != s:
             s = nxt
+        return s
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         if len(column) != self.dim:
             raise ValueError("column length mismatch")
         return ChoiceMatrix(
             self.variables,
-            (
-                tuple(column[i] if c == j else row[c] for c in range(self.dim))
-                for i, row in enumerate(self.entries)
-            ),
+            (r[:j] + (column[i],) + r[j + 1:] for i, r in enumerate(self.entries)),
             self.registry,
         )
 

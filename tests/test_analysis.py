@@ -235,6 +235,16 @@ def test_loop_marks_counter_column_with_p():
                 assert flow.entry(x3, j) == P
 
 
+def test_loop_counter_takes_p_of_topped_diagonal():
+    # The counter's row reads the closure's p monomials, also those of a
+    # diagonal cell that the same rule tops with INF.
+    r = analyze_main("function main(){ loop X1 { X2 = X2 + X2; } }")
+    x1, x2 = r.matrix.index("X1"), r.matrix.index("X2")
+    picks = [delta(v, 0) for v in range(3)]
+    assert r.matrix.entry(x2, x2) == poly((M, []), *((INF, [d]) for d in picks))
+    assert r.matrix.entry(x1, x2) == poly(*((P, [d]) for d in picks[:2]))
+
+
 # --- function summaries and calls ---------------------------------------
 
 def test_summary_single_copy_behavior():

@@ -82,8 +82,11 @@ def test_eval_validation(loop_file, capsys):
     assert run([loop_file, "--eval", "zero"]) == 2
     # An empty field is an error, not a field to drop: "0," and ",0"
     # would otherwise evaluate [0], and "0,,1" would evaluate [0,1].
+    # A field is ASCII digits: int() alone would read "1_0" as 10 and
+    # accept a sign and non-ASCII digits.  Spaces around a field are fine.
+    assert run([loop_file, "--eval", " 1 "]) == 0
     capsys.readouterr()
-    for picks in ("0,", ",0", "0,,1"):
+    for picks in ("0,", ",0", "0,,1", "1_0", "+1", "-0", "١", "0x1", "1 0"):
         assert run([loop_file, "--eval", picks]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -240,6 +243,29 @@ WIDE_PROGRAMS = {
         1,
         "980f49324a035539609b1fdc1fda4b0531bc91ca9e9a0a4e3a2cd71badc02f5b",
     ),
+    # Twelve while loops over six variables: the iteration rule tops
+    # every cell, 1134 INF monomials in all.
+    "while-12": (
+        "".join(
+            f"    while (X{i % 6 + 1} < X{(i + 1) % 6 + 1}) {{"
+            f" X{(i + 2) % 6 + 1} = X{i % 6 + 1} + X{(i + 2) % 6 + 1};"
+            f" X{(i + 4) % 6 + 1} = X{(i + 2) % 6 + 1} * X{(i + 1) % 6 + 1}; }}\n"
+            for i in range(12)
+        ),
+        1,
+        "3148a87f88cc237a52a8c74a32279568aece455d4e32b2f80d94e88208e85b0b",
+    ),
+    # Twenty counted loops over five variables: conditional INF in
+    # every cell, and p monomials added to each counter's row.
+    "loops-20": (
+        "".join(
+            f"    loop X{i % 5 + 1} {{"
+            f" X{(i + 3) % 5 + 1} = X{(i + 1) % 5 + 1} + X{(i + 3) % 5 + 1}; }}\n"
+            for i in range(20)
+        ),
+        0,
+        "c3774105905d7a2fc9abc0db829b12419ff32a23b37d7430f0a5264d173caf76",
+    ),
 }
 
 
@@ -346,6 +372,14 @@ def test_check_inline_names_what_it_cannot_check(tmp_path, capsys):
     )
     assert run([str(p), "--check-inline", "main", "f"]) == 2
     assert capsys.readouterr().err.startswith("mwpflow: f calls g, ")
+    p.write_text(
+        "function f(X1, X2){ " + "X3 = X1 + X2; " * 9 + "return X3; }\n"
+        "function main(){ X3 = f(X1, X2); }\n"
+    )
+    assert run([str(p), "--check-inline", "main", "f"]) == 2
+    assert capsys.readouterr() == (
+        "", "mwpflow: enumeration budget exceeded: 3 + 19683 assignments > 19683\n"
+    )
 
 
 def test_text_report_has_no_trailing_spaces(tmp_path, capsys):

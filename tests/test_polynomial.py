@@ -738,6 +738,43 @@ def test_loop_chain_product_spreads_inf(monkeypatch):
     assert changed == 274
 
 
+def _sum_fixpoint(m):
+    """The closure by its definition: s = 1 + M, then s + s·M until it stops."""
+    s = ChoiceMatrix.identity(m.variables, m.registry) + m
+    while (nxt := s + s * m) != s:
+        s = nxt
+    return s
+
+
+def test_closure_matches_sum_fixpoint_and_flow_closure():
+    # closure iterates s·(1+M); it must give the cells of s + s·M byte
+    # for byte, and evaluate to the flow closure at every assignment.
+    rng = random.Random(37)
+    seen = {"inf": 0, "rounds": 0, "zero": 0, "cells": 0}
+    for _ in range(600):
+        reg = ChoiceRegistry([rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
+        n = rng.randint(1, 4)
+        rows = [
+            [
+                ZERO_POLY if rng.random() < 0.45
+                else _random_poly(rng, reg, allow_inf=rng.random() < 0.2)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        m = ChoiceMatrix(tuple(f"V{i}" for i in range(n)), rows, reg)
+        star = m.closure()
+        assert star == _sum_fixpoint(m)
+        for a in assignments(reg):
+            assert star.evaluate(a) == m.evaluate(a).closure(), a
+        seen["inf"] += bool(m.inf_cells())
+        seen["rounds"] += star != ChoiceMatrix.identity(m.variables, reg) + m
+        seen["zero"] += sum(p.is_zero for row in rows for p in row)
+        seen["cells"] += n * n
+    assert seen["inf"] >= 100 and seen["rounds"] >= 100
+    assert seen["zero"] >= 0.4 * seen["cells"]
+
+
 def test_rendering():
     p = poly((M, []), (P, [delta(1, 0)]), (INF, [delta(0, 0), delta(2, 1)]))
     assert str(p) == "m+i.δ(0,0).δ(2,1)+p.δ(1,0)"

@@ -169,15 +169,12 @@ def test_theorem_merged_behaviors():
     assert report.checked_merged == 1
 
 
-OVER_BUDGET_SRC = (
-    "function f(X1, X2){ " + "X3 = X1 + X2; " * 9 + "return X3; }"
-    " function main(){ X3 = f(X1, X2); }"
-)
-
-
 def test_theorem_budget_refusal():
-    # 3 caller and 3**9 inlined assignments: one more than the budget.
-    prog = parse(OVER_BUDGET_SRC)
+    # 3 caller and 3**9 inlined assignments: more than the budget.
+    prog = parse(
+        "function f(X1, X2){ " + "X3 = X1 + X2; " * 9 + "return X3; }"
+        " function main(){ X3 = f(X1, X2); }"
+    )
     with pytest.raises(ValueError, match="enumeration budget exceeded: 3 [+] 19683"):
         check_call_theorem(prog.function("main"), prog.function("f"))
 

@@ -20,10 +20,10 @@ INF monomial of row i of the left factor or of column c of the right
 one therefore lands in cell (i, c).  A command matrix is the identity
 outside the columns it writes, so a product is a column update
 (ChoiceMatrix.update_columns), and the fold of a body calls it directly
-for assignments and calls.  Each row's INF list is canonicalized once;
-a cell of a unit column passes through when it already holds that
-list, and any other cell filters its finite monomials against it and
-merges the two sorted runs.
+for assignments and calls.  The result keeps each row's canonical INF
+list beside its cells rather than in them, carried from update to
+update without a scan; a cell takes its row's list, filtering its
+finite monomials against it, only when the matrix's entries are read.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     da, db = a.deltas, b.deltas
     if not da or not db:
         return Monomial(mul_inf(a.scalar, b.scalar), da or db)
+    if da[-1][0] < db[0][0]:
+        return Monomial(mul_inf(a.scalar, b.scalar), da + db)
     out: list[Delta] = []
     i = j = 0
     while i < len(da) and j < len(db):
@@ -144,15 +146,17 @@ def _subsume(monos: list[Monomial]) -> list[Monomial]:
 
 
 def _with_inf(p: "Polynomial", inf: "Polynomial") -> "Polynomial":
-    """Polynomial.of(p ∪ inf) for a canonical p and a canonical INF-only
-    inf that covers p's own INF monomials.
+    """Polynomial.of(p ∪ inf) for a canonical p and a canonical INF-only inf.
 
-    A finite monomial never subsumes an INF one and inf is an antichain,
-    so inf is kept whole; p's finite part is subsumption-free and loses
-    exactly the monomials whose delta list holds one of inf's.  The two
+    A finite monomial never subsumes an INF one, so the INF part is inf
+    merged with p's own; p's finite part is subsumption-free and loses
+    exactly the monomials whose delta list holds one of those.  The two
     sorted runs then merge, as one sort.
     """
-    if tuple(m for m in p.monomials if m.scalar == INF) == inf.monomials:
+    own = tuple(m for m in p.monomials if m.scalar == INF)
+    if own and own != inf.monomials:
+        inf = Polynomial.of(own + inf.monomials)
+    if own == inf.monomials:
         return p
     fin = [m for m in p.monomials if m.scalar != INF]
     if not fin or not inf.monomials[0].deltas:
@@ -347,21 +351,32 @@ def _split(
 
 
 class ChoiceMatrix:
-    """Square matrix of choice polynomials with a named variable order."""
+    """Square matrix of choice polynomials with a named variable order.
 
-    __slots__ = ("variables", "entries", "registry")
+    entries holds the cells.  A matrix built from its cells stores them
+    as rows.  One that update_columns returns keeps each row's INF list
+    apart, in row_inf, with fresh, the INF lists of the columns it wrote;
+    its entries merge each row's list into the stored rows on first read.
+    """
+
+    __slots__ = ("variables", "rows", "registry", "row_inf", "fresh", "_entries")
 
     def __init__(
         self,
         variables: Sequence[str],
-        entries: Iterable[Iterable[Polynomial]],
+        rows: Iterable[Iterable[Polynomial]],
         registry: ChoiceRegistry,
+        row_inf: tuple[Polynomial, ...] | None = None,
+        fresh: Polynomial = ZERO_POLY,
     ):
         self.variables = tuple(variables)
-        self.entries = tuple(tuple(row) for row in entries)
+        self.rows = tuple(tuple(row) for row in rows)
         self.registry = registry
+        self.row_inf = row_inf
+        self.fresh = fresh
+        self._entries = self.rows if row_inf is None else None
         n = len(self.variables)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+        if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("matrix shape must match the variable list")
 
     @classmethod
@@ -382,6 +397,17 @@ class ChoiceMatrix:
             return self.variables.index(name)
         except ValueError:
             raise KeyError(f"unknown variable {name}") from None
+
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The cells: of(stored cell ∪ its row's INF list), computed on
+        first read.  A row whose list is empty reads as stored."""
+        if self._entries is None:
+            self._entries = tuple(
+                tuple(_with_inf(p, inf) for p in row) if inf.monomials else row
+                for row, inf in zip(self.rows, self.row_inf)
+            )
+        return self._entries
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
@@ -425,24 +451,33 @@ class ChoiceMatrix:
 
         INF spreads: as 0·∞ = ∞, every INF monomial of row i of self
         reaches every cell of row i, and every INF monomial of a written
-        column c reaches every cell of column c.  So a cell of a written
-        column is the canonical finite products over shared indices,
-        merged with the row's and column's canonical INF lists, which
-        equals the sum over k of Polynomial products as
-        of(of(X) ∪ Y) == of(X ∪ Y).  A unit column multiplies nothing:
-        cell (i, c) keeps self's cell, merged with row i's INF list, and
-        passes through as it is when it already holds that list.
+        column c reaches every cell of column c.  The result keeps the
+        first kind beside its cells: row i's list is self's list plus
+        self's fresh, and only a matrix built from its cells is scanned
+        for it.  Unwritten cells are shared as they are; a written cell
+        stores the canonical finite products over shared indices with
+        column c's INF list, and fresh is the union of those lists.
+        entries merges each row's list in on read.
+
+        Waiting is exact.  A finite monomial that its row's list covers
+        stays covered in every later product: a product's delta list
+        holds its factor's, and the list only grows.  It can only
+        dominate monomials that are covered too.  So the products may
+        read the stored cells, and as of(of(X) ∪ Y) == of(X ∪ Y), the
+        merged cells equal the sums over k of Polynomial products.
         """
         cols = {c: _split(col) for c, col in columns.items()}
+        if self.row_inf is None:
+            row_inf = tuple(
+                Polynomial.of({m for p in row for m in p.monomials if m.scalar == INF})
+                for row in self.rows
+            )
+        else:
+            row_inf = tuple(r + self.fresh for r in self.row_inf)
+        fresh = sum((col_inf for _, col_inf in cols.values()), ZERO_POLY)
         out = []
-        for row in self.entries:
-            inf = {m for p in row if p.monomials for m in p.monomials if m.scalar == INF}
-            row_inf = Polynomial.of(inf) if inf else ZERO_POLY
+        for row in self.rows:
             new_row = list(row)
-            if inf:
-                for c, p in enumerate(row):
-                    if c not in cols:
-                        new_row[c] = _with_inf(p, row_inf)
             for c, (col_fin, col_inf) in cols.items():
                 monos = [
                     r
@@ -450,10 +485,9 @@ class ChoiceMatrix:
                     for p in row[k].monomials if p.scalar != INF
                     for q in qs if (r := mono_mul(p, q)) is not None
                 ]
-                both = row_inf + col_inf
-                new_row[c] = _with_inf(Polynomial.of(monos), both) if monos else both
+                new_row[c] = Polynomial.of(monos + list(col_inf.monomials)) if monos else col_inf
             out.append(tuple(new_row))
-        return ChoiceMatrix(self.variables, out, self.registry)
+        return ChoiceMatrix(self.variables, out, self.registry, row_inf, fresh)
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, reached as s·(1+M) per round.

@@ -413,12 +413,13 @@ def test_call_inside_loop_body():
 def test_analysis_matrices_are_canonical(monkeypatch):
     # Equality, the sum's shortcuts and the product's pass-through all
     # compare monomial tuples, so every entry of every matrix the
-    # analysis builds must already be in Polynomial.of's form.
+    # analysis builds must already be in Polynomial.of's form.  So must
+    # every stored cell, which products read before any INF is merged.
     built = []
     init = ChoiceMatrix.__init__
 
-    def recording_init(self, *args):
-        init(self, *args)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
 
     monkeypatch.setattr(ChoiceMatrix, "__init__", recording_init)
@@ -446,6 +447,6 @@ def test_analysis_matrices_are_canonical(monkeypatch):
         analyze_program(parse(src))
         assert built, src
         for m in built:
-            for row in m.entries:
+            for row in m.entries + m.rows:
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)

@@ -266,6 +266,29 @@ WIDE_PROGRAMS = {
         0,
         "c3774105905d7a2fc9abc0db829b12419ff32a23b37d7430f0a5264d173caf76",
     ),
+    # A 160-variable product chain: long rows, no INF anywhere.
+    "chain-160": (
+        "".join(f"    X{i + 2} = X{i + 1} * X{i + 2};\n" for i in range(160)),
+        0,
+        "85b01a371aa59b9fa36d220aa0dcdb2f02efc1a55b4752c120ef2c617067e215",
+    ),
+    # Twelve additive loops along a 14-variable chain: each loop's INF
+    # list reaches every later row, and the sums multiply the monomials.
+    "loop-add-12": (
+        "".join(f"    loop X{i + 1} {{ X{i + 3} = X{i + 2} + X{i + 3}; }}\n" for i in range(12)),
+        0,
+        "fc570186dc4fe10ba55ac1f53540d9ecb30bfa19159e472151d7ead48fa86e3f",
+    ),
+    # Thirty counted loops feeding a rotating pool of five variables.
+    "feedback-30": (
+        "".join(
+            f"    loop X{(i + 2) % 5 + 1} {{"
+            f" X{(i + 1) % 5 + 1} = X{i % 5 + 1} + X{(i + 1) % 5 + 1}; }}\n"
+            for i in range(30)
+        ),
+        0,
+        "9a4c350038664ae2a3062c5d09d2bcd5bec5a13dfc633a76580b83e1d1043121",
+    ),
 }
 
 

@@ -775,6 +775,73 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
     assert seen["zero"] >= 0.4 * seen["cells"]
 
 
+def _eager_update(rows, columns):
+    """A column update that merges each row's INF list into every cell of
+    the row at once: written cells hold the finite products with the
+    row's and the column's INF, the others their own cell with the row's."""
+    out = []
+    for row in rows:
+        row_inf = [m for p in row for m in p.monomials if m.scalar == INF]
+        new_row = []
+        for c, p in enumerate(row):
+            if c not in columns:
+                new_row.append(Polynomial.of(list(p.monomials) + row_inf))
+                continue
+            col = columns[c]
+            monos = row_inf + [m for q in col for m in q.monomials if m.scalar == INF]
+            monos += [
+                r
+                for k, q in enumerate(col)
+                for a in row[k].monomials if a.scalar != INF
+                for b in q.monomials if b.scalar != INF and (r := mono_mul(a, b)) is not None
+            ]
+            new_row.append(Polynomial.of(monos))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def test_carried_row_inf_matches_eager_updates():
+    # update_columns keeps each row's INF list beside the stored cells
+    # and merges it in when entries is read.  Along chains of updates the
+    # cells read must equal the eager update's byte for byte, evaluate to
+    # the flow-matrix product, and equal a matrix built from those cells.
+    rng = random.Random(43)
+    seen = {"row lists": 0, "fresh": 0, "merged": 0, "zero": 0, "cells": 0}
+    for _ in range(400):
+        reg = ChoiceRegistry([rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
+        n = rng.randint(1, 4)
+        names = tuple(f"V{i}" for i in range(n))
+
+        def entry():
+            seen["cells"] += 1
+            p = ZERO_POLY if rng.random() < 0.45 else _random_poly(rng, reg, allow_inf=rng.random() < 0.3)
+            seen["zero"] += p.is_zero
+            return p
+
+        m = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
+        eager = m.entries
+        flows = {a: m.evaluate(a) for a in assignments(reg)}
+        for _ in range(rng.randint(1, 6)):
+            columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
+            m = m.update_columns(columns)
+            eager = _eager_update(eager, columns)
+            assert all(p == Polynomial.of(p.monomials) for row in m.rows for p in row)
+            assert m.entries == eager
+            b = ChoiceMatrix.identity(names, reg)
+            for c, col in columns.items():
+                b = b.replace_column(c, col)
+            for a in flows:
+                flows[a] = flows[a] * b.evaluate(a)
+                assert m.evaluate(a) == flows[a], a
+            seen["row lists"] += any(r.monomials for r in m.row_inf)
+            seen["fresh"] += not m.fresh.is_zero
+            seen["merged"] += m.rows != m.entries
+        plain = ChoiceMatrix(names, m.entries, reg)
+        assert m == plain and hash(m) == hash(plain)
+    assert min(seen["row lists"], seen["fresh"], seen["merged"]) >= 200, seen
+    assert seen["zero"] >= 0.4 * seen["cells"]
+
+
 def test_rendering():
     p = poly((M, []), (P, [delta(1, 0)]), (INF, [delta(0, 0), delta(2, 1)]))
     assert str(p) == "m+i.δ(0,0).δ(2,1)+p.δ(1,0)"

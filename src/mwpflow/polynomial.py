@@ -69,7 +69,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     da, db = a.deltas, b.deltas
     if not da or not db:
         return Monomial(mul_inf(a.scalar, b.scalar), da or db)
-    if da[-1][0] < db[0][0]:
+    if da[-1][0] < db[0][0]:  # the fold's usual case: b's indices are newer
         return Monomial(mul_inf(a.scalar, b.scalar), da + db)
     out: list[Delta] = []
     i = j = 0

@@ -171,23 +171,27 @@ class _FunctionRun:
         Both rules give every diagonal monomial above m an INF twin.  An
         unbounded while also tops each p monomial in its own cell; a
         counted loop instead adds the p monomials of every column to the
-        counter's row.  Each column of the closure is read once, and
-        only the cells the rule tops are written, into a copy.
+        counter's row.  A unit column holds nothing above m and no p, so
+        only the stored columns of the closure are read, and those the
+        rule tops are replaced.
         """
-        star = body.closure()
-        rows = [list(row) for row in star.entries]
-        for j, column in enumerate(zip(*star.entries)):
+        star = out = body.closure()
+        for j in star.columns:
+            column = [row[j] for row in star.entries]
+            cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W
                 twins = [Monomial(INF, m.deltas) for m in column[i].monomials
                          if floor < m.scalar < INF]
                 if twins:
-                    rows[i][j] = column[i] + Polynomial.of(twins)
+                    cells[i] = column[i] + Polynomial.of(twins)
             if counter is not None:
                 hits = [m for p in column for m in p.monomials if m.scalar == P]
                 if hits:
-                    rows[counter][j] = rows[counter][j] + Polynomial.of(hits)
-        return ChoiceMatrix(self.variables, rows, self.registry)
+                    cells[counter] = cells[counter] + Polynomial.of(hits)
+            if cells != column:
+                out = out.replace_column(j, cells)
+        return out
 
     def column_of(self, c: Assign | Call) -> tuple[int, list[Polynomial]]:
         """The target index and new column of an assignment or call."""
@@ -222,9 +226,11 @@ class _FunctionRun:
         # The final matrix's INF monomials cover exactly the assignments
         # that hold an INF, so their graph answers every qualitative
         # question on its own.
-        cover = {()} if self.poisoned else {
-            m.deltas for row in matrix.entries for p in row for m in p.monomials if m.scalar == INF
+        inf_cells = {
+            (i, j): ds for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
+            if (ds := [m.deltas for m in p.monomials if m.scalar == INF])
         }
+        cover = {()} if self.poisoned else {d for ds in inf_cells.values() for d in ds}
         graph = DeltaGraph(self.registry)
         for ds in sorted(cover, key=len):
             graph.insert(ds)
@@ -235,9 +241,6 @@ class _FunctionRun:
             verdict = UNBOUNDED
         else:
             verdict = CONDITIONALLY_BOUNDED
-        blame = tuple(
-            (self.variables[i], self.variables[j]) for i, j in matrix.inf_cells()
-        )
         return FunctionAnalysis(
             name=self.decl.name,
             variables=self.variables,
@@ -246,7 +249,7 @@ class _FunctionRun:
             graph=graph,
             verdict=verdict,
             sample=found.sample,
-            blame=blame,
+            blame=tuple((self.variables[i], self.variables[j]) for i, j in inf_cells),
             summary=summary,
             clean_count=found.count,
             total_assignments=self.registry.count_assignments(),

@@ -17,13 +17,13 @@ and drops subsumed monomials.
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
 INF monomial of row i of the left factor or of column c of the right
-one therefore lands in cell (i, c).  A command matrix is the identity
-outside the columns it writes, so a product is a column update
+one therefore lands in cell (i, c).  A ChoiceMatrix is stored as the
+identity plus the columns that commands wrote, so a product is an
+update of the right factor's stored columns
 (ChoiceMatrix.update_columns), and the fold of a body calls it directly
-for assignments and calls.  The result keeps each row's canonical INF
-list beside its cells rather than in them, carried from update to
-update without a scan; a cell takes its row's list, filtering its
-finite monomials against it, only when the matrix's entries are read.
+for assignments and calls.  Each row keeps its canonical INF lists
+beside its cells, carried from update to update without a scan; the
+cells take them, through Polynomial.of, only when entries are read.
 """
 
 from __future__ import annotations
@@ -143,36 +143,6 @@ def _subsume(monos: list[Monomial]) -> list[Monomial]:
         if not dominated:
             kept.append(m)
     return kept
-
-
-def _with_inf(p: "Polynomial", inf: "Polynomial") -> "Polynomial":
-    """Polynomial.of(p ∪ inf) for a canonical p and a canonical INF-only inf.
-
-    A finite monomial never subsumes an INF one, so the INF part is inf
-    merged with p's own; p's finite part is subsumption-free and loses
-    exactly the monomials whose delta list holds one of those.  The two
-    sorted runs then merge, as one sort.
-    """
-    own = tuple(m for m in p.monomials if m.scalar == INF)
-    if own and own != inf.monomials:
-        inf = Polynomial.of(own + inf.monomials)
-    if own == inf.monomials:
-        return p
-    fin = [m for m in p.monomials if m.scalar != INF]
-    if not fin or not inf.monomials[0].deltas:
-        return inf
-    # A delta list inside f's starts with one of f's deltas.
-    covers: dict[Delta, list[tuple[Delta, ...]]] = {}
-    for m in inf.monomials:
-        covers.setdefault(m.deltas[0], []).append(m.deltas)
-    keep = []
-    for f in fin:
-        mine = set(f.deltas)
-        if not any(mine.issuperset(c) for d in f.deltas for c in covers.get(d, ())):
-            keep.append(f)
-    if not keep:
-        return inf
-    return Polynomial(tuple(sorted(keep + list(inf.monomials), key=_DELTAS)))
 
 
 class Polynomial:
@@ -334,10 +304,10 @@ class ChoiceRegistry:
 def _split(
     polys: Iterable[Polynomial],
 ) -> tuple[dict[int, list[Monomial]], Polynomial]:
-    """A column as its finite monomials by index, and its INF ones.
+    """Cells as their finite monomials by position, and their INF ones.
 
     The INF monomials come back as one canonical Polynomial, so a list
-    that repeats across the cells of a column is merged once.
+    that repeats across the cells of a column or row is merged once.
     """
     fin: dict[int, list[Monomial]] = {}
     inf: set[Monomial] = set()
@@ -350,43 +320,53 @@ def _split(
     return fin, Polynomial.of(inf) if inf else ZERO_POLY
 
 
+def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
+    """The unit vector e_c of length n."""
+    return (ZERO_POLY,) * c + (UNIT_POLY,) + (ZERO_POLY,) * (n - c - 1)
+
+
 class ChoiceMatrix:
     """Square matrix of choice polynomials with a named variable order.
 
-    entries holds the cells.  A matrix built from its cells stores them
-    as rows.  One that update_columns returns keeps each row's INF list
-    apart, in row_inf, with fresh, the INF lists of the columns it wrote;
-    its entries merge each row's list into the stored rows on first read.
+    A matrix is stored as the identity plus the columns that differ from
+    it.  columns maps a column index to its stored cells; every other
+    column is the unit vector.  Each row also keeps two canonical INF
+    lists: row_inf[i], which every cell of row i holds as well, and
+    pending[i], the INF that row i's stored cells hold, which the next
+    product spreads over the whole row.  entries is the row view, with
+    each row's list merged into its cells.
     """
 
-    __slots__ = ("variables", "rows", "registry", "row_inf", "fresh", "_entries")
+    __slots__ = ("variables", "registry", "columns", "row_inf", "pending", "_entries")
 
     def __init__(
         self,
         variables: Sequence[str],
         rows: Iterable[Iterable[Polynomial]],
         registry: ChoiceRegistry,
-        row_inf: tuple[Polynomial, ...] | None = None,
-        fresh: Polynomial = ZERO_POLY,
     ):
-        self.variables = tuple(variables)
-        self.rows = tuple(tuple(row) for row in rows)
-        self.registry = registry
-        self.row_inf = row_inf
-        self.fresh = fresh
-        self._entries = self.rows if row_inf is None else None
-        n = len(self.variables)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        """The matrix with these cells: its non-unit columns are stored,
+        and each row's INF is pending."""
+        rows = tuple(tuple(row) for row in rows)
+        n = len(variables)
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must match the variable list")
+        self.variables, self.registry, self._entries = tuple(variables), registry, None
+        self.columns = {c: col for c, col in enumerate(zip(*rows)) if col != _unit(n, c)}
+        self.row_inf, self.pending = (ZERO_POLY,) * n, tuple(_split(row)[1] for row in rows)
+
+    @classmethod
+    def _stored(cls, variables, registry, columns, row_inf, pending) -> "ChoiceMatrix":
+        """The matrix with this stored form (see the class docstring)."""
+        m = cls.__new__(cls)
+        m.variables, m.registry, m._entries = variables, registry, None
+        m.columns, m.row_inf, m.pending = columns, row_inf, pending
+        return m
 
     @classmethod
     def identity(cls, variables: Sequence[str], registry: ChoiceRegistry) -> "ChoiceMatrix":
-        n = len(variables)
-        return cls(
-            variables,
-            [[UNIT_POLY if i == j else ZERO_POLY for j in range(n)] for i in range(n)],
-            registry,
-        )
+        empty = (ZERO_POLY,) * len(variables)
+        return cls._stored(tuple(variables), registry, {}, empty, empty)
 
     @property
     def dim(self) -> int:
@@ -400,12 +380,15 @@ class ChoiceMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """The cells: of(stored cell ∪ its row's INF list), computed on
-        first read.  A row whose list is empty reads as stored."""
+        """The cells, computed on first read: a stored cell or a unit
+        vector's, merged with its row's INF list.  A row whose list is
+        empty reads as stored."""
         if self._entries is None:
+            n = self.dim
+            rows = zip(*(self.columns.get(c) or _unit(n, c) for c in range(n)))
             self._entries = tuple(
-                tuple(_with_inf(p, inf) for p in row) if inf.monomials else row
-                for row, inf in zip(self.rows, self.row_inf)
+                tuple(p + inf for p in row) if inf.monomials else row
+                for row, inf in zip(rows, self.row_inf)
             )
         return self._entries
 
@@ -429,35 +412,41 @@ class ChoiceMatrix:
             raise ValueError("matrices belong to different analyses")
 
     def __add__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
+        """Cellwise sum of the stored columns of either side, a missing
+        one read as the unit vector, and row by row of the INF lists."""
         self._check_compatible(other)
-        return ChoiceMatrix(
-            self.variables,
-            (tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-            self.registry,
+        n = self.dim
+        columns = {c: tuple(map(Polynomial.__add__, self.columns.get(c) or _unit(n, c),
+                                other.columns.get(c) or _unit(n, c)))
+                   for c in self.columns.keys() | other.columns.keys()}
+        return ChoiceMatrix._stored(
+            self.variables, self.registry, columns,
+            tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
+            tuple(map(Polynomial.__add__, self.pending, other.pending)),
         )
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
-        """Matrix product: the columns of other that are not unit vectors
-        update self, the others pass through (see update_columns)."""
+        """Matrix product: other's stored columns update self (see
+        update_columns), and other's row lists, which reach every column
+        of other, reach every cell."""
         self._check_compatible(other)
-        return self.update_columns({
-            c: col for c, col in enumerate(zip(*other.entries))
-            if col[c] != UNIT_POLY or col.count(ZERO_POLY) != len(col) - 1
-        })
+        out = self.update_columns(other.columns)
+        spread = sum(other.row_inf, ZERO_POLY)
+        out.row_inf = tuple(r + spread for r in out.row_inf)
+        return out
 
     def update_columns(self, columns: Mapping[int, Sequence[Polynomial]]) -> "ChoiceMatrix":
         """self times the matrix that is the identity outside the keys of
         columns, whose column c is columns[c].
 
-        INF spreads: as 0·∞ = ∞, every INF monomial of row i of self
-        reaches every cell of row i, and every INF monomial of a written
-        column c reaches every cell of column c.  The result keeps the
-        first kind beside its cells: row i's list is self's list plus
-        self's fresh, and only a matrix built from its cells is scanned
-        for it.  Unwritten cells are shared as they are; a written cell
-        stores the canonical finite products over shared indices with
-        column c's INF list, and fresh is the union of those lists.
-        entries merges each row's list in on read.
+        INF spreads: as 0·∞ = ∞, the INF of row i of self reaches every
+        cell of row i, so row i's pending list joins its row list, and the
+        INF of a written column reaches every cell of the column, so the
+        union of those lists is every row's new pending list.  A written
+        column c stores the canonical finite products: for each k in the
+        support of columns[c], a stored column k times columns[c][k], or
+        for a unit column k, columns[c][k] in row k.  Only the columns
+        dict is copied; the other columns are shared.
 
         Waiting is exact.  A finite monomial that its row's list covers
         stays covered in every later product: a product's delta list
@@ -466,28 +455,33 @@ class ChoiceMatrix:
         read the stored cells, and as of(of(X) ∪ Y) == of(X ∪ Y), the
         merged cells equal the sums over k of Polynomial products.
         """
-        cols = {c: _split(col) for c, col in columns.items()}
-        if self.row_inf is None:
-            row_inf = tuple(
-                Polynomial.of({m for p in row for m in p.monomials if m.scalar == INF})
-                for row in self.rows
-            )
-        else:
-            row_inf = tuple(r + self.fresh for r in self.row_inf)
-        fresh = sum((col_inf for _, col_inf in cols.values()), ZERO_POLY)
-        out = []
-        for row in self.rows:
-            new_row = list(row)
-            for c, (col_fin, col_inf) in cols.items():
-                monos = [
-                    r
-                    for k, qs in col_fin.items()
-                    for p in row[k].monomials if p.scalar != INF
-                    for q in qs if (r := mono_mul(p, q)) is not None
-                ]
-                new_row[c] = Polynomial.of(monos + list(col_inf.monomials)) if monos else col_inf
-            out.append(tuple(new_row))
-        return ChoiceMatrix(self.variables, out, self.registry, row_inf, fresh)
+        n = self.dim
+        stored = dict(self.columns)
+        spread = ZERO_POLY
+        for c, col in columns.items():
+            col_fin, col_inf = _split(col)
+            acc: dict[int, list[Monomial]] = {}
+            for k, qs in col_fin.items():
+                src = self.columns.get(k)
+                if src is None:
+                    acc.setdefault(k, []).extend(qs)
+                    continue
+                for i, p in enumerate(src):
+                    if p.monomials:
+                        acc.setdefault(i, []).extend(
+                            r for a in p.monomials if a.scalar != INF
+                            for q in qs if (r := mono_mul(a, q)) is not None
+                        )
+            cells = [col_inf] * n
+            for i, monos in acc.items():
+                cells[i] = Polynomial.of(monos + list(col_inf.monomials))
+            stored[c] = tuple(cells)
+            spread = spread + col_inf
+        return ChoiceMatrix._stored(
+            self.variables, self.registry, stored,
+            tuple(r + p for r, p in zip(self.row_inf, self.pending)),
+            (spread,) * n,
+        )
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, reached as s·(1+M) per round.
@@ -496,12 +490,13 @@ class ChoiceMatrix:
         distributes over the sum, and a monomial that Polynomial.of drops
         stays dominated once multiplied.  So each round takes one product
         and no matrix sum, and the rounds are the same.  1 + M differs
-        from M on the diagonal only.
+        from M on the diagonals of the stored columns only: a unit
+        column already holds m there.
         """
-        step = ChoiceMatrix(
-            self.variables,
-            (r[:i] + (UNIT_POLY + r[i],) + r[i + 1:] for i, r in enumerate(self.entries)),
-            self.registry,
+        step = ChoiceMatrix._stored(
+            self.variables, self.registry,
+            {c: col[:c] + (UNIT_POLY + col[c],) + col[c + 1:] for c, col in self.columns.items()},
+            self.row_inf, self.pending,
         )
         s = step
         while (nxt := s * step) != s:
@@ -509,12 +504,20 @@ class ChoiceMatrix:
         return s
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
+        """self with column j stored as column; each row adds the INF of
+        its new cell to its pending list.
+
+        Row lists still reach the new cells, and the old column's pending
+        INF stays, so this is the plain replacement when column keeps the
+        INF monomials of the entries it replaces: a unit column of the
+        identity holds none, and the iteration rule only adds monomials.
+        """
         if len(column) != self.dim:
             raise ValueError("column length mismatch")
-        return ChoiceMatrix(
-            self.variables,
-            (r[:j] + (column[i],) + r[j + 1:] for i, r in enumerate(self.entries)),
-            self.registry,
+        column = tuple(column)
+        return ChoiceMatrix._stored(
+            self.variables, self.registry, {**self.columns, j: column}, self.row_inf,
+            tuple(p + _split((q,))[1] for p, q in zip(self.pending, column)),
         )
 
     def evaluate(self, assignment: Sequence[int]) -> FlowMatrix:
@@ -562,11 +565,3 @@ class ChoiceMatrix:
                 ))
             entries.append(tuple(row))
         return cls(variables, entries, registry)
-
-    def inf_cells(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.entries[i][j].has_inf()
-        ]

@@ -146,7 +146,7 @@ def test_criterion_3_iteration_dependent_loop_golden():
     # numbers the branches the other way around (its poisoned choices
     # are 1 and 2 and its survivor 0), so the labels here are swapped
     # relative to that presentation while the content is identical.
-    assert r.matrix.inf_cells() == [(1, 1)]
+    assert r.blame == (("X2", "X2"),)
     poisoned = {a for a in r.registry.assignments()
                 if r.matrix.evaluate(a).contains_inf()}
     assert poisoned == {(0,), (2,)}

@@ -414,15 +414,22 @@ def test_analysis_matrices_are_canonical(monkeypatch):
     # Equality, the sum's shortcuts and the product's pass-through all
     # compare monomial tuples, so every entry of every matrix the
     # analysis builds must already be in Polynomial.of's form.  So must
-    # every stored cell, which products read before any INF is merged.
+    # every stored cell, which products read before any INF is merged,
+    # and every row list.  The analysis builds its matrices from stored
+    # columns only, never from rows.
     built = []
-    init = ChoiceMatrix.__init__
+    stored = ChoiceMatrix._stored.__func__
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    def recording_stored(cls, *args):
+        m = stored(cls, *args)
+        built.append(m)
+        return m
 
-    monkeypatch.setattr(ChoiceMatrix, "__init__", recording_init)
+    def no_rows(self, *args, **kwargs):
+        raise AssertionError("the analysis built a matrix from rows")
+
+    monkeypatch.setattr(ChoiceMatrix, "_stored", classmethod(recording_stored))
+    monkeypatch.setattr(ChoiceMatrix, "__init__", no_rows)
     rng = random.Random(61)
     sources = [random_program(rng) for _ in range(60)]
     sources += [random_call_pair(rng) for _ in range(40)]
@@ -447,6 +454,7 @@ def test_analysis_matrices_are_canonical(monkeypatch):
         analyze_program(parse(src))
         assert built, src
         for m in built:
-            for row in m.entries + m.rows:
+            cells = (*m.entries, *m.columns.values(), m.row_inf, m.pending)
+            for row in cells:
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)

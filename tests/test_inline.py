@@ -205,7 +205,7 @@ def test_empty_blame_verdict_matches_inlined_program():
     assert main.verdict == expected.verdict
     # The matrix has no cell to hold this infinity, yet the graph
     # covers every assignment.
-    assert main.matrix.inf_cells() == []
+    assert not any(p.has_inf() for row in main.matrix.entries for p in row)
     assert main.graph.sweep().count == 0
 
 

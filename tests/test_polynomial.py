@@ -767,7 +767,7 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
         assert star == _sum_fixpoint(m)
         for a in assignments(reg):
             assert star.evaluate(a) == m.evaluate(a).closure(), a
-        seen["inf"] += bool(m.inf_cells())
+        seen["inf"] += any(p.has_inf() for row in m.entries for p in row)
         seen["rounds"] += star != ChoiceMatrix.identity(m.variables, reg) + m
         seen["zero"] += sum(p.is_zero for row in rows for p in row)
         seen["cells"] += n * n
@@ -800,13 +800,23 @@ def _eager_update(rows, columns):
     return tuple(out)
 
 
+def _stored_view(m):
+    """The cells as stored: a stored column's or the unit vector's, with
+    no row list merged in."""
+    rows = [[UNIT_POLY if i == c else ZERO_POLY for c in range(m.dim)] for i in range(m.dim)]
+    for c, col in m.columns.items():
+        for row, p in zip(rows, col):
+            row[c] = p
+    return tuple(map(tuple, rows))
+
+
 def test_carried_row_inf_matches_eager_updates():
     # update_columns keeps each row's INF list beside the stored cells
     # and merges it in when entries is read.  Along chains of updates the
     # cells read must equal the eager update's byte for byte, evaluate to
     # the flow-matrix product, and equal a matrix built from those cells.
     rng = random.Random(43)
-    seen = {"row lists": 0, "fresh": 0, "merged": 0, "zero": 0, "cells": 0}
+    seen = {"row lists": 0, "pending": 0, "merged": 0, "zero": 0, "cells": 0}
     for _ in range(400):
         reg = ChoiceRegistry([rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
         n = rng.randint(1, 4)
@@ -825,7 +835,7 @@ def test_carried_row_inf_matches_eager_updates():
             columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
             m = m.update_columns(columns)
             eager = _eager_update(eager, columns)
-            assert all(p == Polynomial.of(p.monomials) for row in m.rows for p in row)
+            assert all(p == Polynomial.of(p.monomials) for col in m.columns.values() for p in col)
             assert m.entries == eager
             b = ChoiceMatrix.identity(names, reg)
             for c, col in columns.items():
@@ -834,11 +844,106 @@ def test_carried_row_inf_matches_eager_updates():
                 flows[a] = flows[a] * b.evaluate(a)
                 assert m.evaluate(a) == flows[a], a
             seen["row lists"] += any(r.monomials for r in m.row_inf)
-            seen["fresh"] += not m.fresh.is_zero
-            seen["merged"] += m.rows != m.entries
+            seen["pending"] += any(p.monomials for p in m.pending)
+            seen["merged"] += _stored_view(m) != m.entries
         plain = ChoiceMatrix(names, m.entries, reg)
         assert m == plain and hash(m) == hash(plain)
-    assert min(seen["row lists"], seen["fresh"], seen["merged"]) >= 200, seen
+    assert min(seen["row lists"], seen["pending"], seen["merged"]) >= 200, seen
+    assert seen["zero"] >= 0.4 * seen["cells"]
+
+
+def _unit_outside(names, reg, columns):
+    """The plain matrix that is the identity outside the keys of columns."""
+    n = len(names)
+    return ChoiceMatrix(names, [
+        [columns[c][k] if c in columns else UNIT_POLY if k == c else ZERO_POLY for c in range(n)]
+        for k in range(n)
+    ], reg)
+
+
+def test_stored_form_matches_plain_operations():
+    # Chains of operations on the stored form, each step checked against
+    # the same operation on plain matrices rebuilt from the operands'
+    # entries, and against the flow-matrix operation at every
+    # assignment.  Row lists and pending INF build up along a chain;
+    # replaced columns and sums leave pending INF in some rows only, as
+    # the iteration rule's twins, a poisoned call and two branches do.
+    rng = random.Random(47)
+    seen = dict.fromkeys(("replace", "update", "mul", "add", "closure"), 0)
+    seen.update({"row lists": 0, "uneven pending": 0, "zero": 0, "cells": 0})
+
+    def check(out, plain, flow, reg):
+        assert out.entries == plain
+        for a in assignments(reg):
+            assert out.evaluate(a) == flow(a), a
+
+    for _ in range(500):
+        reg = ChoiceRegistry([rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
+        n = rng.randint(1, 4)
+        names = tuple(f"V{i}" for i in range(n))
+
+        def entry():
+            seen["cells"] += 1
+            p = ZERO_POLY if rng.random() < 0.45 else _random_poly(rng, reg, allow_inf=rng.random() < 0.3)
+            seen["zero"] += p.is_zero
+            return p
+
+        def step(m):
+            op = rng.choice(("replace", "update", "mul", "add", "closure"))
+            seen[op] += 1
+            seen["row lists"] += any(r.monomials for r in m.row_inf)
+            seen["uneven pending"] += len(set(m.pending)) > 1
+            if op == "replace":
+                # The new column keeps the INF of the entries it replaces.
+                j = rng.randrange(n)
+                col = [entry() + Polynomial.of(x for x in m.entry(i, j).monomials if x.scalar == INF)
+                       for i in range(n)]
+                out = m.replace_column(j, col)
+                rows = [list(r) for r in m.entries]
+                for i in range(n):
+                    rows[i][j] = col[i]
+                check(out, tuple(map(tuple, rows)),
+                      lambda a: FlowMatrix([[p.evaluate(a) for p in r] for r in rows]), reg)
+            elif op == "update":
+                columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
+                out = m.update_columns(columns)
+                b = _unit_outside(names, reg, columns)
+                check(out, _eager_update(m.entries, columns),
+                      lambda a: m.evaluate(a) * b.evaluate(a), reg)
+            elif op == "mul":
+                b = chain(rng.randint(1, 2))
+                out = m * b
+                plain_a, plain_b = (ChoiceMatrix(names, x.entries, reg) for x in (m, b))
+                check(out, _cellwise_product(plain_a, plain_b).entries,
+                      lambda a: m.evaluate(a) * b.evaluate(a), reg)
+            elif op == "add":
+                b = chain(rng.randint(1, 2))
+                out = m + b
+                check(out, tuple(tuple(p + q for p, q in zip(ra, rb))
+                                 for ra, rb in zip(m.entries, b.entries)),
+                      lambda a: m.evaluate(a) + b.evaluate(a), reg)
+            else:
+                out = m.closure()
+                check(out, _sum_fixpoint(ChoiceMatrix(names, m.entries, reg)).entries,
+                      lambda a: m.evaluate(a).closure(), reg)
+            return out
+
+        if rng.random() < 0.5:
+            start = ChoiceMatrix.identity(names, reg)
+        else:
+            start = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
+
+        def chain(length):
+            # A second chain from the same start gives the right operand
+            # of a product or a sum.
+            m = start
+            for _ in range(length):
+                m = step(m)
+            return m
+
+        chain(rng.randint(1, 6))
+    assert min(seen[op] for op in ("replace", "update", "mul", "add", "closure")) >= 500, seen
+    assert min(seen["row lists"], seen["uneven pending"]) >= 300, seen
     assert seen["zero"] >= 0.4 * seen["cells"]
 
 

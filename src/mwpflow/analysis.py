@@ -42,7 +42,7 @@ from .polynomial import (
     UNIT_POLY,
     ZERO_POLY,
 )
-from .semiring import INF, M, P, W, ZERO
+from .semiring import INF, M, P, W
 
 BOUNDED = "bounded"
 CONDITIONALLY_BOUNDED = "conditionally_bounded"
@@ -129,11 +129,7 @@ class _FunctionRun:
         self.choice_sites.setdefault(id(e), j)
         for k in support:
             a, b = v1[k], v2[k]
-            v[k] = (
-                (a + b.scale(P)).attach(j, 0)
-                + (a.scale(P) + b).attach(j, 1)
-                + (a + b).scale(W).attach(j, 2)
-            )
+            v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, (a + b).scale(W)))
         return v
 
     # -- commands -------------------------------------------------------
@@ -172,12 +168,12 @@ class _FunctionRun:
         unbounded while also tops each p monomial in its own cell; a
         counted loop instead adds the p monomials of every column to the
         counter's row.  A unit column holds nothing above m and no p, so
-        only the stored columns of the closure are read, and those the
-        rule tops are replaced.
+        only the stored columns of the closure are read, each merged
+        with row_inf, and those the rule tops are replaced.
         """
         star = out = body.closure()
-        for j in star.columns:
-            column = [row[j] for row in star.entries]
+        for j, stored in star.columns.items():
+            column = list(map(Polynomial.__add__, stored, star.row_inf))
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W
@@ -212,10 +208,8 @@ class _FunctionRun:
             return target, column
         j = self.registry.fresh(len(summary.behaviors))
         self.choice_sites.setdefault(id(c), j)
-        for b, behavior in enumerate(summary.behaviors):
-            for r, flow in zip(row_targets, behavior):
-                if flow != ZERO:
-                    column[r] = column[r] + Polynomial.const(flow).attach(j, b)
+        for r, flows in zip(row_targets, zip(*summary.behaviors)):
+            column[r] = column[r] + Polynomial.join(j, [Polynomial.const(f) for f in flows])
         return target, column
 
     # -- results ---------------------------------------------------------

@@ -11,8 +11,9 @@ Deltas are stored as (index, value) pairs so the natural tuple order is
 the canonical one: deltas inside a monomial sort by index, monomials
 compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products and scaling collect their raw monomials and
-hand them to Polynomial.of, the one place that sorts, merges duplicates
-and drops subsumed monomials.
+hand them to Polynomial.of, the one place that drops subsumed
+monomials, except where none can drop: the branches of a fresh index
+(join) and a closure cell that gains no product.
 
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
@@ -60,6 +61,9 @@ class Monomial(NamedTuple):
         return ".".join(parts)
 
 
+_NONE = Monomial(ZERO, ())  # what Polynomial.of reads for an absent delta list
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     """Product of two finite monomials; None when their deltas conflict.
 
@@ -92,59 +96,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     return Monomial(mul_inf(a.scalar, b.scalar), tuple(out))
 
 
-def _merge_duplicates(sorted_monos: Iterable[Monomial]) -> list[Monomial]:
-    out: list[Monomial] = []
-    for m in sorted_monos:
-        if m.scalar == ZERO:
-            continue
-        if out and out[-1].deltas == m.deltas:
-            if m.scalar > out[-1].scalar:
-                out[-1] = m
-        else:
-            out.append(m)
-    return out
-
-
-def _subsume(monos: list[Monomial]) -> list[Monomial]:
-    """Drop monomials whose delta list extends another's with <= scalar.
-
-    The list is duplicate-free, so one dict maps each delta tuple to its
-    scalar, and a monomial of the shortest length present can only be
-    kept.  A longer monomial of L deltas looks up its proper sub-tuples
-    there (only those of lengths the list holds) when 2**L is at most
-    the list length, and otherwise scans the strictly shorter monomials
-    for a dominating one.
-    """
-    n = len(monos)
-    if n < 2:
-        return monos
-    best = {m.deltas: m.scalar for m in monos}
-    by_size: dict[int, list[Monomial]] = {}
-    for m in monos:
-        by_size.setdefault(len(m.deltas), []).append(m)
-    if len(by_size) == 1:
-        return monos
-    sizes = sorted(by_size)
-    kept: list[Monomial] = []
-    for m in monos:
-        ds, s = m.deltas, m.scalar
-        shorter = [r for r in sizes if r < len(ds)]
-        if not shorter:
-            dominated = False
-        elif 1 << len(ds) <= n:
-            dominated = any(
-                best.get(sub, ZERO) >= s for r in shorter for sub in itertools.combinations(ds, r)
-            )
-        else:
-            mine = set(ds)
-            dominated = any(
-                o.scalar >= s and mine.issuperset(o.deltas) for r in shorter for o in by_size[r]
-            )
-        if not dominated:
-            kept.append(m)
-    return kept
-
-
 class Polynomial:
     """Canonical ordered sum of monomials, evaluated as pointwise max."""
 
@@ -155,8 +106,40 @@ class Polynomial:
 
     @classmethod
     def of(cls, monomials: Iterable[Monomial]) -> "Polynomial":
-        ms = sorted(monomials, key=_DELTAS)
-        return cls(tuple(_subsume(_merge_duplicates(ms))))
+        """The canonical sum: the best scalar for each delta list, sorted,
+        less every monomial whose list extends a strictly shorter one's
+        with a scalar no larger.  Lengths are checked from the shortest
+        up.  A list of L deltas looks up its shorter sub-lists when 2**L
+        is at most the number of lists, and otherwise scans the shorter
+        monomials kept so far (a dropped one's dominator dominates more).
+        """
+        best: dict[tuple[Delta, ...], Monomial] = {}
+        get = best.get
+        for m in monomials:
+            s, ds = m
+            if s > get(ds, _NONE)[0]:
+                best[ds] = m
+        if len(best) < 2:
+            return cls(tuple(best.values()))
+        keys = sorted(best)
+        if len(set(map(len, keys))) < 2:
+            return cls(tuple(map(best.__getitem__, keys)))
+        kept: dict[int, list[tuple[Delta, ...]]] = {s: [] for s in range(M, INF + 1)}
+        shorter: list[int] = []
+        for size, group in itertools.groupby(sorted(keys, key=len), len):
+            for ds in group:  # a list of the same length is never a sub-list
+                s = best[ds].scalar
+                if 1 << size <= len(keys):
+                    dominated = any(get(sub, _NONE).scalar >= s for r in shorter
+                                    for sub in itertools.combinations(ds, r))
+                else:
+                    within = set(ds).issuperset
+                    dominated = any(any(map(within, kept[t])) for t in kept if t >= s)
+                if not dominated:
+                    kept[s].append(ds)
+            shorter.append(size)
+        survivors = set().union(*kept.values())
+        return cls(tuple(best[ds] for ds in keys if ds in survivors))
 
     @classmethod
     def const(cls, scalar: int) -> "Polynomial":
@@ -206,23 +189,19 @@ class Polynomial:
             Monomial(mul_inf(scalar, m.scalar), m.deltas) for m in self.monomials
         )
 
-    def attach(self, index: int, value: int) -> "Polynomial":
-        """Multiply by the single delta d(value, index).
-
-        Only valid when index is fresh (larger than any index already
-        used), which keeps each delta list sorted by plain appending.
-        A delta list that is a proper prefix of another sorts before it,
-        but not once both gain d, so the monomials are sorted again.
-        Subsumption is unchanged.
-        """
-        if not self.monomials:
-            return self
-        d = (index, value)
-        monos = sorted(
-            (Monomial(m.scalar, m.deltas + (d,)) for m in self.monomials),
-            key=lambda m: m.deltas,
-        )
-        return Polynomial(tuple(monos))
+    @staticmethod
+    def join(index: int, branches: Sequence["Polynomial"]) -> "Polynomial":
+        """The sum over v of branches[v] times d(v, index), for an index
+        larger than any the branches hold (the caller's to ensure; it is
+        not checked), so appending keeps delta lists sorted.  No monomial
+        can dominate one of another branch, whose delta at index differs,
+        so the union needs only one sort: a proper prefix sorts first,
+        but not once both lists gain their delta."""
+        return Polynomial(tuple(sorted(
+            (Monomial(m.scalar, m.deltas + ((index, v),))
+             for v, p in enumerate(branches) for m in p.monomials),
+            key=_DELTAS,
+        )))
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         best = ZERO
@@ -318,6 +297,26 @@ def _split(
             else:
                 fin.setdefault(k, []).append(m)
     return fin, Polynomial.of(inf) if inf else ZERO_POLY
+
+
+def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Polynomial]:
+    """A written column as _split gives it, less the finite monomials
+    that its INF list covers: their products would be covered too, and
+    Polynomial.of would drop them."""
+    fin, inf = _split(col)
+    if inf.monomials:
+        lists = [m.deltas for m in inf.monomials]
+        fin = {k: kept for k, qs in fin.items()
+               if (kept := [q for q in qs if not any(map(set(q.deltas).issuperset, lists))])}
+    return fin, inf
+
+
+def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
+    """Add to acc[i] the products of the finite monomials of row i, for
+    each (i, monomials) of rows, with qs."""
+    for i, monos in rows:
+        acc.setdefault(i, []).extend(
+            r for a in monos if a.scalar != INF for q in qs if (r := mono_mul(a, q)) is not None)
 
 
 def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
@@ -454,24 +453,22 @@ class ChoiceMatrix:
         dominate monomials that are covered too.  So the products may
         read the stored cells, and as of(of(X) ∪ Y) == of(X ∪ Y), the
         merged cells equal the sums over k of Polynomial products.
+        A written column's monomials that its INF list covers are dropped
+        before they are multiplied (see _written).
         """
         n = self.dim
         stored = dict(self.columns)
         spread = ZERO_POLY
         for c, col in columns.items():
-            col_fin, col_inf = _split(col)
+            col_fin, col_inf = _written(col)
             acc: dict[int, list[Monomial]] = {}
             for k, qs in col_fin.items():
                 src = self.columns.get(k)
                 if src is None:
                     acc.setdefault(k, []).extend(qs)
-                    continue
-                for i, p in enumerate(src):
-                    if p.monomials:
-                        acc.setdefault(i, []).extend(
-                            r for a in p.monomials if a.scalar != INF
-                            for q in qs if (r := mono_mul(a, q)) is not None
-                        )
+                else:
+                    _multiply(acc, ((i, p.monomials) for i, p in enumerate(src) if p.monomials),
+                              qs)
             cells = [col_inf] * n
             for i, monos in acc.items():
                 cells[i] = Polynomial.of(monos + list(col_inf.monomials))
@@ -488,20 +485,48 @@ class ChoiceMatrix:
 
         s·(1+M) has the same canonical cells as s + s·M: the product
         distributes over the sum, and a monomial that Polynomial.of drops
-        stays dominated once multiplied.  So each round takes one product
-        and no matrix sum, and the rounds are the same.  1 + M differs
-        from M on the diagonals of the stored columns only: a unit
-        column already holds m there.
+        stays dominated once multiplied.  1 + M differs from M on the
+        diagonals of the stored columns only.
+
+        The rounds are semi-naive.  After the first product, a round adds
+        to each cell only the products of the finite monomials that the
+        last round added: older ones gave theirs then, and as 1 + M holds
+        a constant on each stored diagonal, s's own monomials are
+        dominated by their products.  The row lists grow as in s·(1+M),
+        and the rounds stop when one adds nothing and leaves them as
+        they are, so no entries are merged.
         """
         step = ChoiceMatrix._stored(
             self.variables, self.registry,
             {c: col[:c] + (UNIT_POLY + col[c],) + col[c + 1:] for c, col in self.columns.items()},
             self.row_inf, self.pending,
         )
-        s = step
-        while (nxt := s * step) != s:
-            s = nxt
-        return s
+        written = {c: _written(col) for c, col in step.columns.items()}
+        spread = sum(step.row_inf, ZERO_POLY)
+        prev, s = step, step * step
+        while True:
+            added: dict[int, list[tuple[int, set[Monomial]]]] = {}
+            for k, col in s.columns.items():
+                for i, (p, q) in enumerate(zip(col, prev.columns[k])):
+                    if p is not q and (new := {m for m in p.monomials if m.scalar != INF}
+                                       - set(q.monomials)):
+                        added.setdefault(k, []).append((i, new))
+            row_inf = tuple(r + p + spread for r, p in zip(s.row_inf, s.pending))
+            if not added and row_inf == s.row_inf:
+                return s
+            columns = dict(s.columns)
+            for c, (fin, _) in written.items():
+                acc: dict[int, list[Monomial]] = {}
+                for k, qs in fin.items():
+                    if k in added:
+                        _multiply(acc, added[k], qs)
+                if acc:
+                    cells = list(columns[c])
+                    for i, monos in acc.items():
+                        cells[i] = Polynomial.of((*cells[i].monomials, *monos))
+                    columns[c] = tuple(cells)
+            prev, s = s, ChoiceMatrix._stored(
+                self.variables, self.registry, columns, row_inf, s.pending)
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of

@@ -318,6 +318,27 @@ WIDE_PROGRAMS = {
         1,
         "b4958972780ac8ab631a03cd7d1c477ffedf6614618d33c5658d36aff6edd206",
     ),
+    # A 40-term sum of one variable: 39 additive sites in one
+    # expression, each summing a nested left operand with a leaf.
+    "sum-40": (
+        "    X1 = " + " + ".join(["X2"] * 40) + ";\n",
+        0,
+        "eca6788f6bb68d479df6ebbf065929c33dab84f0bf478b5a68c431e5b4c7f62d",
+    ),
+    # A 10-term sum rotating over three variables: each row's cell
+    # collects its own mix of picks.
+    "sum-rotate-10": (
+        "    X1 = " + " + ".join(f"X{i % 3 + 2}" for i in range(10)) + ";\n",
+        0,
+        "f0a38fed496b8da52b121586c5b47b1185b375a00548602eb85c7e61c72b0c3b",
+    ),
+    # Sums under products and a product beside a sum: both operators
+    # nest on both sides.
+    "nested-expr": (
+        "    X1 = (X2 + X3) * (X4 - X2 + X3) + X1 * (X2 + X2);\n",
+        0,
+        "a04ae0c2c5fb8d78a5b752ba0d5bdb84859ee4238e942d32f91b2ecff0a9cfed",
+    ),
 }
 
 

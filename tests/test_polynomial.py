@@ -11,8 +11,6 @@ from mwpflow.polynomial import (
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
-    _merge_duplicates,
-    _subsume,
     delta,
     mono_mul,
 )
@@ -239,8 +237,16 @@ def _all_pairs_subsume(monos):
     ]
 
 
+def _merged(raw):
+    """The best scalar for each delta list, sorted by delta list."""
+    best = {}
+    for m in raw:
+        best[m.deltas] = max(best.get(m.deltas, ZERO), m.scalar)
+    return sorted((Monomial(s, ds) for ds, s in best.items()), key=lambda m: m.deltas)
+
+
 def test_subsume_matches_all_pairs_definition():
-    # Duplicate-free sorted lists, as Polynomial.of hands them over.
+    # Duplicate-free sorted lists, as Polynomial.of merges them first.
     # Short lists of long monomials take the scan, long lists of short
     # ones the sub-tuple lookup; both must give the definition's answer.
     rng = random.Random(23)
@@ -258,13 +264,13 @@ def test_subsume_matches_all_pairs_definition():
             )
             for _ in range(rng.choice((2, 5, 20, 80)))
         ]
-        monos = _merge_duplicates(sorted(monos, key=lambda m: m.deltas))
+        monos = _merged(monos)
         for m in monos:
             if 1 << len(m.deltas) <= len(monos):
                 lookups += 1
             else:
                 scans += 1
-        assert _subsume(monos) == _all_pairs_subsume(monos)
+        assert Polynomial.of(monos).monomials == tuple(_all_pairs_subsume(monos))
     assert lookups > 1000 and scans > 1000
 
     # Polynomial.of on raw lists of the shapes products hand it: one
@@ -292,10 +298,7 @@ def test_subsume_matches_all_pairs_definition():
                 if shape == "delta-free inf":
                     raw.append(Monomial(INF, ()))
             rng.shuffle(raw)
-            best = {}
-            for m in raw:
-                best[m.deltas] = max(best.get(m.deltas, ZERO), m.scalar)
-            merged = sorted((Monomial(s, ds) for ds, s in best.items()), key=lambda m: m.deltas)
+            merged = _merged(raw)
             expected = _all_pairs_subsume(merged)
             assert Polynomial.of(raw).monomials == tuple(expected), shape
             if shape == "one length":
@@ -358,9 +361,10 @@ def _random_poly(rng, reg, allow_inf=False):
 
 
 def test_attach_returns_canonical_order():
-    # A delta-free monomial sorts first, but not once it gains a delta.
+    # Polynomial.join attaches each branch's delta at a fresh index.  A
+    # delta-free monomial sorts first, but not once it gains a delta.
     p = Polynomial.of([Monomial(M, ()), Monomial(P, (delta(0, 0),))])
-    attached = p.attach(1, 0)
+    attached = Polynomial.join(1, (p,))
     assert attached == Polynomial.of(attached.monomials)
     assert [m.deltas for m in attached.monomials] == [
         (delta(0, 0), delta(0, 1)), (delta(0, 1),),
@@ -371,9 +375,75 @@ def test_attach_returns_canonical_order():
         q = _random_poly(rng, reg, allow_inf=True)
         j = reg.fresh(3)
         v = rng.randrange(3)
-        assert q.attach(j, v) == Polynomial.of(
+        assert Polynomial.join(j, (ZERO_POLY,) * v + (q,)) == Polynomial.of(
             Monomial(m.scalar, m.deltas + (delta(v, j),)) for m in q.monomials
         )
+
+
+def test_branch_join_matches_plain_sum():
+    # Three branches joined at a fresh index must give the + chain of the
+    # branches, each multiplied by its own delta there.
+    rng = random.Random(53)
+    seen = {"constants": 0, "joined": 0}
+
+    def random_poly(cards):
+        width = len(cards)
+        monos = [
+            Monomial(rng.choice((M, W, P, INF)), tuple(sorted(
+                (i, rng.randrange(cards[i])) for i in rng.sample(range(width), rng.randint(1, width))
+            )))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rng.random() < 0.7:
+            monos.append(Monomial(rng.choice((M, W, P, INF)), ()))
+        return Polynomial.of(monos)
+
+    for _ in range(600):
+        width = rng.randint(2, 6)
+        cards = [rng.choice((1, 2, 3)) for _ in range(width)]
+        branches = [random_poly(cards) for _ in range(3)]
+        chain = ZERO_POLY
+        for v, b in enumerate(branches):
+            chain = chain + Polynomial.of(
+                Monomial(m.scalar, m.deltas + (delta(v, width),)) for m in b.monomials)
+        assert Polynomial.join(width, branches).monomials == chain.monomials
+        seen["constants"] += sum(b.monomials[:1] != () and not b.monomials[0].deltas
+                                 for b in branches) >= 2
+        seen["joined"] += sum(not b.is_zero for b in branches) >= 2
+    assert min(seen.values()) >= 150, seen
+
+
+def test_analysis_joins_at_fresh_indices(monkeypatch):
+    # join does not check that its index is larger than any its branches
+    # hold; the caller owns that.  Every join the analysis makes, at the
+    # additive sites of nested expressions and at calls, must meet it.
+    join = Polynomial.join
+    seen = {"joins": 0, "branches with indices": 0}
+
+    def recorded_join(index, branches):
+        held = {i for b in branches for m in b.monomials for i, _ in m.deltas}
+        assert all(i < index for i in held)
+        seen["joins"] += 1
+        seen["branches with indices"] += bool(held)
+        return join(index, branches)
+
+    monkeypatch.setattr(Polynomial, "join", staticmethod(recorded_join))
+    rng = random.Random(67)
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(("X1", "X2", "X3", "X4"))
+        return f"({expr(depth - 1)} {rng.choice('+-*')} {expr(depth - 1)})"
+
+    for _ in range(40):
+        lines = [f"X{rng.randint(1, 4)} = {expr(3)};" for _ in range(rng.randint(1, 3))]
+        lines.insert(rng.randint(0, len(lines)), f"loop X{rng.randint(1, 4)} {{ {lines.pop()} }}")
+        analyze_program(parse(_pool_main(lines)))
+    analyze_program(parse(
+        "function f(X1, X2) { if (X1 < X2) { X2 = X1 + X2; } else { X2 = X2 * X1; } return X2; }\n"
+        "function main() { X3 = (X1 + X2) * X3; X4 = f(X3, X1); X1 = X4 - X2; }\n"
+    ))
+    assert min(seen.values()) >= 100, seen
 
 
 def test_eval_is_a_homomorphism():
@@ -667,7 +737,7 @@ def _branch_blocks(k, n=6):
 
 
 @pytest.mark.parametrize("src, inf_rows_met", [
-    (_feedback_loops(6), 50), (_while_loops(5), 50), (_branch_blocks(12), 0),
+    (_feedback_loops(6), 50), (_while_loops(6), 50), (_branch_blocks(12), 0),
 ], ids=["feedback", "while", "branch"])
 def test_analysis_products_match_cellwise_definition(monkeypatch, src, inf_rows_met):
     # Loops leave INF in rows that later command matrices, the identity
@@ -678,6 +748,40 @@ def test_analysis_products_match_cellwise_definition(monkeypatch, src, inf_rows_
     unit_with_row_inf = sum(sum(_unit_column_rows(a, b)) for a, b in checked)
     assert len(checked) > 10
     assert unit_with_row_inf >= inf_rows_met
+
+
+def test_analysis_closures_match_sum_fixpoint(monkeypatch):
+    # The closure's rounds after the first product update its stored
+    # columns directly, so _product_checker does not see them.  Every
+    # closure the analysis takes must equal the definition's fixpoint
+    # of its body's cells byte for byte, also where the body's rows hold
+    # INF and the fixpoint takes more rounds than the first product.
+    closure = ChoiceMatrix.closure
+    seen = {"closures": 0, "inf rows": 0, "past first product": 0}
+
+    def checked_closure(m):
+        out = closure(m)
+        plain = ChoiceMatrix(m.variables, m.entries, m.registry)
+        assert out.entries == _sum_fixpoint(plain).entries
+        first = ChoiceMatrix.identity(m.variables, m.registry) + plain
+        seen["closures"] += 1
+        seen["inf rows"] += sum(any(p.has_inf() for p in row) for row in m.entries)
+        seen["past first product"] += out != first * first
+        return out
+
+    monkeypatch.setattr(ChoiceMatrix, "closure", checked_closure)
+    x = [f"X{i + 1}" for i in range(6)]
+    nested = _pool_main([
+        f"loop {x[(i + 5) % 6]} {{ while ({x[i % 6]} < {x[(i + 1) % 6]}) {{"
+        f" {x[(i + 1) % 6]} = {x[(i + 1) % 6]} + {x[i % 6]}; }}"
+        f" {x[i % 6]} = {x[(i + 2) % 6]} + {x[i % 6]};"
+        f" {x[(i + 2) % 6]} = {x[(i + 3) % 6]} * {x[(i + 1) % 6]};"
+        f" {x[(i + 3) % 6]} = {x[i % 6]} + {x[(i + 4) % 6]}; }}"
+        for i in range(6)
+    ])
+    for src in (_feedback_loops(6), _while_loops(6), _branch_blocks(12), nested):
+        analyze_program(parse(src))
+    assert seen == {"closures": 24, "inf rows": 12, "past first product": 6}
 
 
 def test_fold_column_updates_match_cellwise_definition(monkeypatch):
@@ -773,6 +877,18 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
         seen["cells"] += n * n
     assert seen["inf"] >= 100 and seen["rounds"] >= 100
     assert seen["zero"] >= 0.4 * seen["cells"]
+
+    # The first product adds no finite monomial, yet row 1's INF, which
+    # it brings into cell (0, 0), reaches the rest of row 0 only in the
+    # round after: the rounds stop on the row lists too.
+    reg = ChoiceRegistry([2])
+    inf = poly((INF, [delta(0, 0)]))
+    m = ChoiceMatrix(("V0", "V1"), [[UNIT_POLY, ZERO_POLY], [inf, UNIT_POLY]], reg)
+    star = m.closure()
+    assert star == _sum_fixpoint(m)
+    assert star.entry(0, 1) == inf
+    for a in assignments(reg):
+        assert star.evaluate(a) == m.evaluate(a).closure(), a
 
 
 def _eager_update(rows, columns):

@@ -8,6 +8,7 @@ bounded, 1 when some function is unbounded (or an inline check fails),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, Sequence
@@ -20,7 +21,10 @@ from .polynomial import Monomial
 from .semiring import INF, value_char
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first run call; it
+    holds no per-call state, as parse_args returns a new namespace."""
     p = argparse.ArgumentParser(
         prog="mwpflow",
         description="Certify polynomial growth bounds of program variables.",
@@ -56,11 +60,12 @@ def render_report(results: Sequence[FunctionAnalysis]) -> str:
         else:
             lines.append("  choices: none")
         lines.append("  matrix (rows flow into columns):")
-        width = max((len(str(p)) for row in r.matrix.entries for p in row), default=1)
+        rows = [[str(p) for p in row] for row in r.matrix.entries]
+        width = max((len(text) for row in rows for text in row), default=1)
         name_w = max(len(v) for v in r.variables) if r.variables else 0
-        for i, row in enumerate(r.matrix.entries):
-            cells = "  ".join(str(p).ljust(width) for p in row)
-            lines.append(f"    {r.variables[i].ljust(name_w)}  {cells}")
+        for name, row in zip(r.variables, rows):
+            cells = "  ".join(text.ljust(width) for text in row)
+            lines.append(f"    {name.ljust(name_w)}  {cells}")
         lines.append(f"  verdict: {r.verdict.replace('_', '-')}")
         lines.append(
             f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}"
@@ -99,26 +104,40 @@ def _obj(pairs: Iterable[tuple[str, list[str]]], depth: int) -> list[str]:
     return _block(([json.dumps(k) + ": ", *v] for k, v in pairs), depth, "{}")
 
 
+class _Rendered(dict):
+    """Each key's text, rendered on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     """The report exactly as json.dumps(doc, indent=2) + "\n" prints it.
 
-    Monomials dominate large reports, so each distinct monomial is
-    rendered once per call, by one f-string at its fixed depth, and the
-    report is joined once from pieces that share those strings;
+    Cells dominate large reports, so each distinct cell, monomial and
+    delta is rendered once per call, by one f-string at its fixed depth,
+    and the report is joined once from pieces that share those strings;
     json.dumps only quotes names.
     """
-    memo: dict[Monomial, str] = {}
-    p6, p7, p8, p9, p10 = ("  " * d for d in range(6, 11))
-    open6, sep6, close6 = f"[\n{p7}", f",\n{p7}", f"\n{p6}]"
+    p5, p6, p7, p8, p9, p10 = ("  " * d for d in range(5, 11))
+    sep7 = f",\n{p7}"
+    deltas = _Rendered(lambda d: f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]")
 
     def mono(m: Monomial) -> str:
-        text = memo.get(m)
-        if text is None:
-            scalar = "inf" if m.scalar == INF else value_char(m.scalar)
-            pairs = ",".join(f"\n{p9}[\n{p10}{v},\n{p10}{i}\n{p9}]" for i, v in m.deltas)
-            deltas = f"[{pairs}\n{p8}]" if pairs else "[]"
-            text = memo[m] = f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {deltas}\n{p7}}}'
-        return text
+        scalar = "inf" if m.scalar == INF else value_char(m.scalar)
+        pairs = f"[{','.join(map(deltas.__getitem__, m.deltas))}\n{p8}]" if m.deltas else "[]"
+        return f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {pairs}\n{p7}}}'
+
+    def cell(ms: tuple[Monomial, ...]) -> str:
+        items = f"[\n{p7}{sep7.join(map(monos.__getitem__, ms))}\n{p6}]" if ms else "[]"
+        return f'{{\n{p6}"monomials": {items}\n{p5}}}'
+
+    monos, cells = _Rendered(mono), _Rendered(cell)
 
     def quoted(names: Iterable[str]) -> list[list[str]]:
         return [[json.dumps(name)] for name in names]
@@ -133,14 +152,8 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
                     for v, f in zip(r.summary.rows, vec)
                     if f
                 ), 4))
-        matrix = _block((
-            _block((
-                _obj([("monomials", [open6, sep6.join(map(mono, p.monomials)), close6]
-                                    if p.monomials else ["[]"])], 5)
-                for p in row
-            ), 4)
-            for row in r.matrix.entries
-        ), 3)
+        matrix = _block((_block(([cells[p.monomials]] for p in row), 4)
+                         for row in r.matrix.entries), 3)
         functions.append(_obj([
             ("name", [json.dumps(r.name)]),
             ("variables", _block(quoted(r.variables), 3)),

@@ -22,8 +22,9 @@ for round-tripping but carry no meaning for the analysis.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 KEYWORDS = {"function", "return", "if", "else", "while", "loop"}
 
@@ -162,68 +163,49 @@ class Program:
 
 # --- Lexer -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = (
-    "&&", "||", "==", "!=", "<=", ">=",
-    "<", ">", "!", "+", "-", "*", "=", "(", ")", "{", "}", ";", ",",
-)
+# Spaces, then the first piece that matches; every character and the end
+# of input start one, so the matches cover the source.  \w is isalnum()
+# or "_"; a word is an identifier if it starts with a letter or "_".
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<word>\w+)
+  | (?P<symbol>&&|\|\||[=!<>]=|[<>!+\-*=(){};,])
+  | (?P<newline>\n)
+  | (?P<skip>//[^\n]*|\Z)
+  | (?P<other>.)
+)""", re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        if group == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
+        text, col = m[group], m.start(group) - line_start + 1
+        if group == "symbol":
+            tokens.append(Token(text, text, line, col))
+        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
             if text.startswith("__"):
                 raise ParseError(
                     RESERVED_NAME,
                     f"identifier {text!r} uses the reserved double-underscore prefix",
                     line, col,
                 )
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-            continue
-        if c.isdigit():
-            raise ParseError(
-                LEXICAL_ERROR, "numeric literals are not part of the language", line, col
-            )
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(LEXICAL_ERROR, f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, line, col))
+        elif group != "skip":
+            message = ("numeric literals are not part of the language" if text[0].isdigit()
+                       else f"unexpected character {text[0]!r}")
+            raise ParseError(LEXICAL_ERROR, message, line, col)
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -456,11 +456,14 @@ class ChoiceMatrix:
         A written column's monomials that its INF list covers are dropped
         before they are multiplied (see _written).
         """
+        return self._update({c: _written(col) for c, col in columns.items()})
+
+    def _update(self, written: Mapping[int, tuple[dict, Polynomial]]) -> "ChoiceMatrix":
+        """update_columns with each written column split by _written."""
         n = self.dim
         stored = dict(self.columns)
         spread = ZERO_POLY
-        for c, col in columns.items():
-            col_fin, col_inf = _written(col)
+        for c, (col_fin, col_inf) in written.items():
             acc: dict[int, list[Monomial]] = {}
             for k, qs in col_fin.items():
                 src = self.columns.get(k)
@@ -503,7 +506,8 @@ class ChoiceMatrix:
         )
         written = {c: _written(col) for c, col in step.columns.items()}
         spread = sum(step.row_inf, ZERO_POLY)
-        prev, s = step, step * step
+        s = step._update(written)  # step * step, from the columns split once
+        prev, s.row_inf = step, tuple(r + spread for r in s.row_inf)
         while True:
             added: dict[int, list[tuple[int, set[Monomial]]]] = {}
             for k, col in s.columns.items():

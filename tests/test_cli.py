@@ -231,6 +231,51 @@ def test_json_report_bytes_match_golden(path, capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+# sha256 of each example's text report without its elapsed: lines.
+TEXT_DIGESTS = {
+    "branching_assignments": "131b8bb40b1934008e6fb3db221780f154884c470d27af8854d45467806e7736",
+    "inline_pair": "ec1357ca147bfa7aa3e21728ba32e96ae330b966116f87ec07668d658c6b0e74",
+    "iteration_dependent_loop":
+        "5b3dcd879a87f2b3d955041eb8e711a56a65eb65dd5d87fb82748004b5bbd471",
+    "straightline": "2eff66e194154c2ca2b19ecf8a1ca53fe8980dfd89a57f2b1ced0218da38a4b9",
+    "three_behaviors": "cddaad5a4177bcf5a83cc099ac820d4598ede8a85de6b1865c39b916d5b58850",
+    "while_feedback": "ac335f6cc1efdbd8060b40b36c22fd3cc6c72cc8016c1a84c17e462fa6c75c64",
+}
+
+
+def _text_digest(report):
+    kept = "".join(line for line in report.splitlines(True)
+                   if not line.lstrip().startswith("elapsed:"))
+    return hashlib.sha256(kept.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_text_report_bytes_match_digest(path, capsys):
+    run([str(path)])
+    assert _text_digest(capsys.readouterr().out) == TEXT_DIGESTS[path.stem]
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    # The argument parser is built once per process and the JSON writer
+    # memoizes within a call; neither may carry anything into the next
+    # call, whatever mode or outcome it had.
+    for path in EXAMPLES + EXAMPLES[::-1]:
+        golden = (ROOT / "tests" / "golden" / f"{path.stem}.json").read_text(encoding="utf-8")
+        code = 1 if '"verdict": "unbounded"' in golden else 0
+        assert run([str(path), "--json", "--eval", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --eval: not allowed with argument --json" in captured.err
+        assert run([str(path), "--json"]) == code
+        assert capsys.readouterr().out == golden
+        doc = json.loads(golden)
+        main_only = {"functions": [f for f in doc["functions"] if f["name"] == "main"]}
+        run([str(path), "--function", "main", "--json"])
+        assert capsys.readouterr().out == json.dumps(main_only, indent=2) + "\n"
+        assert run([str(path)]) == code
+        assert _text_digest(capsys.readouterr().out) == TEXT_DIGESTS[path.stem]
+
+
 def _rotated(line, pool=6, copies=8):
     """copies lines: line i is line with every Xk renamed to X((k-1+i) mod pool + 1)."""
     return "".join(

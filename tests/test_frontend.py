@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from mwpflow.frontend import (
     While,
     parse,
     render,
+    tokenize,
     variable_order,
 )
 
@@ -187,3 +190,96 @@ def test_conditions_do_not_influence_matrices():
     assert ra.variables == rb.variables
     assert ra.matrix.entries == rb.matrix.entries
     assert ra.verdict == rb.verdict
+
+
+def _lexed(src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+    except ParseError as e:
+        return ("error", e.code, e.reason, e.line, e.col)
+
+
+_NUMERIC = "numeric literals are not part of the language"
+_RESERVED = "identifier '__a' uses the reserved double-underscore prefix"
+
+# What the per-character lexer gave, token by token or as the error it
+# raised.  The two entries ending in a comment are the exception: that
+# lexer left the column at the comment's start, so end of input was
+# placed inside the comment; it now follows the comment.
+LEXER_TABLE = [
+    ("function\tmain(){}", [
+        ("function", "function", 1, 1), ("IDENT", "main", 1, 10), ("(", "(", 1, 14),
+        (")", ")", 1, 15), ("{", "{", 1, 16), ("}", "}", 1, 17), ("EOF", "", 1, 18)]),
+    ("function main(){\r\n    X1 = X2;\r\n}\r\n", [
+        ("function", "function", 1, 1), ("IDENT", "main", 1, 10), ("(", "(", 1, 14),
+        (")", ")", 1, 15), ("{", "{", 1, 16), ("IDENT", "X1", 2, 5), ("=", "=", 2, 8),
+        ("IDENT", "X2", 2, 10), (";", ";", 2, 12), ("}", "}", 3, 1), ("EOF", "", 4, 1)]),
+    ("function main(){\x0b}",
+     ("error", "lexical-error", "unexpected character '\\x0b'", 1, 17)),
+    ("X\xa0Y", ("error", "lexical-error", "unexpected character '\\xa0'", 1, 2)),
+    ("a\rb", [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3), ("EOF", "", 1, 4)]),
+    ("", [("EOF", "", 1, 1)]),
+    ("// only a comment", [("EOF", "", 1, 18)]),  # was 1:1
+    ("// c\n", [("EOF", "", 2, 1)]),
+    ("function main(){\n}// end", [
+        ("function", "function", 1, 1), ("IDENT", "main", 1, 10), ("(", "(", 1, 14),
+        (")", ")", 1, 15), ("{", "{", 1, 16), ("}", "}", 2, 1),
+        ("EOF", "", 2, 8)]),  # was 2:2
+    ("a//b\nc", [("IDENT", "a", 1, 1), ("IDENT", "c", 2, 1), ("EOF", "", 2, 2)]),
+    ("Xé ª a² _a", [
+        ("IDENT", "Xé", 1, 1), ("IDENT", "ª", 1, 4), ("IDENT", "a²", 1, 6),
+        ("IDENT", "_a", 1, 9), ("EOF", "", 1, 11)]),
+    # Letters that are numerals too start an identifier; other numerals
+    # continue one but start none.
+    ("一二", [("IDENT", "一二", 1, 1), ("EOF", "", 1, 3)]),
+    ("X½ XⅧ", [("IDENT", "X½", 1, 1), ("IDENT", "XⅧ", 1, 4), ("EOF", "", 1, 6)]),
+    ("__a", ("error", "reserved-name", _RESERVED, 1, 1)),
+    ("X1 __a", ("error", "reserved-name", _RESERVED, 1, 4)),
+    ("²", ("error", "lexical-error", _NUMERIC, 1, 1)),
+    ("X1 = ²;", ("error", "lexical-error", _NUMERIC, 1, 6)),
+    ("٣", ("error", "lexical-error", _NUMERIC, 1, 1)),
+    ("1a", ("error", "lexical-error", _NUMERIC, 1, 1)),
+    ("Ⅷ", ("error", "lexical-error", "unexpected character 'Ⅷ'", 1, 1)),
+    ("½", ("error", "lexical-error", "unexpected character '½'", 1, 1)),
+    ("&&&", ("error", "lexical-error", "unexpected character '&'", 1, 3)),
+    ("|", ("error", "lexical-error", "unexpected character '|'", 1, 1)),
+    ("!==", [("!=", "!=", 1, 1), ("=", "=", 1, 3), ("EOF", "", 1, 4)]),
+    ("&& || == != <= >= < > ! + - * = ( ) { } ; ,", [
+        ("&&", "&&", 1, 1), ("||", "||", 1, 4), ("==", "==", 1, 7), ("!=", "!=", 1, 10),
+        ("<=", "<=", 1, 13), (">=", ">=", 1, 16), ("<", "<", 1, 19), (">", ">", 1, 21),
+        ("!", "!", 1, 23), ("+", "+", 1, 25), ("-", "-", 1, 27), ("*", "*", 1, 29),
+        ("=", "=", 1, 31), ("(", "(", 1, 33), (")", ")", 1, 35), ("{", "{", 1, 37),
+        ("}", "}", 1, 39), (";", ";", 1, 41), (",", ",", 1, 43), ("EOF", "", 1, 44)]),
+]
+
+
+@pytest.mark.parametrize("src, expected", LEXER_TABLE,
+                         ids=[repr(src) for src, _ in LEXER_TABLE])
+def test_lexer_edge_table(src, expected):
+    assert _lexed(src) == expected
+
+
+# sha256 of repr() of each example's token list as (kind, text, line, col).
+EXAMPLE_TOKEN_DIGESTS = {
+    "branching_assignments": "e2f858fc102bb09b6b36ab319fa806f5f09670501ae5424c0ba66bc970271a2e",
+    "inline_pair": "11e9cb2bd8ad5171b1bfc63b7d6f64318bbcdfd55afa91388165824c60fe7f18",
+    "iteration_dependent_loop":
+        "3756de78340d001e10c54054451a8de3d21a968f711ba4f668ca7db3199478ba",
+    "straightline": "d0eb7b437527f77bebfee5b24daaa67964061eba6393b56f16a11eb29bc607a6",
+    "three_behaviors": "93695eb43e8627b45b1e3526766f1f564f169abf993c28f83ad1bf1183131880",
+    "while_feedback": "d01f404f9121f17a95b0bdba1ed6fef8447aa2e68f0a9d3bfd80f39460a6bb83",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_TOKEN_DIGESTS))
+def test_example_token_digests(name):
+    source = (Path(__file__).resolve().parent.parent / "programs" / f"{name}.imp").read_text()
+    digest = hashlib.sha256(repr(_lexed(source)).encode()).hexdigest()
+    assert digest == EXAMPLE_TOKEN_DIGESTS[name]
+
+
+def test_trailing_comment_error_points_past_the_comment():
+    with pytest.raises(ParseError) as err:
+        parse("function f(X1){\n  return X1;// end")
+    assert (err.value.line, err.value.col) == (2, 19)
+    assert err.value.reason == "expected '}', found 'end of input'"

@@ -667,9 +667,14 @@ def _product_checker(monkeypatch):
     update is also checked against the product with the matrix it
     stands for: the identity with those columns replaced.  __mul__
     calls the update itself, so only the outermost call is checked.
+    The closure takes its first product through _update, with columns
+    split by _written; each is rebuilt as its finite monomials in their
+    cells plus its INF list in every cell, which the product spreads
+    over the column anyway.
     """
     product = ChoiceMatrix.__mul__
     update = ChoiceMatrix.update_columns
+    split_update = ChoiceMatrix._update
     checked = []
     updates = []  # the pairs of column updates the fold takes directly
     busy = []
@@ -686,24 +691,37 @@ def _product_checker(monkeypatch):
         checked.append((a, b))
         return out
 
-    def checked_update(a, columns):
+    def checked_columns(call, a, arg, columns):
+        """call(a, arg), checked as a times the identity with columns()."""
         if busy:
-            return update(a, columns)
+            return call(a, arg)
         b = ChoiceMatrix.identity(a.variables, a.registry)
-        for c, col in columns.items():
+        for c, col in columns().items():
             b = b.replace_column(c, col)
         busy.append(True)
         try:
-            out = update(a, columns)
+            out = call(a, arg)
             assert out == product(a, b) == _cellwise_product(a, b)
         finally:
             busy.pop()
         checked.append((a, b))
-        updates.append((a, b))
         return out
+
+    def checked_update(a, columns):
+        done = len(checked)
+        out = checked_columns(update, a, columns, lambda: columns)
+        updates.extend(checked[done:])
+        return out
+
+    def checked_split_update(a, written):
+        return checked_columns(split_update, a, written, lambda: {
+            c: [Polynomial.of([*fin.get(k, ()), *inf.monomials]) for k in range(a.dim)]
+            for c, (fin, inf) in written.items()
+        })
 
     monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
     monkeypatch.setattr(ChoiceMatrix, "update_columns", checked_update)
+    monkeypatch.setattr(ChoiceMatrix, "_update", checked_split_update)
     return checked, updates
 
 

@@ -506,8 +506,8 @@ class ChoiceMatrix:
         )
         written = {c: _written(col) for c, col in step.columns.items()}
         spread = sum(step.row_inf, ZERO_POLY)
-        s = step._update(written)  # step * step, from the columns split once
-        prev, s.row_inf = step, tuple(r + spread for r in s.row_inf)
+        # step * step from the split columns; the rounds spread the row lists.
+        prev, s = step, step._update(written)
         while True:
             added: dict[int, list[tuple[int, set[Monomial]]]] = {}
             for k, col in s.columns.items():

@@ -102,11 +102,8 @@ class _FunctionRun:
         self.registry = ChoiceRegistry()
         self.poisoned = False  # a call INF-floods every assignment
         self.choice_sites: dict[int, int] = {}
-        self.variables = variable_order(decl, self._call_rows)
+        self.variables = variable_order(decl, lambda f: summaries[f].shared_rows)
         self.index = {v: i for i, v in enumerate(self.variables)}
-
-    def _call_rows(self, fname: str) -> tuple[str, ...]:
-        return self.summaries[fname].shared_rows
 
     # -- expressions ---------------------------------------------------
 

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
 from .inline import check_call_theorem
-from .polynomial import Monomial
+from .polynomial import Delta, Monomial
 from .semiring import INF, value_char
 
 
@@ -104,18 +104,6 @@ def _obj(pairs: Iterable[tuple[str, list[str]]], depth: int) -> list[str]:
     return _block(([json.dumps(k) + ": ", *v] for k, v in pairs), depth, "{}")
 
 
-class _Rendered(dict):
-    """Each key's text, rendered on its first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
-
-
 def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     """The report exactly as json.dumps(doc, indent=2) + "\n" prints it.
 
@@ -126,18 +114,21 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     """
     p5, p6, p7, p8, p9, p10 = ("  " * d for d in range(5, 11))
     sep7 = f",\n{p7}"
-    deltas = _Rendered(lambda d: f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]")
 
+    @functools.cache
+    def delta(d: Delta) -> str:
+        return f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]"
+
+    @functools.cache
     def mono(m: Monomial) -> str:
         scalar = "inf" if m.scalar == INF else value_char(m.scalar)
-        pairs = f"[{','.join(map(deltas.__getitem__, m.deltas))}\n{p8}]" if m.deltas else "[]"
+        pairs = f"[{','.join(map(delta, m.deltas))}\n{p8}]" if m.deltas else "[]"
         return f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {pairs}\n{p7}}}'
 
+    @functools.cache
     def cell(ms: tuple[Monomial, ...]) -> str:
-        items = f"[\n{p7}{sep7.join(map(monos.__getitem__, ms))}\n{p6}]" if ms else "[]"
+        items = f"[\n{p7}{sep7.join(map(mono, ms))}\n{p6}]" if ms else "[]"
         return f'{{\n{p6}"monomials": {items}\n{p5}}}'
-
-    monos, cells = _Rendered(mono), _Rendered(cell)
 
     def quoted(names: Iterable[str]) -> list[list[str]]:
         return [[json.dumps(name)] for name in names]
@@ -152,7 +143,7 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
                     for v, f in zip(r.summary.rows, vec)
                     if f
                 ), 4))
-        matrix = _block((_block(([cells[p.monomials]] for p in row), 4)
+        matrix = _block((_block(([cell(p.monomials)] for p in row), 4)
                          for row in r.matrix.entries), 3)
         functions.append(_obj([
             ("name", [json.dumps(r.name)]),
@@ -174,8 +165,6 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="replace")
     args = list(sys.argv[1:] if argv is None else argv)
     if args and args[0] == "analyze":
         args = args[1:]
@@ -195,13 +184,19 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"mwpflow: cannot read {opts.file}: {e}", file=sys.stderr)
         return 2
 
+    # Unencodable output prints as "?", in this call only.
+    errors = getattr(sys.stdout, "errors", None)
+    reconfigure = getattr(sys.stdout, "reconfigure", lambda **_: None)
     try:
+        reconfigure(errors="replace")
         return _analyze(opts, source)
     except RecursionError:
         # Expressions and command nesting are walked recursively.
         print(f"mwpflow: {opts.file}: program nested too deeply to analyze",
               file=sys.stderr)
         return 2
+    finally:
+        reconfigure(errors=errors)
 
 
 def _analyze(opts: argparse.Namespace, source: str) -> int:

@@ -69,9 +69,6 @@ class DeltaGraph:
         for idx, v in ds:
             if not 0 <= v < self.registry.cardinality(idx):
                 raise ValueError(f"delta ({v},{idx}) outside its registered domain")
-        self._add(ds)
-
-    def _add(self, ds: tuple[Delta, ...]) -> None:
         if self._covers_list(ds):
             return
         new_set = frozenset(ds)
@@ -101,7 +98,7 @@ class DeltaGraph:
                 ]
                 if all(self._covers_list(f) for f in fan):
                     self._vertices.difference_update(fan)
-                    self._add(v[:pos] + v[pos + 1 :])
+                    self.insert(v[:pos] + v[pos + 1 :])
                     return True
         return False
 

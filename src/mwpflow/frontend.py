@@ -220,9 +220,9 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def error(self, message: str, code: str = SYNTAX_ERROR) -> ParseError:
+    def error(self, message: str) -> ParseError:
         t = self.cur
-        return ParseError(code, message, t.line, t.col)
+        return ParseError(SYNTAX_ERROR, message, t.line, t.col)
 
     def accept(self, kind: str) -> Token | None:
         if self.cur.kind == kind:

@@ -28,13 +28,6 @@ def value_char(a: int) -> str:
     return _CHARS[a]
 
 
-def value_from_char(c: str) -> int:
-    try:
-        return _CHARS.index(c)
-    except ValueError:
-        raise ValueError(f"not a flow value: {c!r}") from None
-
-
 def add(a: int, b: int) -> int:
     """Addition of both semi-rings: max under 0 < m < w < p < INF."""
     return a if a >= b else b
@@ -77,10 +70,6 @@ class FlowMatrix:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
-
-    @classmethod
-    def zero(cls, n: int) -> "FlowMatrix":
-        return cls([[ZERO] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "FlowMatrix":
@@ -137,14 +126,6 @@ class FlowMatrix:
 
     def contains_inf(self) -> bool:
         return any(INF in row for row in self.rows)
-
-    def inf_cells(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i, row in enumerate(self.rows)
-            for j, a in enumerate(row)
-            if a == INF
-        ]
 
     def submatrix(self, keep: Iterable[int]) -> "FlowMatrix":
         idx = tuple(keep)

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -262,18 +264,38 @@ def test_calls_in_one_process_share_no_state(capsys):
     for path in EXAMPLES + EXAMPLES[::-1]:
         golden = (ROOT / "tests" / "golden" / f"{path.stem}.json").read_text(encoding="utf-8")
         code = 1 if '"verdict": "unbounded"' in golden else 0
+        errors = sys.stdout.errors
         assert run([str(path), "--json", "--eval", "0"]) == 2
+        assert sys.stdout.errors == errors
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --eval: not allowed with argument --json" in captured.err
         assert run([str(path), "--json"]) == code
+        assert sys.stdout.errors == errors
         assert capsys.readouterr().out == golden
         doc = json.loads(golden)
         main_only = {"functions": [f for f in doc["functions"] if f["name"] == "main"]}
         run([str(path), "--function", "main", "--json"])
+        assert sys.stdout.errors == errors
         assert capsys.readouterr().out == json.dumps(main_only, indent=2) + "\n"
         assert run([str(path)]) == code
+        assert sys.stdout.errors == errors
         assert _text_digest(capsys.readouterr().out) == TEXT_DIGESTS[path.stem]
+
+
+def test_unencodable_output_is_replaced_in_the_call_only(tmp_path, monkeypatch):
+    # The text report prints a name the stream cannot encode as "?" (JSON
+    # escapes it), and the stream keeps its own error handler afterwards.
+    p = tmp_path / "accent.imp"
+    p.write_text("function main(){ Xé = X1 + X2; }\n", encoding="utf-8")
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run([str(p), "--json"]) == 0
+    assert run([str(p)]) == 0
+    assert out.errors == "strict"
+    out.flush()
+    text = out.buffer.getvalue().decode("ascii")
+    assert '"X\\u00e9"' in text and "variables: X1 X2 X?" in text
 
 
 def _rotated(line, pool=6, copies=8):

@@ -6,10 +6,12 @@ branches of a conditional join by entry-wise max over independent choice
 indices, and the two iteration rules close the body matrix and then top
 the cells that break the polynomial-growth argument with INF.  The
 final matrix is the only record of infinity, except for a call that
-poisons every assignment (see poisoned): once the body is folded,
-the delta lists of its INF monomials become the function's delta graph,
-so the qualitative verdict is available without touching the
-assignment space.
+poisons every assignment (see poisoned): once the body is folded, one
+Polynomial.of over its INF monomials is the cover of the function's
+delta graph, whose vertices are their minimal delta lists, so the
+qualitative verdict is available without touching the assignment
+space.  The sweep that decides it restricts that cover and the return
+column one choice index at a time.
 """
 
 from __future__ import annotations
@@ -218,15 +220,13 @@ class _FunctionRun:
         # that hold an INF, so their graph answers every qualitative
         # question on its own.
         inf_cells = {
-            (i, j): ds for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
-            if (ds := [m.deltas for m in p.monomials if m.scalar == INF])
+            (i, j): infs for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
+            if (infs := [m for m in p.monomials if m.scalar == INF])
         }
-        cover = {()} if self.poisoned else {d for ds in inf_cells.values() for d in ds}
-        graph = DeltaGraph(self.registry)
-        for ds in sorted(cover, key=len):
-            graph.insert(ds)
+        graph = DeltaGraph(self.registry, INF_POLY if self.poisoned else Polynomial.of(
+            m for infs in inf_cells.values() for m in infs))
         found, summary = self._build_summary(matrix, graph)
-        if not cover:
+        if graph.cover.is_zero:
             verdict = BOUNDED
         elif found.sample is None:
             verdict = UNBOUNDED

@@ -10,10 +10,10 @@ analysis matrix.
 Deltas are stored as (index, value) pairs so the natural tuple order is
 the canonical one: deltas inside a monomial sort by index, monomials
 compare lexicographically by their delta lists with shorter prefixes
-first.  Sums, products and scaling collect their raw monomials and
-hand them to Polynomial.of, the one place that drops subsumed
-monomials, except where none can drop: the branches of a fresh index
-(join) and a closure cell that gains no product.
+first.  Sums, products, scaling and restriction collect their raw
+monomials and hand them to Polynomial.of, the one place that drops
+subsumed monomials, except where none can drop: the branches of a fresh
+index (join) and a closure cell that gains no product.
 
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
@@ -33,7 +33,6 @@ import itertools
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .delta_graph import DeltaGraph
 from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 
 Delta = tuple[int, int]  # (choice index, chosen value)
@@ -202,6 +201,26 @@ class Polynomial:
              for v, p in enumerate(branches) for m in p.monomials),
             key=_DELTAS,
         )))
+
+    def restrict(self, index: int, pick: int) -> "Polynomial":
+        """The cofactor at d(pick, index), for an index no lower than any
+        this polynomial holds: only a delta list's first delta can be at
+        index, so it is struck when it matches the pick, and the monomial
+        drops out when it does not.  self when no list holds index, and
+        INF_POLY once an INF monomial loses its last delta."""
+        out = []
+        hit = False
+        for m in self.monomials:
+            s, ds = m
+            if ds and ds[0][0] == index:
+                hit = True
+                if ds[0][1] != pick:
+                    continue
+                if s == INF and len(ds) == 1:
+                    return INF_POLY
+                m = Monomial(s, ds[1:])
+            out.append(m)
+        return Polynomial.of(out) if hit else self
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         best = ZERO
@@ -569,28 +588,29 @@ class ChoiceMatrix:
     ) -> "ChoiceMatrix":
         """Inverse of expand: rebuild entry polynomials from a full table.
 
-        Each nonzero scalar of an entry gets one delta graph holding the
-        assignments that carry it; fan fusion merges complete fans back
-        into shorter cylinders, so constant behavior collapses to a
-        delta-free monomial.  The scalars partition the table, so the
-        fused cylinders of different scalars never overlap.
+        Each nonzero scalar of an entry gets one delta graph, whose cover
+        holds the assignments that carry it; fan fusion merges complete
+        fans back into shorter cylinders, so constant behavior collapses
+        to a delta-free monomial.  The scalars partition the table, so
+        the fused cylinders of different scalars never overlap.
         """
+        from .delta_graph import DeltaGraph
+
         n = len(variables)
         entries = []
         for i in range(n):
             row = []
             for j in range(n):
-                graphs: dict[int, DeltaGraph] = {}
+                cylinders: dict[int, list[Monomial]] = {}
                 for a, mat in table.items():
                     v = mat.entry(i, j)
                     if v != ZERO:
-                        if v not in graphs:
-                            graphs[v] = DeltaGraph(registry)
-                        graphs[v].insert(enumerate(a))
+                        cylinders.setdefault(v, []).append(Monomial(INF, tuple(enumerate(a))))
+                graphs = {v: DeltaGraph(registry, Polynomial.of(ms)) for v, ms in cylinders.items()}
                 for g in graphs.values():
                     g.fuse()
                 row.append(Polynomial.of(
-                    Monomial(v, ds) for v, g in graphs.items() for ds in g.vertices()
+                    Monomial(v, m.deltas) for v, g in graphs.items() for m in g.cover.monomials
                 ))
             entries.append(tuple(row))
         return cls(variables, entries, registry)

@@ -263,6 +263,12 @@ def test_criterion_6_delta_graph_oracle(corpus):
                 clean.append(a)
             assert result.graph.covered(a) == has_inf, (src, a)
         assert (result.graph.sweep().count == 0) == (not clean), src
+        # No run here is poisoned, so the vertices are the minimal delta
+        # lists of the final matrix's INF monomials.
+        inf_lists = {m.deltas for row in result.matrix.entries for p in row
+                     for m in p.monomials if m.scalar == INF}
+        minimal = [ds for ds in inf_lists if not any(set(o) < set(ds) for o in inf_lists)]
+        assert result.graph.vertices() == sorted(minimal, key=lambda ds: (len(ds), ds)), src
         assert result.clean_count == len(clean), src
         assert result.sample == (clean[0] if clean else None), src
     elapsed = time.perf_counter() - started

@@ -5,6 +5,7 @@ import pytest
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import parse
 from mwpflow.polynomial import (
+    INF_POLY,
     ChoiceMatrix,
     ChoiceRegistry,
     Monomial,
@@ -411,6 +412,37 @@ def test_branch_join_matches_plain_sum():
                                  for b in branches) >= 2
         seen["joined"] += sum(not b.is_zero for b in branches) >= 2
     assert min(seen.values()) >= 150, seen
+
+
+def test_restrict_is_the_canonical_cofactor_at_the_lowest_index():
+    # Fixing the pick at index 0 gives a canonical polynomial with no
+    # delta there, equal to this one wherever index 0 takes that pick.
+    # It is self when no delta list holds index 0, and INF_POLY as soon
+    # as an INF monomial loses its last delta; otherwise Polynomial.of
+    # makes it canonical.
+    rng = random.Random(61)
+    seen = {"self": 0, "inf": 0, "of": 0}
+    for _ in range(3000):
+        reg = ChoiceRegistry([rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))])
+        monos = [
+            Monomial(rng.choice((M, W, P, INF, INF)), tuple(sorted(
+                (i, rng.randrange(reg.cardinality(i)))
+                for i in rng.sample(range(len(reg)), rng.randint(1, len(reg)))
+            )))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if rng.random() < 0.4:
+            monos.append(Monomial(rng.choice((M, W, P)), ()))
+        p = Polynomial.of(monos)
+        for pick in range(reg.cardinality(0)):
+            r = p.restrict(0, pick)
+            seen["self" if r is p else "inf" if r is INF_POLY else "of"] += 1
+            assert r == Polynomial.of(r.monomials), (p, pick)
+            assert all(i > 0 for m in r.monomials for i, _ in m.deltas), (p, pick)
+            for a in assignments(reg):
+                if a[0] == pick:
+                    assert r.evaluate(a) == p.evaluate(a), (p, pick, a)
+    assert min(seen.values()) >= 400, seen
 
 
 def test_analysis_joins_at_fresh_indices(monkeypatch):

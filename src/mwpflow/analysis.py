@@ -226,7 +226,7 @@ class _FunctionRun:
         graph = DeltaGraph(self.registry, INF_POLY if self.poisoned else Polynomial.of(
             m for infs in inf_cells.values() for m in infs))
         found, summary = self._build_summary(matrix, graph)
-        if graph.cover.is_zero:
+        if not graph.cover.monomials:
             verdict = BOUNDED
         elif found.sample is None:
             verdict = UNBOUNDED
@@ -266,7 +266,7 @@ class _FunctionRun:
             if v not in decl.params and v != decl.returns
         )
         rows = decl.params + shared
-        found = graph.sweep([matrix.entry(self.index[v], ret) for v in rows])
+        found = graph.sweep([matrix.entries[self.index[v]][ret] for v in rows])
         return found, FunctionSummary(
             name=decl.name,
             param_count=len(decl.params),

@@ -61,27 +61,27 @@ def _wvec(e: Expr, index: dict[str, int], n: int) -> Vector:
 
 def _replace_column(m: FlowMatrix, j: int, v: Vector) -> FlowMatrix:
     return FlowMatrix(
-        tuple(v[i] if c == j else row[c] for c in range(m.dim))
+        tuple(v[i] if c == j else row[c] for c in range(len(m.rows)))
         for i, row in enumerate(m.rows)
     )
 
 
 def _loop_result(star: FlowMatrix, counter: int) -> FlowMatrix | None:
-    n = star.dim
-    if any(star.entry(i, i) != M for i in range(n)):
+    n = len(star.rows)
+    if any(star.rows[i][i] != M for i in range(n)):
         return None
     rows = [list(r) for r in star.rows]
     for j in range(n):
-        if any(star.entry(i, j) == P for i in range(n)):
+        if any(star.rows[i][j] == P for i in range(n)):
             rows[counter][j] = add(rows[counter][j], P)
     return FlowMatrix(rows)
 
 
 def _while_result(star: FlowMatrix) -> FlowMatrix | None:
-    n = star.dim
-    if any(star.entry(i, i) != M for i in range(n)):
+    n = len(star.rows)
+    if any(star.rows[i][i] != M for i in range(n)):
         return None
-    if any(star.entry(i, j) == P for i in range(n) for j in range(n)):
+    if any(star.rows[i][j] == P for i in range(n) for j in range(n)):
         return None
     return star
 

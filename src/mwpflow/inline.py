@@ -178,7 +178,7 @@ def check_call_theorem(caller: FunctionDecl, callee: FunctionDecl) -> InlineRepo
     # block -> None when poisoned, else (behavior, first block of it?)
     ret = callee_res.variables.index(callee.returns)
     column = [
-        callee_res.matrix.entry(callee_res.variables.index(r), ret) for r in summary.rows
+        callee_res.matrix.entries[callee_res.variables.index(r)][ret] for r in summary.rows
     ]
     behavior_of = {vec: b for b, vec in enumerate(summary.behaviors)}
     classes: dict[tuple[int, ...], tuple[int, bool] | None] = {}

@@ -74,25 +74,11 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
         return Monomial(mul_inf(a.scalar, b.scalar), da or db)
     if da[-1][0] < db[0][0]:  # the fold's usual case: b's indices are newer
         return Monomial(mul_inf(a.scalar, b.scalar), da + db)
-    out: list[Delta] = []
-    i = j = 0
-    while i < len(da) and j < len(db):
-        x, y = da[i], db[j]
-        if x[0] == y[0]:
-            if x[1] != y[1]:
-                return None
-            out.append(x)
-            i += 1
-            j += 1
-        elif x[0] < y[0]:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    out.extend(da[i:])
-    out.extend(db[j:])
-    return Monomial(mul_inf(a.scalar, b.scalar), tuple(out))
+    picks = dict(da)
+    for i, v in db:
+        if picks.setdefault(i, v) != v:
+            return None
+    return Monomial(mul_inf(a.scalar, b.scalar), tuple(sorted(picks.items())))
 
 
 class Polynomial:
@@ -145,10 +131,6 @@ class Polynomial:
         if scalar == ZERO:
             return ZERO_POLY
         return cls((Monomial(scalar, ()),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.monomials == other.monomials
@@ -387,31 +369,18 @@ class ChoiceMatrix:
         return cls._stored(tuple(variables), registry, {}, empty, empty)
 
     @property
-    def dim(self) -> int:
-        return len(self.variables)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name}") from None
-
-    @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The cells, computed on first read: a stored cell or a unit
         vector's, merged with its row's INF list.  A row whose list is
         empty reads as stored."""
         if self._entries is None:
-            n = self.dim
+            n = len(self.variables)
             rows = zip(*(self.columns.get(c) or _unit(n, c) for c in range(n)))
             self._entries = tuple(
                 tuple(p + inf for p in row) if inf.monomials else row
                 for row, inf in zip(rows, self.row_inf)
             )
         return self._entries
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -433,7 +402,7 @@ class ChoiceMatrix:
         """Cellwise sum of the stored columns of either side, a missing
         one read as the unit vector, and row by row of the INF lists."""
         self._check_compatible(other)
-        n = self.dim
+        n = len(self.variables)
         columns = {c: tuple(map(Polynomial.__add__, self.columns.get(c) or _unit(n, c),
                                 other.columns.get(c) or _unit(n, c)))
                    for c in self.columns.keys() | other.columns.keys()}
@@ -479,7 +448,7 @@ class ChoiceMatrix:
 
     def _update(self, written: Mapping[int, tuple[dict, Polynomial]]) -> "ChoiceMatrix":
         """update_columns with each written column split by _written."""
-        n = self.dim
+        n = len(self.variables)
         stored = dict(self.columns)
         spread = ZERO_POLY
         for c, (col_fin, col_inf) in written.items():
@@ -560,7 +529,7 @@ class ChoiceMatrix:
         INF monomials of the entries it replaces: a unit column of the
         identity holds none, and the iteration rule only adds monomials.
         """
-        if len(column) != self.dim:
+        if len(column) != len(self.variables):
             raise ValueError("column length mismatch")
         column = tuple(column)
         return ChoiceMatrix._stored(
@@ -603,7 +572,7 @@ class ChoiceMatrix:
             for j in range(n):
                 cylinders: dict[int, list[Monomial]] = {}
                 for a, mat in table.items():
-                    v = mat.entry(i, j)
+                    v = mat.rows[i][j]
                     if v != ZERO:
                         cylinders.setdefault(v, []).append(Monomial(INF, tuple(enumerate(a))))
                 graphs = {v: DeltaGraph(registry, Polynomial.of(ms)) for v, ms in cylinders.items()}

@@ -75,13 +75,6 @@ class FlowMatrix:
     def identity(cls, n: int) -> "FlowMatrix":
         return cls([[M if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FlowMatrix) and self.rows == other.rows
 
@@ -89,7 +82,7 @@ class FlowMatrix:
         return hash(self.rows)
 
     def __add__(self, other: "FlowMatrix") -> "FlowMatrix":
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise ValueError("dimension mismatch")
         return FlowMatrix(
             tuple(a if a >= b else b for a, b in zip(ra, rb))
@@ -97,9 +90,9 @@ class FlowMatrix:
         )
 
     def __mul__(self, other: "FlowMatrix") -> "FlowMatrix":
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise ValueError("dimension mismatch")
-        n = self.dim
+        n = len(self.rows)
         cols = tuple(zip(*other.rows))
         out = []
         for row in self.rows:
@@ -117,7 +110,7 @@ class FlowMatrix:
         Entries only grow in a finite lattice, so iterating
         S <- S + S*M from S = 1 + M stabilizes quickly.
         """
-        s = FlowMatrix.identity(self.dim) + self
+        s = FlowMatrix.identity(len(self.rows)) + self
         while True:
             nxt = s + s * self
             if nxt == s:

@@ -168,13 +168,13 @@ def test_criterion_3_iteration_dependent_loop_golden():
     # choices 0 and 1 where the printed form shows m (resp. 0) on the
     # surviving choice.
     d0, d1, d2 = [delta(0, 0)], [delta(1, 0)], [delta(2, 0)]
-    assert r.matrix.entry(0, 1) == Polynomial.of(
+    assert r.matrix.entries[0][1] == Polynomial.of(
         [Monomial(P, tuple(d0)), Monomial(P, tuple(d1)), Monomial(W, tuple(d2))]
     )
-    assert r.matrix.entry(2, 1) == Polynomial.of(
+    assert r.matrix.entries[2][1] == Polynomial.of(
         [Monomial(P, tuple(d0)), Monomial(P, tuple(d1))]
     )
-    assert r.matrix.entry(1, 1) == Polynomial.of(
+    assert r.matrix.entries[1][1] == Polynomial.of(
         [Monomial(M, ()), Monomial(INF, tuple(d0)), Monomial(INF, tuple(d2))]
     )
     _report(3, "iteration-dependent loop golden matrix, exact", started)
@@ -191,7 +191,7 @@ def test_criterion_4_branching_golden():
     # 00->m 01->p 02->w 1_->p 20->w 21->p 22->w; asserted value-exactly
     # at all nine assignments.
     table = {
-        (a, b): m.entry(0, 0).evaluate((a, b))
+        (a, b): m.entries[0][0].evaluate((a, b))
         for a in range(3) for b in range(3)
     }
     assert table == {
@@ -202,7 +202,7 @@ def test_criterion_4_branching_golden():
     # The stored representation is the merge of the two branch columns,
     # which denotes the same function as the printed partition form; the
     # merged monomial list is pinned here.
-    assert m.entry(0, 0) == Polynomial.of([
+    assert m.entries[0][0] == Polynomial.of([
         Monomial(M, (delta(0, 0),)), Monomial(P, (delta(1, 0),)),
         Monomial(W, (delta(2, 0),)),
         Monomial(M, (delta(0, 1),)), Monomial(P, (delta(1, 1),)),
@@ -210,18 +210,18 @@ def test_criterion_4_branching_golden():
     ])
 
     # The single-index column entries match the printed ones exactly.
-    assert m.entry(1, 0) == Polynomial.of([
+    assert m.entries[1][0] == Polynomial.of([
         Monomial(P, (delta(0, 0),)), Monomial(M, (delta(1, 0),)),
         Monomial(W, (delta(2, 0),)),
     ])
-    assert m.entry(2, 0) == Polynomial.of([
+    assert m.entries[2][0] == Polynomial.of([
         Monomial(P, (delta(0, 1),)), Monomial(M, (delta(1, 1),)),
         Monomial(W, (delta(2, 1),)),
     ])
     for i, j in itertools.product(range(3), range(3)):
         if j != 0:
             expected = Polynomial.const(M if i == j else ZERO)
-            assert m.entry(i, j) == expected
+            assert m.entries[i][j] == expected
     _report(4, "branching golden coefficients, exact after simplification", started)
 
 

@@ -26,8 +26,8 @@ def analyze_main(src):
 # --- expression vectors, observed through assignment columns -----------
 
 def column(result, target):
-    j = result.matrix.index(target)
-    return [result.matrix.entry(i, j) for i in range(len(result.variables))]
+    j = result.matrix.variables.index(target)
+    return [result.matrix.entries[i][j] for i in range(len(result.variables))]
 
 
 def test_additive_expression_vector():
@@ -36,7 +36,7 @@ def test_additive_expression_vector():
     x1, x2, x3 = column(r, "X3")
     assert x1 == poly((M, [delta(0, 0)]), (P, [delta(1, 0)]), (W, [delta(2, 0)]))
     assert x2 == poly((P, [delta(0, 0)]), (M, [delta(1, 0)]), (W, [delta(2, 0)]))
-    assert x3.is_zero
+    assert not x3.monomials
     # choice 0 keeps the left operand at m, choice 1 the right, choice 2
     # pays w on both; exactly the three derivations of the plain rules
     images = {a: r.matrix.evaluate(a) for a in r.registry.assignments()}
@@ -83,21 +83,21 @@ def test_loop_golden_matrix():
     assert r.variables == ("X1", "X2", "X3")
     m = r.matrix
     d0, d1, d2 = [delta(0, 0)], [delta(1, 0)], [delta(2, 0)]
-    assert m.entry(0, 1) == poly((P, d0), (P, d1), (W, d2))
-    assert m.entry(1, 1) == poly((M, []), (INF, d0), (INF, d2))
-    assert m.entry(2, 1) == poly((P, d0), (P, d1))
+    assert m.entries[0][1] == poly((P, d0), (P, d1), (W, d2))
+    assert m.entries[1][1] == poly((M, []), (INF, d0), (INF, d2))
+    assert m.entries[2][1] == poly((P, d0), (P, d1))
     for i, j in itertools.product(range(3), range(3)):
         if j != 1:
             expected = Polynomial.const(M) if i == j else Polynomial.const(ZERO)
-            assert m.entry(i, j) == expected
+            assert m.entries[i][j] == expected
     assert r.verdict == CONDITIONALLY_BOUNDED
     assert r.sample == (1,)
     assert r.blame == (("X2", "X2"),)
     assert m.evaluate((1,)) == FlowMatrix(
         [[M, P, ZERO], [ZERO, M, ZERO], [ZERO, P, M]]
     )
-    assert m.evaluate((0,)).entry(1, 1) == INF
-    assert m.evaluate((2,)).entry(1, 1) == INF
+    assert m.evaluate((0,)).rows[1][1] == INF
+    assert m.evaluate((2,)).rows[1][1] == INF
 
 
 def test_branching_golden_matrix():
@@ -106,14 +106,14 @@ def test_branching_golden_matrix():
     )
     m = r.matrix
     assert r.variables == ("X1", "X2", "X3")
-    assert m.entry(1, 0) == poly(
+    assert m.entries[1][0] == poly(
         (P, [delta(0, 0)]), (M, [delta(1, 0)]), (W, [delta(2, 0)])
     )
-    assert m.entry(2, 0) == poly(
+    assert m.entries[2][0] == poly(
         (P, [delta(0, 1)]), (M, [delta(1, 1)]), (W, [delta(2, 1)])
     )
     table = {
-        (a, b): m.entry(0, 0).evaluate((a, b))
+        (a, b): m.entries[0][0].evaluate((a, b))
         for a in range(3) for b in range(3)
     }
     assert table == {
@@ -137,8 +137,8 @@ def test_while_adds_inf_on_polynomial_flows():
 def test_sequencing_composes_flows():
     r = analyze_main("function main(){ X2 = X1 * X1; X3 = X2 * X2; }")
     flow = r.matrix.evaluate(())
-    i, j = r.matrix.index("X1"), r.matrix.index("X3")
-    assert flow.entry(i, j) == W
+    i, j = r.matrix.variables.index("X1"), r.matrix.variables.index("X3")
+    assert flow.rows[i][j] == W
 
 
 # --- whole-program runs -------------------------------------------------
@@ -214,11 +214,11 @@ def test_safe_loop_matches_unconditional_rule():
     r = analyze_main("function main(){ loop X3 { X2 = X1 * X1; } }")
     assert r.verdict == BOUNDED
     flow = r.matrix.evaluate(())
-    x1, x2, x3 = (r.matrix.index(v) for v in ("X1", "X2", "X3"))
-    assert flow.entry(x1, x2) == W
-    assert flow.entry(x3, x2) == ZERO
+    x1, x2, x3 = (r.matrix.variables.index(v) for v in ("X1", "X2", "X3"))
+    assert flow.rows[x1][x2] == W
+    assert flow.rows[x3][x2] == ZERO
     # the closure restores the overwritten diagonal to m
-    assert flow.entry(x2, x2) == M
+    assert flow.rows[x2][x2] == M
 
 
 def test_loop_marks_counter_column_with_p():
@@ -227,22 +227,22 @@ def test_loop_marks_counter_column_with_p():
         flow = r.matrix.evaluate(a)
         if not flow.contains_inf():
             star_cols_with_p = {
-                j for i in range(flow.dim) for j in range(flow.dim)
-                if flow.entry(i, j) == P
+                j for i in range(len(flow.rows)) for j in range(len(flow.rows))
+                if flow.rows[i][j] == P
             }
-            x3 = r.matrix.index("X3")
+            x3 = r.matrix.variables.index("X3")
             for j in star_cols_with_p:
-                assert flow.entry(x3, j) == P
+                assert flow.rows[x3][j] == P
 
 
 def test_loop_counter_takes_p_of_topped_diagonal():
     # The counter's row reads the closure's p monomials, also those of a
     # diagonal cell that the same rule tops with INF.
     r = analyze_main("function main(){ loop X1 { X2 = X2 + X2; } }")
-    x1, x2 = r.matrix.index("X1"), r.matrix.index("X2")
+    x1, x2 = r.matrix.variables.index("X1"), r.matrix.variables.index("X2")
     picks = [delta(v, 0) for v in range(3)]
-    assert r.matrix.entry(x2, x2) == poly((M, []), *((INF, [d]) for d in picks))
-    assert r.matrix.entry(x1, x2) == poly(*((P, [d]) for d in picks[:2]))
+    assert r.matrix.entries[x2][x2] == poly((M, []), *((INF, [d]) for d in picks))
+    assert r.matrix.entries[x1][x2] == poly(*((P, [d]) for d in picks[:2]))
 
 
 # --- function summaries and calls ---------------------------------------
@@ -284,12 +284,12 @@ def test_summary_keeps_only_clean_choices():
 
 def _scanned_behaviors(result, returns):
     """Behaviors of every clean assignment, in order of first occurrence."""
-    ret = result.matrix.index(returns)
-    rows = [result.matrix.index(v) for v in result.summary.rows]
+    ret = result.matrix.variables.index(returns)
+    rows = [result.matrix.variables.index(v) for v in result.summary.rows]
     behaviors = {}
     for a in result.registry.assignments():
         if not result.matrix.evaluate(a).contains_inf():
-            behaviors.setdefault(tuple(result.matrix.entry(i, ret).evaluate(a) for i in rows))
+            behaviors.setdefault(tuple(result.matrix.entries[i][ret].evaluate(a) for i in rows))
     return tuple(behaviors)
 
 
@@ -329,8 +329,8 @@ def test_call_maps_shared_variable_by_name():
     res = analyze_program(parse(src))
     main = res.functions["main"]
     assert "X9" in main.variables
-    x9, x5 = main.matrix.index("X9"), main.matrix.index("X5")
-    values = {main.matrix.entry(x9, x5).evaluate(a) for a in main.registry.assignments()}
+    x9, x5 = main.matrix.variables.index("X9"), main.matrix.variables.index("X5")
+    values = {main.matrix.entries[x9][x5].evaluate(a) for a in main.registry.assignments()}
     assert values == {M, P, W}
 
 
@@ -341,8 +341,8 @@ def test_call_with_repeated_argument_joins_flows():
     )
     res = analyze_program(parse(src))
     main = res.functions["main"]
-    x1, x2 = main.matrix.index("X1"), main.matrix.index("X2")
-    values = {main.matrix.entry(x1, x2).evaluate(a) for a in main.registry.assignments()}
+    x1, x2 = main.matrix.variables.index("X1"), main.matrix.variables.index("X2")
+    values = {main.matrix.entries[x1][x2].evaluate(a) for a in main.registry.assignments()}
     assert values == {P, W}
 
 
@@ -360,9 +360,9 @@ def test_return_variable_untouched_by_body():
     assert f.summary.rows == ("X1", "X2")
     assert f.summary.behaviors == ((ZERO, ZERO),)
     main = res.functions["main"]
-    x3 = main.matrix.index("X3")
+    x3 = main.matrix.variables.index("X3")
     assert all(
-        main.matrix.entry(i, x3).is_zero for i in range(len(main.variables))
+        not main.matrix.entries[i][x3].monomials for i in range(len(main.variables))
     )
 
 
@@ -376,8 +376,8 @@ def test_unbounded_callee_poisons_caller():
     main = res.functions["main"]
     assert main.verdict == UNBOUNDED
     assert main.graph.sweep().count == 0
-    x3, x1 = main.matrix.index("X3"), main.matrix.index("X1")
-    assert main.matrix.entry(x3, x1) == Polynomial.of([Monomial(INF, ())])
+    x3, x1 = main.matrix.variables.index("X3"), main.matrix.variables.index("X1")
+    assert main.matrix.entries[x3][x1] == Polynomial.of([Monomial(INF, ())])
 
 
 def test_chained_summaries_compose():

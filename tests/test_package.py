@@ -1,0 +1,30 @@
+"""The package surface: the README's library example runs as written,
+and the package root exports exactly the documented names."""
+
+import re
+from pathlib import Path
+
+import mwpflow
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_example_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)  # the example opens programs/ by a relative path
+    namespace: dict = {}
+    exec(code, namespace)
+    result = namespace["result"]
+    assert len(result.registry) == 3
+    assert result.verdict == "bounded"
+
+
+def test_package_exports_only_the_documented_names():
+    assert sorted(mwpflow.__all__) == sorted([
+        "ParseError", "analyze_program", "check_call_theorem", "derivable_matrices",
+        "derive_with_picks", "parse", "__version__",
+    ])
+    for name in mwpflow.__all__:
+        assert hasattr(mwpflow, name), name

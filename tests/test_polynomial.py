@@ -201,7 +201,7 @@ def test_equal_functions_can_differ_as_compact_lists():
         ChoiceMatrix.from_tables(names, reg, ChoiceMatrix(names, [[p]], reg).expand())
         for p in (fan, scalar)
     ]
-    assert as_tables[0].entry(0, 0) == as_tables[1].entry(0, 0) == scalar
+    assert as_tables[0].entries[0][0] == as_tables[1].entries[0][0] == scalar
 
 
 def test_simplify_is_idempotent_and_eval_preserving():
@@ -410,7 +410,7 @@ def test_branch_join_matches_plain_sum():
         assert Polynomial.join(width, branches).monomials == chain.monomials
         seen["constants"] += sum(b.monomials[:1] != () and not b.monomials[0].deltas
                                  for b in branches) >= 2
-        seen["joined"] += sum(not b.is_zero for b in branches) >= 2
+        seen["joined"] += sum(bool(b.monomials) for b in branches) >= 2
     assert min(seen.values()) >= 150, seen
 
 
@@ -554,8 +554,8 @@ def test_expand_loop_example_images():
     assert len(set(table.values())) == 3
     clean = FlowMatrix([[M, P, ZERO], [ZERO, M, ZERO], [ZERO, P, M]])
     assert table[(1,)] == clean
-    assert table[(0,)].entry(1, 1) == INF
-    assert table[(2,)].entry(1, 1) == INF
+    assert table[(0,)].rows[1][1] == INF
+    assert table[(2,)].rows[1][1] == INF
 
 
 def test_from_tables_round_trips_as_functions():
@@ -577,7 +577,7 @@ def test_from_tables_fuses_constant_fans():
     reg = ChoiceRegistry([3])
     table = {(a,): FlowMatrix([[W]]) for a in range(3)}
     rebuilt = ChoiceMatrix.from_tables(("V",), reg, table)
-    assert rebuilt.entry(0, 0) == Polynomial.const(W)
+    assert rebuilt.entries[0][0] == Polynomial.const(W)
 
 
 def test_matrix_ops_commute_with_expansion():
@@ -603,14 +603,14 @@ def test_matrix_ops_commute_with_expansion():
 
 def _cellwise_product(a, b):
     """The product by its definition: cell (i, c) is the sum over k of A[i][k] * B[k][c]."""
-    n = a.dim
+    n = len(a.variables)
     entries = []
     for i in range(n):
         row = []
         for c in range(n):
             acc = ZERO_POLY
             for k in range(n):
-                acc = acc + a.entry(i, k) * b.entry(k, c)
+                acc = acc + a.entries[i][k] * b.entries[k][c]
             row.append(acc)
         entries.append(row)
     return ChoiceMatrix(a.variables, entries, a.registry)
@@ -643,11 +643,11 @@ def _rows_repeating_inf(rng, reg, n, entry):
 def _unit_column_rows(a, b):
     """For each cell (i, c) where column c of b is the unit vector e_c:
     whether row i of a holds INF."""
-    n = a.dim
+    n = len(a.variables)
     return [
         any(p.has_inf() for p in a.entries[i])
         for c in range(n)
-        if all(b.entry(k, c) == (UNIT_POLY if k == c else ZERO_POLY) for k in range(n))
+        if all(b.entries[k][c] == (UNIT_POLY if k == c else ZERO_POLY) for k in range(n))
         for i in range(n)
     ]
 
@@ -680,8 +680,8 @@ def test_matrix_product_matches_cellwise_definition():
                 _unit_outside_columns(rng, n, entry) if shape == "unit columns" else dense()
             ), reg)
             inf_opposite_zero += sum(
-                (a.entry(i, k).has_inf() and b.entry(k, c).is_zero)
-                or (a.entry(i, k).is_zero and b.entry(k, c).has_inf())
+                (a.entries[i][k].has_inf() and not b.entries[k][c].monomials)
+                or (not a.entries[i][k].monomials and b.entries[k][c].has_inf())
                 for i in range(n) for k in range(n) for c in range(n)
             )
             for row_has_inf in _unit_column_rows(a, b):
@@ -747,7 +747,7 @@ def _product_checker(monkeypatch):
 
     def checked_split_update(a, written):
         return checked_columns(split_update, a, written, lambda: {
-            c: [Polynomial.of([*fin.get(k, ()), *inf.monomials]) for k in range(a.dim)]
+            c: [Polynomial.of([*fin.get(k, ()), *inf.monomials]) for k in range(len(a.variables))]
             for c, (fin, inf) in written.items()
         })
 
@@ -855,19 +855,19 @@ def test_fold_column_updates_match_cellwise_definition(monkeypatch):
     analyze_program(parse(src))
     inf_rows = sum(any(p.has_inf() for p in row) for a, _ in updates for row in a.entries)
     inf_columns = sum(
-        any(b.entry(k, c).has_inf() for k in range(b.dim))
-        for _, b in updates for c in range(b.dim)
+        any(b.entries[k][c].has_inf() for k in range(len(b.variables)))
+        for _, b in updates for c in range(len(b.variables))
     )
     assert (len(updates), inf_rows, inf_columns) == (7, 16, 2)
 
 
 def _product_skipping_zero_factors(a, b):
     """A wrong product: a zero factor drops the INF monomials it meets."""
-    n = a.dim
+    n = len(a.variables)
     return ChoiceMatrix(a.variables, [
         [
-            sum((a.entry(i, k) * b.entry(k, c) for k in range(n)
-                 if not a.entry(i, k).is_zero and not b.entry(k, c).is_zero), ZERO_POLY)
+            sum((a.entries[i][k] * b.entries[k][c] for k in range(n)
+                 if a.entries[i][k].monomials and b.entries[k][c].monomials), ZERO_POLY)
             for c in range(n)
         ]
         for i in range(n)
@@ -923,7 +923,7 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
             assert star.evaluate(a) == m.evaluate(a).closure(), a
         seen["inf"] += any(p.has_inf() for row in m.entries for p in row)
         seen["rounds"] += star != ChoiceMatrix.identity(m.variables, reg) + m
-        seen["zero"] += sum(p.is_zero for row in rows for p in row)
+        seen["zero"] += sum(not p.monomials for row in rows for p in row)
         seen["cells"] += n * n
     assert seen["inf"] >= 100 and seen["rounds"] >= 100
     assert seen["zero"] >= 0.4 * seen["cells"]
@@ -936,7 +936,7 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
     m = ChoiceMatrix(("V0", "V1"), [[UNIT_POLY, ZERO_POLY], [inf, UNIT_POLY]], reg)
     star = m.closure()
     assert star == _sum_fixpoint(m)
-    assert star.entry(0, 1) == inf
+    assert star.entries[0][1] == inf
     for a in assignments(reg):
         assert star.evaluate(a) == m.evaluate(a).closure(), a
 
@@ -969,7 +969,7 @@ def _eager_update(rows, columns):
 def _stored_view(m):
     """The cells as stored: a stored column's or the unit vector's, with
     no row list merged in."""
-    rows = [[UNIT_POLY if i == c else ZERO_POLY for c in range(m.dim)] for i in range(m.dim)]
+    rows = [[UNIT_POLY if i == c else ZERO_POLY for c in range(len(m.variables))] for i in range(len(m.variables))]
     for c, col in m.columns.items():
         for row, p in zip(rows, col):
             row[c] = p
@@ -991,7 +991,7 @@ def test_carried_row_inf_matches_eager_updates():
         def entry():
             seen["cells"] += 1
             p = ZERO_POLY if rng.random() < 0.45 else _random_poly(rng, reg, allow_inf=rng.random() < 0.3)
-            seen["zero"] += p.is_zero
+            seen["zero"] += not p.monomials
             return p
 
         m = ChoiceMatrix(names, [[entry() for _ in range(n)] for _ in range(n)], reg)
@@ -1051,7 +1051,7 @@ def test_stored_form_matches_plain_operations():
         def entry():
             seen["cells"] += 1
             p = ZERO_POLY if rng.random() < 0.45 else _random_poly(rng, reg, allow_inf=rng.random() < 0.3)
-            seen["zero"] += p.is_zero
+            seen["zero"] += not p.monomials
             return p
 
         def step(m):
@@ -1062,7 +1062,7 @@ def test_stored_form_matches_plain_operations():
             if op == "replace":
                 # The new column keeps the INF of the entries it replaces.
                 j = rng.randrange(n)
-                col = [entry() + Polynomial.of(x for x in m.entry(i, j).monomials if x.scalar == INF)
+                col = [entry() + Polynomial.of(x for x in m.entries[i][j].monomials if x.scalar == INF)
                        for i in range(n)]
                 out = m.replace_column(j, col)
                 rows = [list(r) for r in m.entries]

@@ -13,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwpflow.cli import run
+from mwpflow.frontend import (
+    Assign, BinOp, BoolOp, Call, Compare, FunctionDecl, If, Loop, Not, Program, Var, While,
+    parse, render,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -95,3 +99,51 @@ def test_cli_ends_in_a_report_or_a_diagnostic_on_token_streams(fresh_path, token
 @given(data=st.binary(max_size=200))
 def test_cli_ends_in_a_report_or_a_diagnostic_on_random_bytes(fresh_path, data):
     assert _run_every_mode(fresh_path(), data) <= {0, 1, 2}
+
+
+# ASTs of valid programs: a callee f with zero to three parameters and a
+# return, and a main that may call it.  Expressions nest + - * on either
+# side, so render must parenthesize; conditions nest !, && and ||.
+_NAME = st.sampled_from(("X1", "X2", "X3", "X4"))
+_AST_EXPR = st.recursive(
+    _NAME.map(Var), lambda e: st.builds(BinOp, st.sampled_from("+-*"), e, e), max_leaves=4)
+_AST_COND = st.recursive(
+    st.builds(Compare, st.sampled_from(("<", "<=", ">", ">=", "==", "!=")), _AST_EXPR, _AST_EXPR),
+    lambda b: st.builds(Not, b) | st.builds(BoolOp, st.sampled_from(("&&", "||")), b, b),
+    max_leaves=3)
+
+
+def _ast_block(command):
+    return st.lists(command, max_size=3).map(tuple)
+
+
+def _ast_body(simple):
+    """Blocks of simple commands nested in if, while and loop."""
+    command = st.recursive(simple, lambda body: st.one_of(
+        st.builds(If, _AST_COND, _ast_block(body), _ast_block(body)),  # empty else: no else
+        st.builds(While, _AST_COND, _ast_block(body)),
+        st.builds(Loop, _NAME, _ast_block(body)),
+    ), max_leaves=4)
+    return _ast_block(command)
+
+
+_ASSIGN = st.builds(Assign, _NAME, _AST_EXPR)
+_F_BODY = _ast_body(_ASSIGN)
+# main's bodies by the arity of f
+_MAIN_BODY = [_ast_body(_ASSIGN | st.builds(Call, _NAME, st.just("f"), st.tuples(*[_NAME] * k)))
+              for k in range(4)]
+
+
+@st.composite
+def ast_programs(draw):
+    params = tuple(draw(st.lists(_NAME, unique=True, max_size=3)))
+    return Program((
+        FunctionDecl("f", params, draw(_F_BODY), draw(_NAME)),
+        FunctionDecl("main", (), draw(_MAIN_BODY[len(params)]), None),
+    ))
+
+
+@settings(FIXED, max_examples=50)
+@given(program=ast_programs())
+def test_parse_of_render_is_the_identity(program):
+    assert parse(render(program)) == program

@@ -1,6 +1,8 @@
 """Reference implementations of the original nondeterministic rules.
 
-Two entry points back the equivalence tests:
+Two entry points back the equivalence tests.  They share one walker
+over sets of derived matrices, which writes each command rule once, and
+differ only in their expression rule.  An empty set means no derivation.
 
 * derivable_matrices explores every derivation of a function body under
   the original rule set, where additive expressions take one of three
@@ -10,12 +12,13 @@ Two entry points back the equivalence tests:
   dominated and only inflates the result set.
 
 * derive_with_picks replays one derivation chosen by a branch
-  assignment, through plain scalar vectors and with the original side
-  conditions enforced, mirroring the engine's choice-index allocation
-  order.  It returns the derived matrix, or None when a side condition
-  fails.
+  assignment, through plain scalar vectors (one per expression) and
+  with the original side conditions enforced, mirroring the engine's
+  choice-index allocation order.  It returns the derived matrix, or None
+  when a side condition fails.  Its picks must hold one value in 0-2 per
+  + or - site, counting the sites under *; other picks raise ValueError.
 
-Both work on call-free declarations.
+Both work on call-free declarations and raise ValueError on a call.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .frontend import (
     While,
     expression_vars,
     variable_order,
+    walk_commands,
 )
 from .semiring import M, P, W, ZERO, FlowMatrix, add, mul
 
@@ -66,32 +70,74 @@ def _replace_column(m: FlowMatrix, j: int, v: Vector) -> FlowMatrix:
     )
 
 
-def _loop_result(star: FlowMatrix, counter: int) -> FlowMatrix | None:
+def _iterate(star: FlowMatrix, counter: int | None) -> FlowMatrix | None:
+    """The loop rule at counter's index, or the while rule when it is None."""
     n = len(star.rows)
     if any(star.rows[i][i] != M for i in range(n)):
         return None
+    p_columns = [j for j in range(n) if any(star.rows[i][j] == P for i in range(n))]
+    if counter is None:
+        return None if p_columns else star
     rows = [list(r) for r in star.rows]
-    for j in range(n):
-        if any(star.rows[i][j] == P for i in range(n)):
-            rows[counter][j] = add(rows[counter][j], P)
+    for j in p_columns:
+        rows[counter][j] = add(rows[counter][j], P)
     return FlowMatrix(rows)
 
 
-def _while_result(star: FlowMatrix) -> FlowMatrix | None:
-    n = len(star.rows)
-    if any(star.rows[i][i] != M for i in range(n)):
-        return None
-    if any(star.rows[i][j] == P for i in range(n) for j in range(n)):
-        return None
-    return star
+def _additive_sites(e: Expr) -> int:
+    if isinstance(e, Var):
+        return 0
+    return (e.op != "*") + _additive_sites(e.left) + _additive_sites(e.right)
 
 
-class _Explorer:
+class _Rules:
+    """The command rules over sets of matrices; subclasses add expr_vectors.
+
+    sites counts the + and - sites, under * too: a replay reads one pick each.
+    """
+
     def __init__(self, decl: FunctionDecl):
-        self.variables = variable_order(decl)
-        self.index = {v: i for i, v in enumerate(self.variables)}
-        self.n = len(self.variables)
+        self.sites = 0
+        for c in walk_commands(decl.body):
+            if isinstance(c, Call):
+                raise ValueError("the reference rules do not handle calls")
+            if isinstance(c, Assign):
+                self.sites += _additive_sites(c.value)
+        self.index = {v: i for i, v in enumerate(variable_order(decl))}
+        self.n = len(self.index)
+        self.identity = FlowMatrix.identity(self.n)
 
+    def body_matrices(self, body: Sequence[Command]) -> set[FlowMatrix]:
+        acc = {self.identity}
+        for k, c in enumerate(body):
+            if not acc:
+                # No later command can add a derivation, and a replay
+                # reads no pick past a failed side condition.
+                break
+            step = self.command_matrices(c)
+            # The identity is the product's unit: the first step replaces it.
+            acc = {a * b for a in acc for b in step} if k else step
+        return acc
+
+    def command_matrices(self, c: Command) -> set[FlowMatrix]:
+        if isinstance(c, Assign):
+            j = self.index[c.target]
+            return {_replace_column(self.identity, j, v) for v in self.expr_vectors(c.value)}
+        if isinstance(c, If):
+            # Each branch is derived once, then before else as the replay
+            # reads its picks; an empty then-branch ends the if at once.
+            then = self.body_matrices(c.then_body)
+            other = self.body_matrices(c.else_body) if then else set()
+            return {a + b for a in then for b in other}
+        if isinstance(c, (Loop, While)):
+            counter = self.index[c.counter] if isinstance(c, Loop) else None
+            out = {_iterate(m.closure(), counter) for m in self.body_matrices(c.body)}
+            out.discard(None)
+            return out
+        raise TypeError(f"unknown command {c!r}")
+
+
+class _Explorer(_Rules):
     def expr_vectors(self, e: Expr) -> set[Vector]:
         if isinstance(e, Var):
             return {_unit(self.index[e.name], self.n)}
@@ -105,55 +151,21 @@ class _Explorer:
         out.add(_wvec(e, self.index, self.n))
         return out
 
-    def body_matrices(self, body: Sequence[Command]) -> set[FlowMatrix]:
-        acc = {FlowMatrix.identity(self.n)}
-        for c in body:
-            step = self.command_matrices(c)
-            acc = {a * b for a in acc for b in step}
-        return acc
-
-    def command_matrices(self, c: Command) -> set[FlowMatrix]:
-        if isinstance(c, Assign):
-            j = self.index[c.target]
-            ident = FlowMatrix.identity(self.n)
-            return {_replace_column(ident, j, v) for v in self.expr_vectors(c.value)}
-        if isinstance(c, If):
-            return {
-                a + b
-                for a in self.body_matrices(c.then_body)
-                for b in self.body_matrices(c.else_body)
-            }
-        if isinstance(c, Loop):
-            out = set()
-            for m in self.body_matrices(c.body):
-                r = _loop_result(m.closure(), self.index[c.counter])
-                if r is not None:
-                    out.add(r)
-            return out
-        if isinstance(c, While):
-            out = set()
-            for m in self.body_matrices(c.body):
-                r = _while_result(m.closure())
-                if r is not None:
-                    out.add(r)
-            return out
-        if isinstance(c, Call):
-            raise ValueError("the reference explorer does not handle calls")
-        raise TypeError(f"unknown command {c!r}")
-
 
 def derivable_matrices(decl: FunctionDecl) -> frozenset[FlowMatrix]:
     """Every matrix derivable for decl's body under the original rules."""
     return frozenset(_Explorer(decl).body_matrices(decl.body))
 
 
-class _Replay:
+class _Replay(_Rules):
     def __init__(self, decl: FunctionDecl, picks: Sequence[int]):
-        self.variables = variable_order(decl)
-        self.index = {v: i for i, v in enumerate(self.variables)}
-        self.n = len(self.variables)
-        self.picks = picks
-        self.next_choice = 0
+        super().__init__(decl)
+        if len(picks) != self.sites or any(p not in (0, 1, 2) for p in picks):
+            raise ValueError(f"{decl.name} needs {self.sites} picks in 0-2, got {tuple(picks)}")
+        self.picks = iter(picks)
+
+    def expr_vectors(self, e: Expr) -> set[Vector]:
+        return {self.expr_vector(e)}
 
     def expr_vector(self, e: Expr) -> Vector:
         if isinstance(e, Var):
@@ -162,53 +174,14 @@ class _Replay:
         v2 = self.expr_vector(e.right)
         if e.op == "*":
             return _scale(W, _join(v1, v2))
-        pick = self.picks[self.next_choice]
-        self.next_choice += 1
+        pick = next(self.picks)
         if pick == 0:
             return _join(v1, _scale(P, v2))
         if pick == 1:
             return _join(_scale(P, v1), v2)
         return _scale(W, _join(v1, v2))
 
-    def body_matrix(self, body: Sequence[Command]) -> FlowMatrix | None:
-        acc = FlowMatrix.identity(self.n)
-        for c in body:
-            m = self.command_matrix(c)
-            if m is None:
-                # A failed side condition rejects the whole derivation:
-                # every caller passes None up and no later command is
-                # derived, so no pick needs skipping.
-                return None
-            acc = acc * m
-        return acc
-
-    def command_matrix(self, c: Command) -> FlowMatrix | None:
-        if isinstance(c, Assign):
-            v = self.expr_vector(c.value)
-            return _replace_column(FlowMatrix.identity(self.n), self.index[c.target], v)
-        if isinstance(c, If):
-            a = self.body_matrix(c.then_body)
-            if a is None:
-                return None
-            b = self.body_matrix(c.else_body)
-            if b is None:
-                return None
-            return a + b
-        if isinstance(c, Loop):
-            m = self.body_matrix(c.body)
-            if m is None:
-                return None
-            return _loop_result(m.closure(), self.index[c.counter])
-        if isinstance(c, While):
-            m = self.body_matrix(c.body)
-            if m is None:
-                return None
-            return _while_result(m.closure())
-        if isinstance(c, Call):
-            raise ValueError("the replay oracle does not handle calls")
-        raise TypeError(f"unknown command {c!r}")
-
 
 def derive_with_picks(decl: FunctionDecl, picks: Sequence[int]) -> FlowMatrix | None:
     """Replay the derivation selected by picks; None if a side condition fails."""
-    return _Replay(decl, picks).body_matrix(decl.body)
+    return next(iter(_Replay(decl, picks).body_matrices(decl.body)), None)

@@ -102,3 +102,49 @@ def test_equivalence_random_programs():
     rng = random.Random(97)
     for _ in range(60):
         assert_equivalence(random_program(rng, max_choices=5))
+
+
+@pytest.mark.parametrize("picks", [(3,), (7,), (-1,), (0, 5, 9), (0, 1), ()])
+def test_replay_rejects_bad_picks(picks):
+    decl = main_decl("function main(){ X3 = X1 + X2; }")
+    with pytest.raises(ValueError):
+        derive_with_picks(decl, picks)
+
+
+def test_replay_counts_sites_under_multiplication():
+    decl = main_decl("function main(){ X2 = (X1 + X3) * X4; }")
+    with pytest.raises(ValueError):
+        derive_with_picks(decl, ())
+    assert derive_with_picks(decl, (2,)) is not None
+
+
+@pytest.mark.parametrize("src", [
+    # the while fails unless its body picks the all-w vector
+    "function main(){ if (X1 < X2) { while (X1 < X2) { X3 = X1 + X2; } }"
+    " else { X4 = X1 + X3; } X1 = X2 + X4; }",
+    "function main(){ if (X1 < X2) { X4 = X1 + X3; }"
+    " else { while (X1 < X2) { X3 = X1 + X2; } } X1 = X2 + X4; }",
+    # the loop fails unless its body picks p on X1
+    "function main(){ loop X3 { X2 = X1 + X2; } X4 = X1 + X2; }",
+], ids=["then-while", "else-while", "loop"])
+def test_equivalence_past_a_failed_side_condition(src):
+    decl = main_decl(src)
+    result = analyze_program(parse(src)).functions["main"]
+    replays = [derive_with_picks(decl, a) for a in result.registry.assignments()]
+    assert None in replays and any(r is not None for r in replays)
+    assert_equivalence(src)
+
+
+@pytest.mark.xfail(strict=True, reason="the engine derives more clean images"
+                   " than the original rules for sums under * and chained sums")
+@pytest.mark.parametrize("src", [
+    "function main(){ X2 = (X1 + X3) * X4; }",
+    "function main(){ X4 = X1 + X2 + X3; }",
+], ids=["sum-under-product", "chained-sum"])
+def test_clean_images_equal_derivable_matrices(src):
+    result = analyze_program(parse(src)).functions["main"]
+    clean_images = {
+        flow for flow in map(result.matrix.evaluate, result.registry.assignments())
+        if not flow.contains_inf()
+    }
+    assert clean_images == derivable_matrices(main_decl(src))

@@ -39,7 +39,6 @@ from .polynomial import (
     ChoiceMatrix,
     ChoiceRegistry,
     INF_POLY,
-    Monomial,
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
@@ -176,12 +175,11 @@ class _FunctionRun:
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W
-                twins = [Monomial(INF, m.deltas) for m in column[i].monomials
-                         if floor < m.scalar < INF]
+                twins = [(INF, ds) for s, ds in column[i].monomials if floor < s < INF]
                 if twins:
                     cells[i] = column[i] + Polynomial.of(twins)
             if counter is not None:
-                hits = [m for p in column for m in p.monomials if m.scalar == P]
+                hits = [m for p in column for m in p.monomials if m[0] == P]
                 if hits:
                     cells[counter] = cells[counter] + Polynomial.of(hits)
             if cells != column:
@@ -221,7 +219,7 @@ class _FunctionRun:
         # question on its own.
         inf_cells = {
             (i, j): infs for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
-            if (infs := [m for m in p.monomials if m.scalar == INF])
+            if (infs := [m for m in p.monomials if m[0] == INF])
         }
         graph = DeltaGraph(self.registry, INF_POLY if self.poisoned else Polynomial.of(
             m for infs in inf_cells.values() for m in infs))

@@ -121,8 +121,9 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
 
     @functools.cache
     def mono(m: Monomial) -> str:
-        scalar = "inf" if m.scalar == INF else value_char(m.scalar)
-        pairs = f"[{','.join(map(delta, m.deltas))}\n{p8}]" if m.deltas else "[]"
+        s, ds = m
+        scalar = "inf" if s == INF else value_char(s)
+        pairs = f"[{','.join(map(delta, ds))}\n{p8}]" if ds else "[]"
         return f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {pairs}\n{p7}}}'
 
     @functools.cache
@@ -178,7 +179,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if e.code == 0 else 2
 
     try:
-        with open(opts.file, encoding="utf-8") as fh:
+        with open(opts.file, encoding="utf-8-sig") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"mwpflow: cannot read {opts.file}: {e}", file=sys.stderr)

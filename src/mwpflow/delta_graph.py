@@ -31,7 +31,6 @@ from .polynomial import (
     Assignment,
     ChoiceRegistry,
     Delta,
-    Monomial,
     Polynomial,
 )
 from .semiring import INF, ZERO
@@ -54,7 +53,7 @@ class DeltaGraph:
 
     def vertices(self) -> list[tuple[Delta, ...]]:
         """The vertices, shortest first, each length in tuple order."""
-        return sorted((m.deltas for m in self.cover.monomials), key=lambda ds: (len(ds), ds))
+        return sorted((ds for _, ds in self.cover.monomials), key=lambda ds: (len(ds), ds))
 
     def __len__(self) -> int:
         return len(self.cover.monomials)
@@ -70,7 +69,7 @@ class DeltaGraph:
         for idx, v in ds:
             if not 0 <= v < self.registry.cardinality(idx):
                 raise ValueError(f"delta ({v},{idx}) outside its registered domain")
-        self.cover = self.cover + Polynomial((Monomial(INF, ds),))
+        self.cover = self.cover + Polynomial(((INF, ds),))
 
     def fuse(self) -> None:
         """Apply the fan rewrite until no vertex qualifies.
@@ -92,7 +91,7 @@ class DeltaGraph:
         for v in sorted(self.vertices(), key=lambda ds: (-len(ds), ds)):
             for pos, (idx, _) in enumerate(v):
                 fan = Polynomial.of(
-                    Monomial(INF, v[:pos] + ((idx, k),) + v[pos + 1 :])
+                    (INF, v[:pos] + ((idx, k),) + v[pos + 1 :])
                     for k in range(self.registry.cardinality(idx))
                 )
                 if self.cover + fan == self.cover:
@@ -130,7 +129,7 @@ class DeltaGraph:
             count=sum(ways for ways, _ in states.values()),
             sample=next((first for _, first in states.values()), None),
             behaviors=tuple(dict.fromkeys(
-                tuple(max((m.scalar for m in p.monomials), default=ZERO) for p in state[1:])
+                tuple(max((s for s, _ in p.monomials), default=ZERO) for p in state[1:])
                 for state in states
             )),
         )

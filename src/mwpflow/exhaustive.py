@@ -90,22 +90,29 @@ def _additive_sites(e: Expr) -> int:
     return (e.op != "*") + _additive_sites(e.left) + _additive_sites(e.right)
 
 
+_last_setup: tuple = (None, None)  # the last declaration set up, and its setup
+
+
 class _Rules:
     """The command rules over sets of matrices; subclasses add expr_vectors.
 
     sites counts the + and - sites, under * too: a replay reads one pick each.
+    A replay of every assignment sets up one declaration many times in a
+    row, so the setup of the last declaration is kept, by identity.
     """
 
     def __init__(self, decl: FunctionDecl):
-        self.sites = 0
-        for c in walk_commands(decl.body):
-            if isinstance(c, Call):
-                raise ValueError("the reference rules do not handle calls")
-            if isinstance(c, Assign):
-                self.sites += _additive_sites(c.value)
-        self.index = {v: i for i, v in enumerate(variable_order(decl))}
-        self.n = len(self.index)
-        self.identity = FlowMatrix.identity(self.n)
+        global _last_setup
+        if _last_setup[0] is not decl:
+            sites = 0
+            for c in walk_commands(decl.body):
+                if isinstance(c, Call):
+                    raise ValueError("the reference rules do not handle calls")
+                if isinstance(c, Assign):
+                    sites += _additive_sites(c.value)
+            index = {v: i for i, v in enumerate(variable_order(decl))}
+            _last_setup = decl, (sites, index, len(index), FlowMatrix.identity(len(index)))
+        self.sites, self.index, self.n, self.identity = _last_setup[1]
 
     def body_matrices(self, body: Sequence[Command]) -> set[FlowMatrix]:
         acc = {self.identity}

@@ -3,9 +3,12 @@
 A delta generator d(v, j) is worth m on assignments whose pick at choice
 index j equals v, and 0 elsewhere.  A monomial is a scalar times a
 product of deltas over distinct indices; it denotes a cylinder of the
-assignment space carrying that scalar.  A polynomial is an ordered sum
-(pointwise max) of monomials and represents one coefficient of an
-analysis matrix.
+assignment space carrying that scalar, and it is a plain (scalar,
+deltas) tuple.  A polynomial is an ordered sum (pointwise max) of
+monomials and represents one coefficient of an analysis matrix.
+Polynomial.of keeps no ZERO scalar, so the finite scalars of a
+canonical polynomial lie in m..p, where the product is the max: the
+product of two finite monomials takes the larger scalar.
 
 Deltas are stored as (index, value) pairs so the natural tuple order is
 the canonical one: deltas inside a monomial sort by index, monomials
@@ -31,15 +34,19 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 
 Delta = tuple[int, int]  # (choice index, chosen value)
 
+Monomial = tuple[int, tuple[Delta, ...]]  # (scalar, deltas)
+
 Assignment = tuple[int, ...]
 
-_DELTAS = itemgetter(1)  # Monomial.deltas
+_DELTAS = itemgetter(1)
+
+_NONE = (ZERO, ())  # what Polynomial.of reads for an absent delta list
 
 
 def delta(value: int, index: int) -> Delta:
@@ -47,38 +54,25 @@ def delta(value: int, index: int) -> Delta:
     return (index, value)
 
 
-class Monomial(NamedTuple):
-    scalar: int
-    deltas: tuple[Delta, ...]
-
-    def matches(self, assignment: Sequence[int]) -> bool:
-        return all(assignment[i] == v for i, v in self.deltas)
-
-    def render(self) -> str:
-        parts = [value_char(self.scalar)]
-        parts.extend(f"δ({v},{i})" for i, v in self.deltas)
-        return ".".join(parts)
-
-
-_NONE = Monomial(ZERO, ())  # what Polynomial.of reads for an absent delta list
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     """Product of two finite monomials; None when their deltas conflict.
 
     Deltas at the same index with different values select disjoint
-    cylinders, so the product vanishes.
+    cylinders, so the product vanishes.  The scalar is the max of the
+    two: callers pass only finite monomials of canonical polynomials,
+    which hold no ZERO scalar, and on m..p the product is the max.
     """
-    da, db = a.deltas, b.deltas
+    (sa, da), (sb, db) = a, b
+    s = sa if sa > sb else sb
     if not da or not db:
-        return Monomial(mul_inf(a.scalar, b.scalar), da or db)
+        return (s, da or db)
     if da[-1][0] < db[0][0]:  # the fold's usual case: b's indices are newer
-        return Monomial(mul_inf(a.scalar, b.scalar), da + db)
+        return (s, da + db)
     picks = dict(da)
     for i, v in db:
         if picks.setdefault(i, v) != v:
             return None
-    return Monomial(mul_inf(a.scalar, b.scalar), tuple(sorted(picks.items())))
+    return (s, tuple(sorted(picks.items())))
 
 
 class Polynomial:
@@ -94,9 +88,11 @@ class Polynomial:
         """The canonical sum: the best scalar for each delta list, sorted,
         less every monomial whose list extends a strictly shorter one's
         with a scalar no larger.  Lengths are checked from the shortest
-        up.  A list of L deltas looks up its shorter sub-lists when 2**L
-        is at most the number of lists, and otherwise scans the shorter
-        monomials kept so far (a dropped one's dominator dominates more).
+        up.  A monomial whose scalar beats every one kept so far is kept
+        at once.  Otherwise a list of L deltas looks up its shorter
+        sub-lists when 2**L is at most the number of lists, and else
+        scans the shorter monomials kept so far (a dropped one's
+        dominator dominates more).
         """
         best: dict[tuple[Delta, ...], Monomial] = {}
         get = best.get
@@ -106,31 +102,37 @@ class Polynomial:
                 best[ds] = m
         if len(best) < 2:
             return cls(tuple(best.values()))
-        keys = sorted(best)
-        if len(set(map(len, keys))) < 2:
-            return cls(tuple(map(best.__getitem__, keys)))
+        monos = sorted(best.values(), key=_DELTAS)
+        if len(set(map(len, best))) < 2:
+            return cls(tuple(monos))
         kept: dict[int, list[tuple[Delta, ...]]] = {s: [] for s in range(M, INF + 1)}
+        top = ZERO
+        dropped = set()
         shorter: list[int] = []
-        for size, group in itertools.groupby(sorted(keys, key=len), len):
+        for size, group in itertools.groupby(sorted(best, key=len), len):
             for ds in group:  # a list of the same length is never a sub-list
-                s = best[ds].scalar
-                if 1 << size <= len(keys):
-                    dominated = any(get(sub, _NONE).scalar >= s for r in shorter
-                                    for sub in itertools.combinations(ds, r))
+                s = best[ds][0]
+                if s > top:  # nothing kept so far can dominate it
+                    top = s
                 else:
-                    within = set(ds).issuperset
-                    dominated = any(any(map(within, kept[t])) for t in kept if t >= s)
-                if not dominated:
-                    kept[s].append(ds)
+                    if 1 << size <= len(best):
+                        dominated = any(get(sub, _NONE)[0] >= s for r in shorter
+                                        for sub in itertools.combinations(ds, r))
+                    else:
+                        within = set(ds).issuperset
+                        dominated = any(any(map(within, kept[t])) for t in kept if t >= s)
+                    if dominated:
+                        dropped.add(ds)
+                        continue
+                kept[s].append(ds)
             shorter.append(size)
-        survivors = set().union(*kept.values())
-        return cls(tuple(best[ds] for ds in keys if ds in survivors))
+        return cls(tuple(m for m in monos if m[1] not in dropped) if dropped else tuple(monos))
 
     @classmethod
     def const(cls, scalar: int) -> "Polynomial":
         if scalar == ZERO:
             return ZERO_POLY
-        return cls((Monomial(scalar, ()),))
+        return cls(((scalar, ()),))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.monomials == other.monomials
@@ -155,9 +157,9 @@ class Polynomial:
         out: list[Monomial] = []
         fin_p: list[Monomial] = []
         for m in self.monomials:
-            (out if m.scalar == INF else fin_p).append(m)
+            (out if m[0] == INF else fin_p).append(m)
         for q in other.monomials:
-            if q.scalar == INF:
+            if q[0] == INF:
                 out.append(q)
             else:
                 out.extend(r for p in fin_p if (r := mono_mul(p, q)) is not None)
@@ -166,9 +168,10 @@ class Polynomial:
     def scale(self, scalar: int) -> "Polynomial":
         if scalar == ZERO or not self.monomials:
             return ZERO_POLY
-        return Polynomial.of(
-            Monomial(mul_inf(scalar, m.scalar), m.deltas) for m in self.monomials
-        )
+        if len(self.monomials) == 1:  # one nonzero product: canonical as it is
+            (s, ds), = self.monomials
+            return Polynomial(((mul_inf(scalar, s), ds),))
+        return Polynomial.of((mul_inf(scalar, s), ds) for s, ds in self.monomials)
 
     @staticmethod
     def join(index: int, branches: Sequence["Polynomial"]) -> "Polynomial":
@@ -179,8 +182,7 @@ class Polynomial:
         so the union needs only one sort: a proper prefix sorts first,
         but not once both lists gain their delta."""
         return Polynomial(tuple(sorted(
-            (Monomial(m.scalar, m.deltas + ((index, v),))
-             for v, p in enumerate(branches) for m in p.monomials),
+            ((s, ds + ((index, v),)) for v, p in enumerate(branches) for s, ds in p.monomials),
             key=_DELTAS,
         )))
 
@@ -200,16 +202,16 @@ class Polynomial:
                     continue
                 if s == INF and len(ds) == 1:
                     return INF_POLY
-                m = Monomial(s, ds[1:])
+                m = (s, ds[1:])
             out.append(m)
         return Polynomial.of(out) if hit else self
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         best = ZERO
         try:
-            for m in self.monomials:
-                if m.scalar > best and m.matches(assignment):
-                    best = m.scalar
+            for s, ds in self.monomials:
+                if s > best and all(assignment[i] == v for i, v in ds):
+                    best = s
                     if best == INF:
                         break
         except IndexError:
@@ -217,20 +219,21 @@ class Polynomial:
         return best
 
     def has_inf(self) -> bool:
-        return any(m.scalar == INF for m in self.monomials)
+        return any(s == INF for s, _ in self.monomials)
 
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        return "+".join(m.render() for m in self.monomials)
+        return "+".join(".".join([value_char(s), *(f"δ({v},{i})" for i, v in ds)])
+                        for s, ds in self.monomials)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
 
 ZERO_POLY = Polynomial(())
-UNIT_POLY = Polynomial((Monomial(M, ()),))
-INF_POLY = Polynomial((Monomial(INF, ()),))
+UNIT_POLY = Polynomial(((M, ()),))
+INF_POLY = Polynomial(((INF, ()),))
 
 
 class ChoiceRegistry:
@@ -293,7 +296,7 @@ def _split(
     inf: set[Monomial] = set()
     for k, poly in enumerate(polys):
         for m in poly.monomials:
-            if m.scalar == INF:
+            if m[0] == INF:
                 inf.add(m)
             else:
                 fin.setdefault(k, []).append(m)
@@ -306,9 +309,9 @@ def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Poly
     Polynomial.of would drop them."""
     fin, inf = _split(col)
     if inf.monomials:
-        lists = [m.deltas for m in inf.monomials]
+        lists = [ds for _, ds in inf.monomials]
         fin = {k: kept for k, qs in fin.items()
-               if (kept := [q for q in qs if not any(map(set(q.deltas).issuperset, lists))])}
+               if (kept := [q for q in qs if not any(map(set(q[1]).issuperset, lists))])}
     return fin, inf
 
 
@@ -317,7 +320,7 @@ def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
     each (i, monomials) of rows, with qs."""
     for i, monos in rows:
         acc.setdefault(i, []).extend(
-            r for a in monos if a.scalar != INF for q in qs if (r := mono_mul(a, q)) is not None)
+            r for a in monos if a[0] != INF for q in qs if (r := mono_mul(a, q)) is not None)
 
 
 def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
@@ -500,7 +503,7 @@ class ChoiceMatrix:
             added: dict[int, list[tuple[int, set[Monomial]]]] = {}
             for k, col in s.columns.items():
                 for i, (p, q) in enumerate(zip(col, prev.columns[k])):
-                    if p is not q and (new := {m for m in p.monomials if m.scalar != INF}
+                    if p is not q and (new := {m for m in p.monomials if m[0] != INF}
                                        - set(q.monomials)):
                         added.setdefault(k, []).append((i, new))
             row_inf = tuple(r + p + spread for r, p in zip(s.row_inf, s.pending))
@@ -574,12 +577,12 @@ class ChoiceMatrix:
                 for a, mat in table.items():
                     v = mat.rows[i][j]
                     if v != ZERO:
-                        cylinders.setdefault(v, []).append(Monomial(INF, tuple(enumerate(a))))
+                        cylinders.setdefault(v, []).append((INF, tuple(enumerate(a))))
                 graphs = {v: DeltaGraph(registry, Polynomial.of(ms)) for v, ms in cylinders.items()}
                 for g in graphs.values():
                     g.fuse()
                 row.append(Polynomial.of(
-                    Monomial(v, m.deltas) for v, g in graphs.items() for m in g.cover.monomials
+                    (v, ds) for v, g in graphs.items() for _, ds in g.cover.monomials
                 ))
             entries.append(tuple(row))
         return cls(variables, entries, registry)

@@ -25,7 +25,6 @@ from mwpflow.inline import check_call_theorem
 from mwpflow.polynomial import (
     ChoiceMatrix,
     ChoiceRegistry,
-    Monomial,
     Polynomial,
     delta,
 )
@@ -98,7 +97,7 @@ def _random_choice_matrix(rng, reg, n):
         monos = []
         for _ in range(rng.randint(0, 4)):
             idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
-            monos.append(Monomial(
+            monos.append((
                 rng.choice((M, W, P, INF)),
                 tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx)),
             ))
@@ -169,13 +168,13 @@ def test_criterion_3_iteration_dependent_loop_golden():
     # surviving choice.
     d0, d1, d2 = [delta(0, 0)], [delta(1, 0)], [delta(2, 0)]
     assert r.matrix.entries[0][1] == Polynomial.of(
-        [Monomial(P, tuple(d0)), Monomial(P, tuple(d1)), Monomial(W, tuple(d2))]
+        [(P, tuple(d0)), (P, tuple(d1)), (W, tuple(d2))]
     )
     assert r.matrix.entries[2][1] == Polynomial.of(
-        [Monomial(P, tuple(d0)), Monomial(P, tuple(d1))]
+        [(P, tuple(d0)), (P, tuple(d1))]
     )
     assert r.matrix.entries[1][1] == Polynomial.of(
-        [Monomial(M, ()), Monomial(INF, tuple(d0)), Monomial(INF, tuple(d2))]
+        [(M, ()), (INF, tuple(d0)), (INF, tuple(d2))]
     )
     _report(3, "iteration-dependent loop golden matrix, exact", started)
 
@@ -203,20 +202,20 @@ def test_criterion_4_branching_golden():
     # which denotes the same function as the printed partition form; the
     # merged monomial list is pinned here.
     assert m.entries[0][0] == Polynomial.of([
-        Monomial(M, (delta(0, 0),)), Monomial(P, (delta(1, 0),)),
-        Monomial(W, (delta(2, 0),)),
-        Monomial(M, (delta(0, 1),)), Monomial(P, (delta(1, 1),)),
-        Monomial(W, (delta(2, 1),)),
+        (M, (delta(0, 0),)), (P, (delta(1, 0),)),
+        (W, (delta(2, 0),)),
+        (M, (delta(0, 1),)), (P, (delta(1, 1),)),
+        (W, (delta(2, 1),)),
     ])
 
     # The single-index column entries match the printed ones exactly.
     assert m.entries[1][0] == Polynomial.of([
-        Monomial(P, (delta(0, 0),)), Monomial(M, (delta(1, 0),)),
-        Monomial(W, (delta(2, 0),)),
+        (P, (delta(0, 0),)), (M, (delta(1, 0),)),
+        (W, (delta(2, 0),)),
     ])
     assert m.entries[2][0] == Polynomial.of([
-        Monomial(P, (delta(0, 1),)), Monomial(M, (delta(1, 1),)),
-        Monomial(W, (delta(2, 1),)),
+        (P, (delta(0, 1),)), (M, (delta(1, 1),)),
+        (W, (delta(2, 1),)),
     ])
     for i, j in itertools.product(range(3), range(3)):
         if j != 0:
@@ -265,8 +264,8 @@ def test_criterion_6_delta_graph_oracle(corpus):
         assert (result.graph.sweep().count == 0) == (not clean), src
         # No run here is poisoned, so the vertices are the minimal delta
         # lists of the final matrix's INF monomials.
-        inf_lists = {m.deltas for row in result.matrix.entries for p in row
-                     for m in p.monomials if m.scalar == INF}
+        inf_lists = {m[1] for row in result.matrix.entries for p in row
+                     for m in p.monomials if m[0] == INF}
         minimal = [ds for ds in inf_lists if not any(set(o) < set(ds) for o in inf_lists)]
         assert result.graph.vertices() == sorted(minimal, key=lambda ds: (len(ds), ds)), src
         assert result.clean_count == len(clean), src

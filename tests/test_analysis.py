@@ -11,12 +11,13 @@ from mwpflow.analysis import (
     analyze_program,
 )
 from mwpflow.frontend import parse
-from mwpflow.polynomial import ChoiceMatrix, Monomial, Polynomial, delta
+from mwpflow import polynomial
+from mwpflow.polynomial import ChoiceMatrix, Polynomial, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
 
 
 def poly(*monos):
-    return Polynomial.of(Monomial(s, tuple(sorted(ds))) for s, ds in monos)
+    return Polynomial.of((s, tuple(sorted(ds))) for s, ds in monos)
 
 
 def analyze_main(src):
@@ -377,7 +378,7 @@ def test_unbounded_callee_poisons_caller():
     assert main.verdict == UNBOUNDED
     assert main.graph.sweep().count == 0
     x3, x1 = main.matrix.variables.index("X3"), main.matrix.variables.index("X1")
-    assert main.matrix.entries[x3][x1] == Polynomial.of([Monomial(INF, ())])
+    assert main.matrix.entries[x3][x1] == Polynomial.of([(INF, ())])
 
 
 def test_chained_summaries_compose():
@@ -408,6 +409,44 @@ def test_call_inside_loop_body():
     assert all(
         r.matrix.evaluate(a).contains_inf() for a in r.registry.assignments()
     )
+
+
+def test_engine_cells_hold_no_zero_scalar(monkeypatch):
+    # mono_mul takes the max of its two scalars, which is their product
+    # only when neither is ZERO or INF.  It relies on every cell that the
+    # engine builds being canonical, since Polynomial.of keeps no ZERO
+    # scalar, and on its callers passing finite monomials only.
+    built = []
+    stored = ChoiceMatrix._stored.__func__
+
+    def recording_stored(cls, *args):
+        m = stored(cls, *args)
+        built.append(m)
+        return m
+
+    factors = 0
+    plain_mul = polynomial.mono_mul
+
+    def checked_mul(a, b):
+        nonlocal factors
+        assert M <= a[0] <= P and M <= b[0] <= P, (a, b)
+        factors += 1
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(ChoiceMatrix, "_stored", classmethod(recording_stored))
+    monkeypatch.setattr(polynomial, "mono_mul", checked_mul)
+    rng = random.Random(67)
+    sources = [random_program(rng) for _ in range(80)]
+    sources += [random_call_pair(rng) for _ in range(40)]
+    for src in sources:
+        built.clear()
+        analyze_program(parse(src))
+        for m in built:
+            for row in (*m.entries, *m.columns.values(), m.row_inf, m.pending):
+                for p in row:
+                    assert p == Polynomial.of(p.monomials), (src, p)
+                    assert all(s != ZERO for s, _ in p.monomials), (src, p)
+    assert factors > 1000
 
 
 def test_analysis_matrices_are_canonical(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from corpus import random_call_pair, random_program
 from mwpflow.cli import emit_json, run
 from mwpflow.analysis import analyze_program
-from mwpflow.frontend import parse
+from mwpflow.frontend import ParseError, parse
 from mwpflow.semiring import INF, value_char
 
 LOOP_SRC = "function main(){ loop X3 { X2 = X1 + X2; } }\n"
@@ -166,7 +166,7 @@ def _reference_json(results):
             "matrix": [
                 [
                     {"monomials": [
-                        {"scalar": scalar(m.scalar), "deltas": [[v, i] for i, v in m.deltas]}
+                        {"scalar": scalar(m[0]), "deltas": [[v, i] for i, v in m[1]]}
                         for m in p.monomials
                     ]}
                     for p in row
@@ -421,6 +421,42 @@ def test_wide_program_json_digest(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+CALL_PROGRAMS = {
+    # Six additive sites accumulating into a callee's return value: main's
+    # call opens one choice per behavior of f.
+    "accumulating-callee-6": (
+        "function f(X1, X2) {\n"
+        + "".join(f"    X3 = X3 + X{1 + i % 2};\n" for i in range(6))
+        + "    return X3;\n}\nfunction main() {\n    X3 = f(X1, X2);\n}\n",
+        0,
+        "45213b63bc8c2ed16a7d45c628bda29e65172d095d64ef6725c2064f79aded24",
+    ),
+    # Twenty functions, each calling the one before it and then adding.
+    "call-chain-20": (
+        "function f0(X1, X2) {\n    X3 = X1 + X2;\n    return X3;\n}\n"
+        + "".join(
+            f"function f{i}(X1, X2) {{\n    X3 = f{i - 1}(X1, X2);\n"
+            f"    X3 = X3 + X1;\n    return X3;\n}}\n"
+            for i in range(1, 20)
+        )
+        + "function main() {\n    X3 = f19(X1, X2);\n}\n",
+        0,
+        "87457b3d6581ca1ee2587012f4e7d72f94352a8a190db3534faea313b0a54d76",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_PROGRAMS))
+def test_call_program_json_digest(name, tmp_path, capsys):
+    # Callee summaries and the choices that calls open, byte for byte.
+    source, exit_code, digest = CALL_PROGRAMS[name]
+    p = tmp_path / f"{name}.imp"
+    p.write_text(source)
+    assert run([str(p), "--json"]) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_function_filter(tmp_path, capsys):
     p = tmp_path / "pair.imp"
     p.write_text(PAIR_SRC)
@@ -545,6 +581,27 @@ def test_undecodable_source_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"mwpflow: cannot read {p}: ")
     assert "can't decode byte 0xff" in captured.err
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_leading_byte_order_mark_is_skipped(path, tmp_path, capsys):
+    copy = tmp_path / path.name
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    code = run([str(path), "--json"])
+    expected = capsys.readouterr().out
+    assert run([str(copy), "--json"]) == code
+    assert capsys.readouterr().out == expected
+
+
+def test_byte_order_mark_past_the_start_is_a_lexical_error(tmp_path, capsys):
+    p = tmp_path / "bom.imp"
+    p.write_bytes(b"\xef\xbb\xbffunction main() {\n\xef\xbb\xbf    X1 = X2;\n}\n")
+    assert run([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:2:1: [lexical-error] unexpected character '\\ufeff'\n"
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse("\ufefffunction main() { X1 = X2; }\n")
 
 
 @pytest.mark.parametrize("source, pair, message", [

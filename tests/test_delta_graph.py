@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwpflow.delta_graph import DeltaGraph
-from mwpflow.polynomial import ChoiceRegistry, Monomial, Polynomial, delta
+from mwpflow.polynomial import ChoiceRegistry, Polynomial, delta
 from mwpflow.semiring import MWP_INF_VALUES
 
 
@@ -172,7 +172,7 @@ def test_fan_absorbed_into_shorter_vertices_still_fuses():
 def _random_column(rng, reg):
     return [
         Polynomial.of(
-            Monomial(rng.choice(MWP_INF_VALUES), ds)
+            (rng.choice(MWP_INF_VALUES), ds)
             for ds in _random_inserts(rng, reg, rng.randint(0, 4))
         )
         for _ in range(rng.randint(0, 3))

@@ -111,6 +111,26 @@ def test_replay_rejects_bad_picks(picks):
         derive_with_picks(decl, picks)
 
 
+def test_replay_setup_follows_the_declaration():
+    # The replay keeps the setup of the last declaration it saw; replays
+    # that alternate between declarations, equal ones included, must
+    # give what a first replay of each gives, and a call still raises
+    # every time.
+    srcs = ["function main(){ X3 = X1 + X2; }", "function main(){ X1 = X2 + X1; X4 = X3; }",
+            "function main(){ X3 = X1 + X2; }"]
+    decls = [main_decl(src) for src in srcs]
+    first = [[derive_with_picks(main_decl(src), (p,)) for p in range(3)] for src in srcs]
+    for _ in range(2):
+        for d, expected in zip(decls, first):
+            assert [derive_with_picks(d, (p,)) for p in range(3)] == expected
+    assert first[0] != first[1]
+    call = parse("function f(X1){ X2 = X1; return X2; }\n"
+                 "function main(){ X3 = f(X1); }").functions[-1]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="calls"):
+            derive_with_picks(call, ())
+
+
 def test_replay_counts_sites_under_multiplication():
     decl = main_decl("function main(){ X2 = (X1 + X3) * X4; }")
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from mwpflow.polynomial import (
     INF_POLY,
     ChoiceMatrix,
     ChoiceRegistry,
-    Monomial,
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
@@ -19,7 +18,12 @@ from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix, add, mul_inf
 
 
 def poly(*monos):
-    return Polynomial.of(Monomial(s, tuple(sorted(ds))) for s, ds in monos)
+    return Polynomial.of((s, tuple(sorted(ds))) for s, ds in monos)
+
+
+def matches(m, assignment):
+    """Whether a monomial's cylinder holds the assignment."""
+    return all(assignment[i] == v for i, v in m[1])
 
 
 def assignments(registry):
@@ -35,34 +39,34 @@ def assert_pointwise(result, expected_fn, registry):
 
 def test_mono_mul_same_delta():
     reg = ChoiceRegistry([1, 3])
-    a = Monomial(M, (delta(0, 1),))
-    b = Monomial(P, (delta(0, 1),))
+    a = (M, (delta(0, 1),))
+    b = (P, (delta(0, 1),))
     out = mono_mul(a, b)
-    assert out == Monomial(P, (delta(0, 1),))
+    assert out == (P, (delta(0, 1),))
     for al in assignments(reg):
-        lhs = out.scalar if out.matches(al) else ZERO
+        lhs = out[0] if matches(out, al) else ZERO
         rhs = mul_inf(
-            a.scalar if a.matches(al) else ZERO, b.scalar if b.matches(al) else ZERO
+            a[0] if matches(a, al) else ZERO, b[0] if matches(b, al) else ZERO
         )
         assert lhs == rhs
 
 
 def test_mono_mul_conflict_is_zero():
-    a = Monomial(M, (delta(0, 1),))
-    b = Monomial(M, (delta(1, 1),))
+    a = (M, (delta(0, 1),))
+    b = (M, (delta(1, 1),))
     assert mono_mul(a, b) is None
 
 
 def test_mono_mul_disjoint_union():
     reg = ChoiceRegistry([1, 3, 3])
-    a = Monomial(W, (delta(0, 1),))
-    b = Monomial(M, (delta(2, 2),))
+    a = (W, (delta(0, 1),))
+    b = (M, (delta(2, 2),))
     out = mono_mul(a, b)
-    assert out == Monomial(W, (delta(0, 1), delta(2, 2)))
+    assert out == (W, (delta(0, 1), delta(2, 2)))
     for al in assignments(reg):
-        lhs = out.scalar if out.matches(al) else ZERO
+        lhs = out[0] if matches(out, al) else ZERO
         rhs = mul_inf(
-            a.scalar if a.matches(al) else ZERO, b.scalar if b.matches(al) else ZERO
+            a[0] if matches(a, al) else ZERO, b[0] if matches(b, al) else ZERO
         )
         assert lhs == rhs
 
@@ -157,8 +161,8 @@ def test_eval_rejects_missing_index():
 
 def test_simplify_duplicate_merge():
     out = Polynomial.of([
-        Monomial(M, (delta(0, 1),)),
-        Monomial(M, (delta(0, 1),)),
+        (M, (delta(0, 1),)),
+        (M, (delta(0, 1),)),
     ])
     assert out == poly((M, [delta(0, 1)]))
 
@@ -175,12 +179,12 @@ def test_simplify_extension_subsumed():
     out = poly((M, [delta(0, 1), delta(0, 2)]), (P, [delta(0, 1)]))
     assert out == poly((P, [delta(0, 1)]))
     naive = [
-        Monomial(M, (delta(0, 1), delta(0, 2))),
-        Monomial(P, (delta(0, 1),)),
+        (M, (delta(0, 1), delta(0, 2))),
+        (P, (delta(0, 1),)),
     ]
     for a in assignments(reg):
         naive_val = max(
-            (m.scalar for m in naive if m.matches(a)), default=ZERO
+            (s for s, ds in naive if matches((s, ds), a)), default=ZERO
         )
         assert out.evaluate(a) == naive_val
 
@@ -209,7 +213,7 @@ def test_simplify_is_idempotent_and_eval_preserving():
     reg = ChoiceRegistry([3, 2, 3])
     for _ in range(200):
         monos = [
-            Monomial(
+            (
                 rng.choice((ZERO, M, W, P, INF)),
                 tuple(sorted(
                     (i, rng.randrange(reg.cardinality(i)))
@@ -221,19 +225,17 @@ def test_simplify_is_idempotent_and_eval_preserving():
         canon = Polynomial.of(monos)
         assert Polynomial.of(canon.monomials) == canon
         for a in assignments(reg):
-            raw = max((m.scalar for m in monos if m.matches(a)), default=ZERO)
+            raw = max((m[0] for m in monos if matches(m, a)), default=ZERO)
             assert canon.evaluate(a) == raw
 
 
 def _all_pairs_subsume(monos):
     """The definition: drop m when a shorter sub-list has scalar >= m's."""
     return [
-        m for m in monos
+        (s, ds) for s, ds in monos
         if not any(
-            len(o.deltas) < len(m.deltas)
-            and o.scalar >= m.scalar
-            and set(o.deltas) <= set(m.deltas)
-            for o in monos
+            len(o_ds) < len(ds) and o_s >= s and set(o_ds) <= set(ds)
+            for o_s, o_ds in monos
         )
     ]
 
@@ -241,9 +243,9 @@ def _all_pairs_subsume(monos):
 def _merged(raw):
     """The best scalar for each delta list, sorted by delta list."""
     best = {}
-    for m in raw:
-        best[m.deltas] = max(best.get(m.deltas, ZERO), m.scalar)
-    return sorted((Monomial(s, ds) for ds, s in best.items()), key=lambda m: m.deltas)
+    for s, ds in raw:
+        best[ds] = max(best.get(ds, ZERO), s)
+    return sorted(((s, ds) for ds, s in best.items()), key=lambda m: m[1])
 
 
 def test_subsume_matches_all_pairs_definition():
@@ -251,12 +253,12 @@ def test_subsume_matches_all_pairs_definition():
     # Short lists of long monomials take the scan, long lists of short
     # ones the sub-tuple lookup; both must give the definition's answer.
     rng = random.Random(23)
-    lookups = scans = 0
+    lookups = scans = skips = 0
     for _ in range(600):
         width = rng.choice((3, 6, 10))
         cards = [rng.choice((1, 2, 3)) for _ in range(width)]
         monos = [
-            Monomial(
+            (
                 rng.choice((M, W, P, INF, P, INF)),
                 tuple(sorted(
                     (i, rng.randrange(cards[i]))
@@ -266,13 +268,23 @@ def test_subsume_matches_all_pairs_definition():
             for _ in range(rng.choice((2, 5, 20, 80)))
         ]
         monos = _merged(monos)
-        for m in monos:
-            if 1 << len(m.deltas) <= len(monos):
+        for _, ds in monos:
+            if 1 << len(ds) <= len(monos):
                 lookups += 1
             else:
                 scans += 1
-        assert Polynomial.of(monos).monomials == tuple(_all_pairs_subsume(monos))
-    assert lookups > 1000 and scans > 1000
+        expected = _all_pairs_subsume(monos)
+        assert Polynomial.of(monos).monomials == tuple(expected)
+        # A monomial whose scalar beats every one kept before it, shorter
+        # lists first, is kept without a test: nothing can dominate it.
+        kept, top = set(expected), ZERO
+        for s, ds in sorted(monos, key=lambda m: len(m[1])):
+            if s > top:
+                assert (s, ds) in kept
+                skips += 1
+            if (s, ds) in kept:
+                top = max(top, s)
+    assert lookups > 1000 and scans > 1000 and skips > 400
 
     # Polynomial.of on raw lists of the shapes products hand it: one
     # length throughout (nothing to drop), many INF monomials beside a
@@ -288,16 +300,16 @@ def test_subsume_matches_all_pairs_definition():
             size = rng.choice((2, 5, 20, 80))
             if shape == "one length":
                 k = rng.randint(0, min(width, 7))
-                raw = [Monomial(rng.choice((M, W, P, INF)), deltas(width, cards, k))
+                raw = [(rng.choice((M, W, P, INF)), deltas(width, cards, k))
                        for _ in range(size)]
             else:
-                raw = [Monomial(INF, deltas(width, cards, rng.randint(1, min(width, 4))))
+                raw = [(INF, deltas(width, cards, rng.randint(1, min(width, 4))))
                        for _ in range(size)]
-                raw += [Monomial(rng.choice((M, W, P)),
+                raw += [(rng.choice((M, W, P)),
                                  deltas(width, cards, rng.randint(0, min(width, 7))))
                         for _ in range(rng.randint(1, 3))]
                 if shape == "delta-free inf":
-                    raw.append(Monomial(INF, ()))
+                    raw.append((INF, ()))
             rng.shuffle(raw)
             merged = _merged(raw)
             expected = _all_pairs_subsume(merged)
@@ -305,10 +317,10 @@ def test_subsume_matches_all_pairs_definition():
             if shape == "one length":
                 assert expected == merged
             elif shape == "delta-free inf":
-                assert expected == [Monomial(INF, ())]
+                assert expected == [(INF, ())]
             else:
-                finite = sum(m.scalar != INF for m in merged)
-                kept = sum(m.scalar != INF for m in expected)
+                finite = sum(s != INF for s, _ in merged)
+                kept = sum(s != INF for s, _ in expected)
                 finite_kept += kept
                 finite_dropped += finite - kept
     assert finite_kept > 100 and finite_dropped > 100
@@ -325,28 +337,29 @@ def test_product_with_fixed_monomial_is_monotone_on_equal_index_sets():
         for v0 in range(3) for v1 in range(3)
     ]
     all_deltas = [()] + singles + pairs
-    monos = [Monomial(s, ds) for s in (M, W, P) for ds in all_deltas]
+    monos = [(s, ds) for s in (M, W, P) for ds in all_deltas]
     for n in monos:
         for a in monos:
             for b in monos:
-                same_domain = {i for i, _ in a.deltas} == {i for i, _ in b.deltas}
-                if same_domain and a.deltas <= b.deltas:
+                (_, da), (_, db) = a, b
+                same_domain = {i for i, _ in da} == {i for i, _ in db}
+                if same_domain and da <= db:
                     pa, pb = mono_mul(a, n), mono_mul(b, n)
                     if pa is not None and pb is not None:
-                        assert pa.deltas <= pb.deltas
+                        assert pa[1] <= pb[1]
 
 
 def test_monotonicity_fails_across_index_sets():
     # No total order can be multiplication-monotone across index sets;
     # this pair shows why the product re-canonicalizes its merged
     # stream instead of trusting stream order.
-    a = Monomial(M, (delta(0, 0), delta(1, 1)))
-    b = Monomial(M, (delta(0, 1),))
-    n = Monomial(M, (delta(0, 0),))
-    assert a.deltas <= b.deltas
+    a = (M, (delta(0, 0), delta(1, 1)))
+    b = (M, (delta(0, 1),))
+    n = (M, (delta(0, 0),))
+    assert a[1] <= b[1]
     pa, pb = mono_mul(a, n), mono_mul(b, n)
     assert pa is not None and pb is not None
-    assert not pa.deltas <= pb.deltas
+    assert not pa[1] <= pb[1]
 
 
 def _random_poly(rng, reg, allow_inf=False):
@@ -354,7 +367,7 @@ def _random_poly(rng, reg, allow_inf=False):
     monos = []
     for _ in range(rng.randint(0, 4)):
         idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
-        monos.append(Monomial(
+        monos.append((
             rng.choice(scalars),
             tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx)),
         ))
@@ -364,10 +377,10 @@ def _random_poly(rng, reg, allow_inf=False):
 def test_attach_returns_canonical_order():
     # Polynomial.join attaches each branch's delta at a fresh index.  A
     # delta-free monomial sorts first, but not once it gains a delta.
-    p = Polynomial.of([Monomial(M, ()), Monomial(P, (delta(0, 0),))])
+    p = Polynomial.of([(M, ()), (P, (delta(0, 0),))])
     attached = Polynomial.join(1, (p,))
     assert attached == Polynomial.of(attached.monomials)
-    assert [m.deltas for m in attached.monomials] == [
+    assert [ds for _, ds in attached.monomials] == [
         (delta(0, 0), delta(0, 1)), (delta(0, 1),),
     ]
     rng = random.Random(29)
@@ -377,7 +390,7 @@ def test_attach_returns_canonical_order():
         j = reg.fresh(3)
         v = rng.randrange(3)
         assert Polynomial.join(j, (ZERO_POLY,) * v + (q,)) == Polynomial.of(
-            Monomial(m.scalar, m.deltas + (delta(v, j),)) for m in q.monomials
+            (s, ds + (delta(v, j),)) for s, ds in q.monomials
         )
 
 
@@ -390,13 +403,13 @@ def test_branch_join_matches_plain_sum():
     def random_poly(cards):
         width = len(cards)
         monos = [
-            Monomial(rng.choice((M, W, P, INF)), tuple(sorted(
+            (rng.choice((M, W, P, INF)), tuple(sorted(
                 (i, rng.randrange(cards[i])) for i in rng.sample(range(width), rng.randint(1, width))
             )))
             for _ in range(rng.randint(0, 6))
         ]
         if rng.random() < 0.7:
-            monos.append(Monomial(rng.choice((M, W, P, INF)), ()))
+            monos.append((rng.choice((M, W, P, INF)), ()))
         return Polynomial.of(monos)
 
     for _ in range(600):
@@ -406,9 +419,9 @@ def test_branch_join_matches_plain_sum():
         chain = ZERO_POLY
         for v, b in enumerate(branches):
             chain = chain + Polynomial.of(
-                Monomial(m.scalar, m.deltas + (delta(v, width),)) for m in b.monomials)
+                (s, ds + (delta(v, width),)) for s, ds in b.monomials)
         assert Polynomial.join(width, branches).monomials == chain.monomials
-        seen["constants"] += sum(b.monomials[:1] != () and not b.monomials[0].deltas
+        seen["constants"] += sum(b.monomials[:1] != () and not b.monomials[0][1]
                                  for b in branches) >= 2
         seen["joined"] += sum(bool(b.monomials) for b in branches) >= 2
     assert min(seen.values()) >= 150, seen
@@ -425,20 +438,20 @@ def test_restrict_is_the_canonical_cofactor_at_the_lowest_index():
     for _ in range(3000):
         reg = ChoiceRegistry([rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))])
         monos = [
-            Monomial(rng.choice((M, W, P, INF, INF)), tuple(sorted(
+            (rng.choice((M, W, P, INF, INF)), tuple(sorted(
                 (i, rng.randrange(reg.cardinality(i)))
                 for i in rng.sample(range(len(reg)), rng.randint(1, len(reg)))
             )))
             for _ in range(rng.randint(0, 5))
         ]
         if rng.random() < 0.4:
-            monos.append(Monomial(rng.choice((M, W, P)), ()))
+            monos.append((rng.choice((M, W, P)), ()))
         p = Polynomial.of(monos)
         for pick in range(reg.cardinality(0)):
             r = p.restrict(0, pick)
             seen["self" if r is p else "inf" if r is INF_POLY else "of"] += 1
             assert r == Polynomial.of(r.monomials), (p, pick)
-            assert all(i > 0 for m in r.monomials for i, _ in m.deltas), (p, pick)
+            assert all(i > 0 for _, ds in r.monomials for i, _ in ds), (p, pick)
             for a in assignments(reg):
                 if a[0] == pick:
                     assert r.evaluate(a) == p.evaluate(a), (p, pick, a)
@@ -453,7 +466,7 @@ def test_analysis_joins_at_fresh_indices(monkeypatch):
     seen = {"joins": 0, "branches with indices": 0}
 
     def recorded_join(index, branches):
-        held = {i for b in branches for m in b.monomials for i, _ in m.deltas}
+        held = {i for b in branches for _, ds in b.monomials for i, _ in ds}
         assert all(i < index for i in held)
         seen["joins"] += 1
         seen["branches with indices"] += bool(held)
@@ -631,7 +644,7 @@ def _rows_repeating_inf(rng, reg, n, entry):
     for _ in range(n):
         row = [entry() for _ in range(n)]
         idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
-        inf = Polynomial.of([Monomial(
+        inf = Polynomial.of([(
             INF, tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx))
         )])
         for c in rng.sample(range(n), rng.randint(min(2, n), n)):
@@ -947,19 +960,19 @@ def _eager_update(rows, columns):
     row's and the column's INF, the others their own cell with the row's."""
     out = []
     for row in rows:
-        row_inf = [m for p in row for m in p.monomials if m.scalar == INF]
+        row_inf = [m for p in row for m in p.monomials if m[0] == INF]
         new_row = []
         for c, p in enumerate(row):
             if c not in columns:
                 new_row.append(Polynomial.of(list(p.monomials) + row_inf))
                 continue
             col = columns[c]
-            monos = row_inf + [m for q in col for m in q.monomials if m.scalar == INF]
+            monos = row_inf + [m for q in col for m in q.monomials if m[0] == INF]
             monos += [
                 r
                 for k, q in enumerate(col)
-                for a in row[k].monomials if a.scalar != INF
-                for b in q.monomials if b.scalar != INF and (r := mono_mul(a, b)) is not None
+                for a in row[k].monomials if a[0] != INF
+                for b in q.monomials if b[0] != INF and (r := mono_mul(a, b)) is not None
             ]
             new_row.append(Polynomial.of(monos))
         out.append(tuple(new_row))
@@ -1062,7 +1075,7 @@ def test_stored_form_matches_plain_operations():
             if op == "replace":
                 # The new column keeps the INF of the entries it replaces.
                 j = rng.randrange(n)
-                col = [entry() + Polynomial.of(x for x in m.entries[i][j].monomials if x.scalar == INF)
+                col = [entry() + Polynomial.of(x for x in m.entries[i][j].monomials if x[0] == INF)
                        for i in range(n)]
                 out = m.replace_column(j, col)
                 rows = [list(r) for r in m.entries]

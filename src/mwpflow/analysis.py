@@ -42,6 +42,7 @@ from .polynomial import (
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
+    row_merger,
 )
 from .semiring import INF, M, P, W
 
@@ -170,8 +171,11 @@ class _FunctionRun:
         with row_inf, and those the rule tops are replaced.
         """
         star = out = body.closure()
+        merges = {i: row_merger(r) for i, r in enumerate(star.row_inf) if r.monomials}
         for j, stored in star.columns.items():
-            column = list(map(Polynomial.__add__, stored, star.row_inf))
+            column = list(stored)
+            for i, merge in merges.items():
+                column[i] = merge(column[i])
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W

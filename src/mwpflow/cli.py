@@ -18,7 +18,7 @@ from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
 from .inline import check_call_theorem
 from .polynomial import Delta, Monomial
-from .semiring import INF, value_char
+from .semiring import INF, M, value_char
 
 
 @functools.cache
@@ -110,31 +110,33 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     Cells dominate large reports, so each distinct cell, monomial and
     delta is rendered once per call, by one f-string at its fixed depth,
     and the report is joined once from pieces that share those strings;
-    json.dumps only quotes names.
+    json.dumps only quotes names.  A memo hit is a dict read, not a call.
     """
     p5, p6, p7, p8, p9, p10 = ("  " * d for d in range(5, 11))
     sep7 = f",\n{p7}"
+    heads = {s: f'{{\n{p8}"scalar": "{"inf" if s == INF else value_char(s)}",\n{p8}"deltas": '
+             for s in range(M, INF + 1)}
+    deltas: dict[Delta, str] = {}
+    monos: dict[Monomial, str] = {}
+    cells: dict[tuple[Monomial, ...], str] = {}
 
-    @functools.cache
     def delta(d: Delta) -> str:
-        return f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]"
+        return deltas.setdefault(d, f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]")
 
-    @functools.cache
     def mono(m: Monomial) -> str:
         s, ds = m
-        scalar = "inf" if s == INF else value_char(s)
-        pairs = f"[{','.join(map(delta, ds))}\n{p8}]" if ds else "[]"
-        return f'{{\n{p8}"scalar": "{scalar}",\n{p8}"deltas": {pairs}\n{p7}}}'
+        pairs = f"[{','.join([deltas.get(d) or delta(d) for d in ds])}\n{p8}]" if ds else "[]"
+        return monos.setdefault(m, f"{heads[s]}{pairs}\n{p7}}}")
 
-    @functools.cache
     def cell(ms: tuple[Monomial, ...]) -> str:
-        items = f"[\n{p7}{sep7.join(map(mono, ms))}\n{p6}]" if ms else "[]"
-        return f'{{\n{p6}"monomials": {items}\n{p5}}}'
+        items = f"[\n{p7}{sep7.join([monos.get(m) or mono(m) for m in ms])}\n{p6}]" if ms else "[]"
+        return cells.setdefault(ms, f'{{\n{p6}"monomials": {items}\n{p5}}}')
 
     def quoted(names: Iterable[str]) -> list[list[str]]:
         return [[json.dumps(name)] for name in names]
 
     functions = []
+    get = cells.get
     for r in results:
         behaviors = []
         if r.summary is not None:
@@ -144,7 +146,7 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
                     for v, f in zip(r.summary.rows, vec)
                     if f
                 ), 4))
-        matrix = _block((_block(([cell(p.monomials)] for p in row), 4)
+        matrix = _block((_block(([get(p.monomials) or cell(p.monomials)] for p in row), 4)
                          for row in r.matrix.entries), 3)
         functions.append(_obj([
             ("name", [json.dumps(r.name)]),

@@ -15,8 +15,9 @@ the canonical one: deltas inside a monomial sort by index, monomials
 compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products, scaling and restriction collect their raw
 monomials and hand them to Polynomial.of, the one place that drops
-subsumed monomials, except where none can drop: the branches of a fresh
-index (join) and a closure cell that gains no product.
+subsumed monomials, except where none can drop (join, over a fresh
+index, and a closure cell that gains no product) and where an INF list
+drops the finite monomials it covers (covered_by).
 
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
@@ -27,14 +28,14 @@ update of the right factor's stored columns
 (ChoiceMatrix.update_columns), and the fold of a body calls it directly
 for assignments and calls.  Each row keeps its canonical INF lists
 beside its cells, carried from update to update without a scan; the
-cells take them, through Polynomial.of, only when entries are read.
+cells take them, through row_merger, only when entries are read.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 
@@ -91,8 +92,8 @@ class Polynomial:
         up.  A monomial whose scalar beats every one kept so far is kept
         at once.  Otherwise a list of L deltas looks up its shorter
         sub-lists when 2**L is at most the number of lists, and else
-        scans the shorter monomials kept so far (a dropped one's
-        dominator dominates more).
+        scans the shorter monomials kept so far.  A dropped list leaves
+        best at once: its dominator dominates whatever it would.
         """
         best: dict[tuple[Delta, ...], Monomial] = {}
         get = best.get
@@ -102,31 +103,26 @@ class Polynomial:
                 best[ds] = m
         if len(best) < 2:
             return cls(tuple(best.values()))
-        monos = sorted(best.values(), key=_DELTAS)
-        if len(set(map(len, best))) < 2:
-            return cls(tuple(monos))
-        kept: dict[int, list[tuple[Delta, ...]]] = {s: [] for s in range(M, INF + 1)}
-        top = ZERO
-        dropped = set()
-        shorter: list[int] = []
-        for size, group in itertools.groupby(sorted(best, key=len), len):
-            for ds in group:  # a list of the same length is never a sub-list
-                s = best[ds][0]
-                if s > top:  # nothing kept so far can dominate it
-                    top = s
-                else:
-                    if 1 << size <= len(best):
-                        dominated = any(get(sub, _NONE)[0] >= s for r in shorter
-                                        for sub in itertools.combinations(ds, r))
-                    else:
-                        within = set(ds).issuperset
-                        dominated = any(any(map(within, kept[t])) for t in kept if t >= s)
-                    if dominated:
-                        dropped.add(ds)
+        by_size: dict[int, list[tuple[Delta, ...]]] = {}
+        for ds in best:
+            by_size.setdefault(len(ds), []).append(ds)
+        if len(by_size) > 1:
+            n = len(best)
+            kept: dict[int, list[tuple[Delta, ...]]] = {s: [] for s in range(M, INF + 1)}
+            top = ZERO
+            shorter: list[int] = []
+            for size in sorted(by_size):
+                for ds in by_size[size]:  # a list of the same length is never a sub-list
+                    s = best[ds][0]
+                    if s > top:  # nothing kept so far can dominate it
+                        top = s
+                    elif (_dominated(ds, shorter, get, s) if 1 << size <= n else
+                          any(any(map(set(ds).issuperset, kept[t])) for t in kept if t >= s)):
+                        del best[ds]
                         continue
-                kept[s].append(ds)
-            shorter.append(size)
-        return cls(tuple(m for m in monos if m[1] not in dropped) if dropped else tuple(monos))
+                    kept[s].append(ds)
+                shorter.append(size)
+        return cls(tuple(sorted(best.values(), key=_DELTAS)))
 
     @classmethod
     def const(cls, scalar: int) -> "Polynomial":
@@ -303,24 +299,82 @@ def _split(
     return fin, Polynomial.of(inf) if inf else ZERO_POLY
 
 
+def _dominated(ds: tuple[Delta, ...], sizes: Iterable[int], get, s: int) -> bool:
+    """Whether a sub-list of ds of one of these sizes has get(sub)[0] >= s."""
+    for r in sizes:
+        for sub in itertools.combinations(ds, r):
+            if get(sub, _NONE)[0] >= s:
+                return True
+    return False
+
+
+def covered_by(inf: Polynomial) -> Callable[[tuple[Delta, ...]], bool]:
+    """The test whether a delta list holds one of the lists of inf, a
+    canonical polynomial of INF monomials, its own included: a finite
+    monomial with such a list is covered, and so are its products.  A
+    list of L deltas looks up its sub-lists when 2**L is at most the
+    number of inf's lists, and else scans them."""
+    lists = {m[1]: m for m in inf.monomials}
+    sizes, get, n = sorted(set(map(len, lists))), lists.get, len(lists)
+
+    def covered(ds: tuple[Delta, ...]) -> bool:
+        if 1 << len(ds) <= n:
+            return _dominated(ds, sizes, get, INF)
+        return any(map(set(ds).issuperset, lists))
+    return covered
+
+
+def row_merger(inf: Polynomial) -> Callable[[Polynomial], Polynomial]:
+    """cell -> cell + inf for the cells of a row whose canonical INF list
+    is inf, with one cover test for the row.  A cell whose INF monomials
+    are all inf's keeps its finite ones that inf does not cover (its own
+    INF cover none), sorted in once with inf, which stays whole: no
+    finite monomial drops an INF one.  Any other cell takes cell + inf."""
+    covered, own = covered_by(inf), set(inf.monomials)
+
+    def merge(p: Polynomial) -> Polynomial:
+        if not p.monomials:
+            return inf
+        fin = []
+        for m in p.monomials:
+            if m[0] != INF:
+                if not covered(m[1]):
+                    fin.append(m)
+            elif m not in own:
+                return p + inf
+        return Polynomial(tuple(sorted((*fin, *inf.monomials), key=_DELTAS))) if fin else inf
+    return merge
+
+
 def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Polynomial]:
     """A written column as _split gives it, less the finite monomials
     that its INF list covers: their products would be covered too, and
     Polynomial.of would drop them."""
     fin, inf = _split(col)
     if inf.monomials:
-        lists = [ds for _, ds in inf.monomials]
-        fin = {k: kept for k, qs in fin.items()
-               if (kept := [q for q in qs if not any(map(set(q[1]).issuperset, lists))])}
+        covered = covered_by(inf)
+        fin = {k: kept for k, qs in fin.items() if (kept := [q for q in qs if not covered(q[1])])}
     return fin, inf
 
 
 def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
     """Add to acc[i] the products of the finite monomials of row i, for
-    each (i, monomials) of rows, with qs."""
+    each (i, monomials) of rows, with qs: mono_mul's, built in place
+    when q's indices are all newer, the fold's usual case."""
+    heads = [(q, q[1][0][0] if q[1] else float("inf")) for q in qs]
     for i, monos in rows:
-        acc.setdefault(i, []).extend(
-            r for a in monos if a[0] != INF for q in qs if (r := mono_mul(a, q)) is not None)
+        out = acc.setdefault(i, [])
+        for a in monos:
+            sa, da = a
+            if sa == INF:
+                continue
+            last = da[-1][0] if da else -1
+            for q, first in heads:
+                if last < first:
+                    sb = q[0]
+                    out.append((sa if sa > sb else sb, da + q[1]))
+                elif (r := mono_mul(a, q)) is not None:
+                    out.append(r)
 
 
 def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
@@ -374,13 +428,13 @@ class ChoiceMatrix:
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The cells, computed on first read: a stored cell or a unit
-        vector's, merged with its row's INF list.  A row whose list is
-        empty reads as stored."""
+        vector's, merged with its row's INF list by one row_merger per
+        row.  A row whose list is empty reads as stored."""
         if self._entries is None:
             n = len(self.variables)
             rows = zip(*(self.columns.get(c) or _unit(n, c) for c in range(n)))
             self._entries = tuple(
-                tuple(p + inf for p in row) if inf.monomials else row
+                tuple(map(row_merger(inf), row)) if inf.monomials else row
                 for row, inf in zip(rows, self.row_inf)
             )
         return self._entries

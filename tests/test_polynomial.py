@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,10 @@ from mwpflow.polynomial import (
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
+    covered_by,
     delta,
     mono_mul,
+    row_merger,
 )
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix, add, mul_inf
 
@@ -254,6 +257,7 @@ def test_subsume_matches_all_pairs_definition():
     # ones the sub-tuple lookup; both must give the definition's answer.
     rng = random.Random(23)
     lookups = scans = skips = 0
+    paths = Counter()  # the paths Polynomial.of takes, walked as it walks them
     for _ in range(600):
         width = rng.choice((3, 6, 10))
         cards = [rng.choice((1, 2, 3)) for _ in range(width)]
@@ -275,6 +279,7 @@ def test_subsume_matches_all_pairs_definition():
                 scans += 1
         expected = _all_pairs_subsume(monos)
         assert Polynomial.of(monos).monomials == tuple(expected)
+        paths.update(_of_paths(monos, expected))
         # A monomial whose scalar beats every one kept before it, shorter
         # lists first, is kept without a test: nothing can dominate it.
         kept, top = set(expected), ZERO
@@ -314,6 +319,7 @@ def test_subsume_matches_all_pairs_definition():
             merged = _merged(raw)
             expected = _all_pairs_subsume(merged)
             assert Polynomial.of(raw).monomials == tuple(expected), shape
+            paths.update(_of_paths(raw, expected))
             if shape == "one length":
                 assert expected == merged
             elif shape == "delta-free inf":
@@ -324,6 +330,95 @@ def test_subsume_matches_all_pairs_definition():
                 finite_kept += kept
                 finite_dropped += finite - kept
     assert finite_kept > 100 and finite_dropped > 100
+    assert paths["one length"] > 150 and paths["top scalar"] > 1000, paths
+    assert paths["lookup"] > 10000 and paths["scan"] > 2000, paths
+    assert paths["drops"] > 700 and paths["no drop"] > 100, paths
+
+
+def _of_paths(raw, expected):
+    """The paths Polynomial.of takes on raw, walked in its order (by
+    length, then by first appearance): one length throughout, or per
+    list the top-scalar shortcut or a dominance test by lookup or by
+    scan; and whether a list drops, which is when best loses it."""
+    best = {}
+    for s, ds in raw:
+        if s > best.get(ds, ZERO):
+            best[ds] = s
+    if len(best) < 2:
+        return []
+    if len(set(map(len, best))) < 2:
+        return ["one length"]
+    out, top = [], ZERO
+    for ds, s in sorted(best.items(), key=lambda item: len(item[0])):
+        if s > top:
+            out.append("top scalar")
+            top = s
+        else:
+            out.append("lookup" if 1 << len(ds) <= len(best) else "scan")
+    out.append("drops" if len(expected) < len(best) else "no drop")
+    return out
+
+
+def test_row_merger_matches_of_over_the_union():
+    # entries and the iteration rule merge a row's canonical INF list R
+    # into each cell of the row through one cover test built per row.  On
+    # canonical pairs it must give Polynomial.of over their union, and
+    # the cover test must be the definition: some list of R is a
+    # sub-list of the monomial's, or the same list.
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(500):
+        width = rng.choice((3, 6, 10))
+        cards = [rng.choice((1, 2, 3)) for _ in range(width)]
+
+        def deltas(k):
+            return tuple(sorted((i, rng.randrange(cards[i])) for i in rng.sample(range(width), k)))
+
+        row = Polynomial.of((INF, deltas(0 if rng.random() < 0.01 else rng.randint(1, 3)))
+                            for _ in range(rng.choice((1, 2, 5, 20))))
+        lists = [ds for _, ds in row.monomials]
+        merge, covered = row_merger(row), covered_by(row)
+        for _ in range(6):  # cells of one row share the row's merger
+            kind = rng.choice(("zero", "unit", "fresh inf", "row inf", "covered", "mixed"))
+            if kind == "zero":
+                cell = ZERO_POLY
+            elif kind == "unit":
+                cell = UNIT_POLY
+            else:
+                raw = [(rng.choice((M, W, P)), deltas(rng.randint(0, min(width, 7))))
+                       for _ in range(rng.randint(0, 6))]
+                if kind in ("covered", "mixed"):  # finite extensions of R's lists
+                    for _, ds in rng.sample(row.monomials, min(3, len(lists))):
+                        extra = deltas(rng.randint(0, min(width, 3)))
+                        picks = dict(ds)
+                        picks.update((i, v) for i, v in extra if i not in picks)
+                        raw.append((rng.choice((M, W, P)), tuple(sorted(picks.items()))))
+                    if kind == "covered":
+                        raw = raw[-min(3, len(lists)):]
+                if kind in ("row inf", "mixed"):
+                    raw += rng.sample(row.monomials, rng.randint(1, len(lists)))
+                if kind in ("fresh inf", "mixed") and rng.random() < 0.7:
+                    raw.append((INF, deltas(rng.randint(1, min(width, 4)))))
+                cell = Polynomial.of(raw)
+            expected = Polynomial.of(cell.monomials + row.monomials)
+            assert merge(cell) == expected == cell + row
+            infs = {m for m in cell.monomials if m[0] == INF}
+            finite = [ds for s, ds in cell.monomials if s != INF]
+            for ds in finite:
+                assert covered(ds) == any(set(e) <= set(ds) for e in lists)
+            if cell in (ZERO_POLY, UNIT_POLY):
+                seen["zero or unit"] += 1
+            if infs and not infs <= set(row.monomials):
+                seen["INF not in R"] += 1
+                continue
+            seen["INF all in R"] += bool(infs)
+            for ds in finite:
+                seen["lookup" if 1 << len(ds) <= len(lists) else "scan"] += 1
+            seen["all finite dropped"] += bool(finite) and not any(
+                s != INF for s, _ in expected.monomials)
+    assert seen["zero or unit"] > 800 and seen["all finite dropped"] > 450, seen
+    assert seen["INF all in R"] > 600 and seen["INF not in R"] > 400, seen
+    assert seen["lookup"] > 1200 and seen["scan"] > 1100, seen
 
 
 # --- canonical order and the merge-based product ------------------------

@@ -7,12 +7,15 @@ bounded example count, so a run is deterministic and short.
 import contextlib
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwpflow.analysis import analyze_program
 from mwpflow.cli import run
+from mwpflow.exhaustive import derive_with_picks
 from mwpflow.frontend import (
     Assign, BinOp, BoolOp, Call, Compare, FunctionDecl, If, Loop, Not, Program, Var, While,
     parse, render,
@@ -31,6 +34,7 @@ TOKENS = (
 _VAR = st.sampled_from(("X1", "X2", "X3", "X4"))
 _EXPR = st.recursive(
     _VAR, lambda e: st.tuples(e, st.sampled_from("+-*"), e).map(" ".join), max_leaves=4)
+_BINARY = st.tuples(_VAR, st.sampled_from("+-*"), _VAR).map(" ".join)
 _COND = st.tuples(_VAR, st.sampled_from(("<", "<=", "==", "!=")), _VAR).map(" ".join)
 
 
@@ -38,8 +42,8 @@ def _block(body):
     return st.lists(body, max_size=3).map(lambda cs: "{ " + " ".join(cs) + " }")
 
 
-def _commands(calls: bool):
-    simple = st.tuples(_VAR, _EXPR).map(lambda t: f"{t[0]} = {t[1]};")
+def _commands(calls: bool, expr=_EXPR):
+    simple = st.tuples(_VAR, expr).map(lambda t: f"{t[0]} = {t[1]};")
     if calls:
         simple |= st.tuples(_VAR, _VAR).map(lambda t: f"{t[0]} = f({t[1]}, X4);")
     return st.recursive(simple, lambda body: st.one_of(
@@ -147,3 +151,31 @@ def ast_programs(draw):
 @given(program=ast_programs())
 def test_parse_of_render_is_the_identity(program):
     assert parse(render(program)) == program
+
+
+# Call-free mains whose expressions are binary over variables, inside
+# loop, while and if.  Nested expressions stay out: the engine and the
+# reference rules still differ on them (the strict xfail
+# test_clean_images_equal_derivable_matrices in test_exhaustive.py).
+_BINARY_MAIN = st.lists(_commands(False, _BINARY), min_size=1, max_size=3).map(
+    lambda cs: f"function main() {{ {' '.join(cs)} }}")
+
+
+@settings(FIXED, max_examples=50)
+@given(source=_BINARY_MAIN, seed=st.integers(0, 2**32 - 1))
+def test_matrix_evaluates_to_the_replayed_derivation(source, seed):
+    # At up to 20 assignments (all of them when there are no more), the
+    # engine's matrix evaluates to the matrix derive_with_picks replays,
+    # and the replay fails exactly where the matrix holds INF.
+    program = parse(source)
+    decl, result = program.functions[0], analyze_program(program).functions["main"]
+    registry = result.registry
+    if registry.count_assignments() <= 20:
+        picks = list(registry.assignments())
+    else:
+        rng = random.Random(seed)
+        picks = [tuple(rng.randrange(c) for c in registry.cardinalities) for _ in range(20)]
+    for a in picks:
+        flow, replay = result.matrix.evaluate(a), derive_with_picks(decl, a)
+        assert (replay is None) == flow.contains_inf(), a
+        assert replay is None or replay == flow, a

@@ -32,6 +32,7 @@ from .frontend import (
     Program,
     Var,
     While,
+    expression_vars,
     variable_order,
 )
 from .polynomial import (
@@ -49,6 +50,8 @@ from .semiring import INF, M, P, W
 BOUNDED = "bounded"
 CONDITIONALLY_BOUNDED = "conditionally_bounded"
 UNBOUNDED = "unbounded"
+
+_W_POLY = Polynomial.const(W)
 
 
 @dataclass(frozen=True)
@@ -110,25 +113,23 @@ class _FunctionRun:
     # -- expressions ---------------------------------------------------
 
     def vector_of(self, e: Expr) -> list[Polynomial]:
-        n = len(self.variables)
-        v = [ZERO_POLY] * n
+        v = [ZERO_POLY] * len(self.variables)
         if isinstance(e, Var):
             v[self.index[e.name]] = UNIT_POLY
             return v
+        if e.op == "*":  # rule E2: w on every variable, and no choice
+            for name in expression_vars(e):
+                v[self.index[name]] = _W_POLY
+            return v
         v1 = self.vector_of(e.left)
         v2 = self.vector_of(e.right)
-        support = [k for k in range(n) if v1[k].monomials or v2[k].monomials]
-        if e.op == "*":
-            for k in support:
-                v[k] = (v1[k] + v2[k]).scale(W)
-            return v
-        # Additive operator: three ways to distribute the polynomial
-        # penalty, tracked under a fresh three-valued choice index.
+        # Additive operator: p on the right, p on the left, or rule E2,
+        # tracked under a fresh three-valued choice index.
         j = self.registry.fresh(3)
         self.choice_sites.setdefault(id(e), j)
-        for k in support:
-            a, b = v1[k], v2[k]
-            v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, (a + b).scale(W)))
+        for k, (a, b) in enumerate(zip(v1, v2)):
+            if a.monomials or b.monomials:
+                v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
         return v
 
     # -- commands -------------------------------------------------------

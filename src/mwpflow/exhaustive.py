@@ -1,28 +1,29 @@
 """Reference implementations of the original nondeterministic rules.
 
-Two entry points back the equivalence tests.  They share one walker
-over sets of derived matrices, which writes each command rule once, and
-differ only in their expression rule.  An empty set means no derivation.
+Two entry points back the equivalence tests.  They share one class of
+rules over sets of derived matrices, which writes each rule once.  A
+variable takes the unit vector (rule E1), and a * the all-w vector over
+its variables (rule E2), with no choice.  A + or - site takes p on the
+right, p on the left or rule E2.  An empty set means no derivation.
 
-* derivable_matrices explores every derivation of a function body under
-  the original rule set, where additive expressions take one of three
-  vectors, iteration rules carry their side conditions, and a failed
-  condition simply means that derivation does not exist.  Applying the
-  all-w vector to a bare variable is never explored: it is pointwise
-  dominated and only inflates the result set.
+* derivable_matrices explores every derivation of a function body: every
+  pick at every + or - site, with the iteration rules' side conditions,
+  where a failed condition simply means that derivation does not exist.
+  Applying the all-w vector to a bare variable is never explored: it is
+  pointwise dominated and only inflates the result set.
 
-* derive_with_picks replays one derivation chosen by a branch
-  assignment, through plain scalar vectors (one per expression) and
-  with the original side conditions enforced, mirroring the engine's
+* derive_with_picks replays the one derivation that a branch assignment
+  selects, reading the k-th pick at the k-th + or - site in the engine's
   choice-index allocation order.  It returns the derived matrix, or None
   when a side condition fails.  Its picks must hold one value in 0-2 per
-  + or - site, counting the sites under *; other picks raise ValueError.
+  + or - site that is not under a *; other picks raise ValueError.
 
 Both work on call-free declarations and raise ValueError on a call.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .frontend import (
@@ -85,23 +86,23 @@ def _iterate(star: FlowMatrix, counter: int | None) -> FlowMatrix | None:
 
 
 def _additive_sites(e: Expr) -> int:
-    if isinstance(e, Var):
+    if isinstance(e, Var) or e.op == "*":
         return 0
-    return (e.op != "*") + _additive_sites(e.left) + _additive_sites(e.right)
+    return 1 + _additive_sites(e.left) + _additive_sites(e.right)
 
 
 _last_setup: tuple = (None, None)  # the last declaration set up, and its setup
 
 
 class _Rules:
-    """The command rules over sets of matrices; subclasses add expr_vectors.
+    """The rules over sets of matrices, exploring every pick at each + or
+    - site, or replaying the picks given, one per site not under a *.
 
-    sites counts the + and - sites, under * too: a replay reads one pick each.
     A replay of every assignment sets up one declaration many times in a
     row, so the setup of the last declaration is kept, by identity.
     """
 
-    def __init__(self, decl: FunctionDecl):
+    def __init__(self, decl: FunctionDecl, picks: Sequence[int] | None = None):
         global _last_setup
         if _last_setup[0] is not decl:
             sites = 0
@@ -112,7 +113,13 @@ class _Rules:
                     sites += _additive_sites(c.value)
             index = {v: i for i, v in enumerate(variable_order(decl))}
             _last_setup = decl, (sites, index, len(index), FlowMatrix.identity(len(index)))
-        self.sites, self.index, self.n, self.identity = _last_setup[1]
+        sites, self.index, self.n, self.identity = _last_setup[1]
+        if picks is None:
+            self.picks = itertools.repeat((0, 1, 2))
+        elif len(picks) != sites or any(p not in (0, 1, 2) for p in picks):
+            raise ValueError(f"{decl.name} needs {sites} picks in 0-2, got {tuple(picks)}")
+        else:
+            self.picks = ((p,) for p in picks)
 
     def body_matrices(self, body: Sequence[Command]) -> set[FlowMatrix]:
         acc = {self.identity}
@@ -143,52 +150,29 @@ class _Rules:
             return out
         raise TypeError(f"unknown command {c!r}")
 
-
-class _Explorer(_Rules):
     def expr_vectors(self, e: Expr) -> set[Vector]:
         if isinstance(e, Var):
             return {_unit(self.index[e.name], self.n)}
         if e.op == "*":
             return {_wvec(e, self.index, self.n)}
+        lefts = self.expr_vectors(e.left)
+        rights = self.expr_vectors(e.right)
         out: set[Vector] = set()
-        for v1 in self.expr_vectors(e.left):
-            for v2 in self.expr_vectors(e.right):
-                out.add(_join(_scale(P, v1), v2))
-                out.add(_join(v1, _scale(P, v2)))
-        out.add(_wvec(e, self.index, self.n))
+        for pick in next(self.picks):  # read after the operands, as the engine allocates
+            if pick == 0:
+                out.update(_join(a, _scale(P, b)) for a in lefts for b in rights)
+            elif pick == 1:
+                out.update(_join(_scale(P, a), b) for a in lefts for b in rights)
+            else:
+                out.add(_wvec(e, self.index, self.n))
         return out
 
 
 def derivable_matrices(decl: FunctionDecl) -> frozenset[FlowMatrix]:
     """Every matrix derivable for decl's body under the original rules."""
-    return frozenset(_Explorer(decl).body_matrices(decl.body))
-
-
-class _Replay(_Rules):
-    def __init__(self, decl: FunctionDecl, picks: Sequence[int]):
-        super().__init__(decl)
-        if len(picks) != self.sites or any(p not in (0, 1, 2) for p in picks):
-            raise ValueError(f"{decl.name} needs {self.sites} picks in 0-2, got {tuple(picks)}")
-        self.picks = iter(picks)
-
-    def expr_vectors(self, e: Expr) -> set[Vector]:
-        return {self.expr_vector(e)}
-
-    def expr_vector(self, e: Expr) -> Vector:
-        if isinstance(e, Var):
-            return _unit(self.index[e.name], self.n)
-        v1 = self.expr_vector(e.left)
-        v2 = self.expr_vector(e.right)
-        if e.op == "*":
-            return _scale(W, _join(v1, v2))
-        pick = next(self.picks)
-        if pick == 0:
-            return _join(v1, _scale(P, v2))
-        if pick == 1:
-            return _join(_scale(P, v1), v2)
-        return _scale(W, _join(v1, v2))
+    return frozenset(_Rules(decl).body_matrices(decl.body))
 
 
 def derive_with_picks(decl: FunctionDecl, picks: Sequence[int]) -> FlowMatrix | None:
     """Replay the derivation selected by picks; None if a side condition fails."""
-    return next(iter(_Replay(decl, picks).body_matrices(decl.body)), None)
+    return next(iter(_Rules(decl, picks).body_matrices(decl.body)), None)

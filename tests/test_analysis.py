@@ -70,6 +70,15 @@ def test_compound_operands_recurse():
     assert x3.evaluate((0, 1)) == M
 
 
+@pytest.mark.parametrize("terms", [3, 10, 40])
+def test_chained_sum_keeps_seven_monomials(terms):
+    # Branch 2 of a site is the constant w (rule E2).  Scaled by p, the
+    # nested operand's one-delta lists dominate its longer ones, so only
+    # the last two sites show, however long the sum.
+    r = analyze_main("function main(){ X1 = " + " + ".join(["X2"] * terms) + "; }")
+    assert sum(len(p.monomials) for row in r.matrix.entries for p in row) == 7
+
+
 # --- command matrices ---------------------------------------------------
 
 def test_plain_copy_assignment_matrix():

@@ -239,6 +239,7 @@ TEXT_DIGESTS = {
     "inline_pair": "ec1357ca147bfa7aa3e21728ba32e96ae330b966116f87ec07668d658c6b0e74",
     "iteration_dependent_loop":
         "5b3dcd879a87f2b3d955041eb8e711a56a65eb65dd5d87fb82748004b5bbd471",
+    "nested_expressions": "c8f1adea02ab5428dcc3e006e04d75f5b20c173a6af876b4355d423dadf93682",
     "straightline": "2eff66e194154c2ca2b19ecf8a1ca53fe8980dfd89a57f2b1ced0218da38a4b9",
     "three_behaviors": "cddaad5a4177bcf5a83cc099ac820d4598ede8a85de6b1865c39b916d5b58850",
     "while_feedback": "ac335f6cc1efdbd8060b40b36c22fd3cc6c72cc8016c1a84c17e462fa6c75c64",
@@ -390,21 +391,22 @@ WIDE_PROGRAMS = {
     "sum-40": (
         "    X1 = " + " + ".join(["X2"] * 40) + ";\n",
         0,
-        "eca6788f6bb68d479df6ebbf065929c33dab84f0bf478b5a68c431e5b4c7f62d",
+        "3771b50ec8d8ce700293bc016f12e3a99af1547202341ffcd092d12c211727b1",
     ),
     # A 10-term sum rotating over three variables: each row's cell
     # collects its own mix of picks.
     "sum-rotate-10": (
         "    X1 = " + " + ".join(f"X{i % 3 + 2}" for i in range(10)) + ";\n",
         0,
-        "f0a38fed496b8da52b121586c5b47b1185b375a00548602eb85c7e61c72b0c3b",
+        "ea7d1e8e27f506301ba779ef2ebc9d95bc56fa76b24dc7a179d8f0d30a067174",
     ),
     # Sums under products and a product beside a sum: both operators
-    # nest on both sides.
+    # nest on both sides.  Each product takes the all-w vector (rule
+    # E2), so only the outer sum opens a choice.
     "nested-expr": (
         "    X1 = (X2 + X3) * (X4 - X2 + X3) + X1 * (X2 + X2);\n",
         0,
-        "a04ae0c2c5fb8d78a5b752ba0d5bdb84859ee4238e942d32f91b2ecff0a9cfed",
+        "39bfd6af899132e4a5ac2bc0d98e2c07bf507d1fb46a408a8753689d65c34239",
     ),
 }
 

@@ -10,12 +10,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mwpflow.analysis import analyze_program
 from mwpflow.cli import run
-from mwpflow.exhaustive import derive_with_picks
+from mwpflow.exhaustive import derivable_matrices, derive_with_picks
 from mwpflow.frontend import (
     Assign, BinOp, BoolOp, Call, Compare, FunctionDecl, If, Loop, Not, Program, Var, While,
     parse, render,
@@ -153,16 +153,16 @@ def test_parse_of_render_is_the_identity(program):
     assert parse(render(program)) == program
 
 
-# Call-free mains whose expressions are binary over variables, inside
-# loop, while and if.  Nested expressions stay out: the engine and the
-# reference rules still differ on them (the strict xfail
-# test_clean_images_equal_derivable_matrices in test_exhaustive.py).
-_BINARY_MAIN = st.lists(_commands(False, _BINARY), min_size=1, max_size=3).map(
+# Call-free mains whose expressions nest + - * to depth 2, inside loop,
+# while and if.
+_OPERAND = _VAR | _BINARY.map(lambda e: f"({e})")
+_NESTED = st.tuples(_OPERAND, st.sampled_from("+-*"), _OPERAND).map(" ".join)
+_NESTED_MAIN = st.lists(_commands(False, _NESTED), min_size=1, max_size=3).map(
     lambda cs: f"function main() {{ {' '.join(cs)} }}")
 
 
 @settings(FIXED, max_examples=50)
-@given(source=_BINARY_MAIN, seed=st.integers(0, 2**32 - 1))
+@given(source=_NESTED_MAIN, seed=st.integers(0, 2**32 - 1))
 def test_matrix_evaluates_to_the_replayed_derivation(source, seed):
     # At up to 20 assignments (all of them when there are no more), the
     # engine's matrix evaluates to the matrix derive_with_picks replays,
@@ -179,3 +179,16 @@ def test_matrix_evaluates_to_the_replayed_derivation(source, seed):
         flow, replay = result.matrix.evaluate(a), derive_with_picks(decl, a)
         assert (replay is None) == flow.contains_inf(), a
         assert replay is None or replay == flow, a
+
+
+@settings(FIXED, max_examples=50)
+@given(source=_NESTED_MAIN)
+def test_clean_images_are_the_derivable_matrices(source):
+    # On up to 3^5 assignments, the images of the engine's matrix that
+    # hold no INF are exactly the matrices the original rules derive.
+    program = parse(source)
+    result = analyze_program(program).functions["main"]
+    assume(result.total_assignments <= 3 ** 5)
+    clean = {flow for flow in map(result.matrix.evaluate, result.registry.assignments())
+             if not flow.contains_inf()}
+    assert clean == derivable_matrices(program.functions[0])

@@ -88,7 +88,7 @@ class FunctionAnalysis:
     summary: FunctionSummary | None
     clean_count: int
     total_assignments: int
-    choice_sites: dict[int, int]  # id(AST node) -> first choice index it allocated
+    choice_sites: dict[int, int]  # id(Call node) -> first choice index it allocated
     elapsed: float
 
 
@@ -126,7 +126,6 @@ class _FunctionRun:
         # Additive operator: p on the right, p on the left, or rule E2,
         # tracked under a fresh three-valued choice index.
         j = self.registry.fresh(3)
-        self.choice_sites.setdefault(id(e), j)
         for k, (a, b) in enumerate(zip(v1, v2)):
             if a.monomials or b.monomials:
                 v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
@@ -180,13 +179,14 @@ class _FunctionRun:
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W
-                twins = [(INF, ds) for s, ds in column[i].monomials if floor < s < INF]
+                monos = column[i].monomials
+                twins = [(INF, ds) for s, ds in monos if floor < s < INF]
                 if twins:
-                    cells[i] = column[i] + Polynomial.of(twins)
+                    cells[i] = Polynomial.of([*monos, *twins])
             if counter is not None:
                 hits = [m for p in column for m in p.monomials if m[0] == P]
                 if hits:
-                    cells[counter] = cells[counter] + Polynomial.of(hits)
+                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
             if cells != column:
                 out = out.replace_column(j, cells)
         return out

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
 from .inline import check_call_theorem
-from .polynomial import Delta, Monomial
+from .polynomial import MASK, SHIFT, Delta, Monomial
 from .semiring import INF, M, value_char
 
 
@@ -121,7 +121,7 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     cells: dict[tuple[Monomial, ...], str] = {}
 
     def delta(d: Delta) -> str:
-        return deltas.setdefault(d, f"\n{p9}[\n{p10}{d[1]},\n{p10}{d[0]}\n{p9}]")
+        return deltas.setdefault(d, f"\n{p9}[\n{p10}{d & MASK},\n{p10}{d >> SHIFT}\n{p9}]")
 
     def mono(m: Monomial) -> str:
         s, ds = m

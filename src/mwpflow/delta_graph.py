@@ -27,6 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .polynomial import (
     INF_POLY,
+    MASK,
+    SHIFT,
     ZERO_POLY,
     Assignment,
     ChoiceRegistry,
@@ -66,7 +68,8 @@ class DeltaGraph:
         Polynomial.of does both.
         """
         ds = tuple(sorted(deltas))
-        for idx, v in ds:
+        for d in ds:
+            idx, v = d >> SHIFT, d & MASK
             if not 0 <= v < self.registry.cardinality(idx):
                 raise ValueError(f"delta ({v},{idx}) outside its registered domain")
         self.cover = self.cover + Polynomial(((INF, ds),))
@@ -89,10 +92,11 @@ class DeltaGraph:
         Inserting the shorter list drops the fan, which extends it.
         """
         for v in sorted(self.vertices(), key=lambda ds: (-len(ds), ds)):
-            for pos, (idx, _) in enumerate(v):
+            for pos, d in enumerate(v):
+                base = d & ~MASK
                 fan = Polynomial.of(
-                    (INF, v[:pos] + ((idx, k),) + v[pos + 1 :])
-                    for k in range(self.registry.cardinality(idx))
+                    (INF, v[:pos] + (base | k,) + v[pos + 1 :])
+                    for k in range(self.registry.cardinality(d >> SHIFT))
                 )
                 if self.cover + fan == self.cover:
                     self.insert(v[:pos] + v[pos + 1 :])
@@ -140,7 +144,7 @@ class DeltaGraph:
 
     def dump(self) -> str:
         lines = [
-            f"layer={len(ds)} {' '.join(f'δ({v},{i})' for i, v in ds) or '(empty)'}"
+            f"layer={len(ds)} {' '.join(f'δ({d & MASK},{d >> SHIFT})' for d in ds) or '(empty)'}"
             for ds in self.vertices()
         ]
         lines.append(f"complete: {'no' if self.sweep().count else 'yes'}")

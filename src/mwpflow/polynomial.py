@@ -10,8 +10,10 @@ Polynomial.of keeps no ZERO scalar, so the finite scalars of a
 canonical polynomial lie in m..p, where the product is the max: the
 product of two finite monomials takes the larger scalar.
 
-Deltas are stored as (index, value) pairs so the natural tuple order is
-the canonical one: deltas inside a monomial sort by index, monomials
+A delta is one int, index << SHIFT | value, read back as d >> SHIFT
+and d & MASK.  ChoiceRegistry keeps every pick below 1 << SHIFT, so
+int order is (index, value) order and the natural tuple order is the
+canonical one: deltas inside a monomial sort by index, monomials
 compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products, scaling and restriction collect their raw
 monomials and hand them to Polynomial.of, the one place that drops
@@ -39,7 +41,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
 
-Delta = tuple[int, int]  # (choice index, chosen value)
+SHIFT = 16  # bits of a delta's pick field
+MASK = (1 << SHIFT) - 1
+
+Delta = int  # choice index << SHIFT | chosen value
 
 Monomial = tuple[int, tuple[Delta, ...]]  # (scalar, deltas)
 
@@ -52,7 +57,9 @@ _NONE = (ZERO, ())  # what Polynomial.of reads for an absent delta list
 
 def delta(value: int, index: int) -> Delta:
     """Build a delta in the conventional d(value, index) argument order."""
-    return (index, value)
+    if not 0 <= value <= MASK or index < 0:  # a larger pick would spill into the index
+        raise ValueError(f"delta ({value},{index}) does not fit the encoding")
+    return index << SHIFT | value
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
@@ -67,13 +74,13 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     s = sa if sa > sb else sb
     if not da or not db:
         return (s, da or db)
-    if da[-1][0] < db[0][0]:  # the fold's usual case: b's indices are newer
+    if da[-1] >> SHIFT < db[0] >> SHIFT:  # the fold's usual case: b's indices are newer
         return (s, da + db)
-    picks = dict(da)
-    for i, v in db:
-        if picks.setdefault(i, v) != v:
+    picks = {d >> SHIFT: d for d in da}
+    for d in db:
+        if picks.setdefault(d >> SHIFT, d) != d:
             return None
-    return (s, tuple(sorted(picks.items())))
+    return (s, tuple(sorted(picks.values())))
 
 
 class Polynomial:
@@ -177,8 +184,9 @@ class Polynomial:
         can dominate one of another branch, whose delta at index differs,
         so the union needs only one sort: a proper prefix sorts first,
         but not once both lists gain their delta."""
+        base = index << SHIFT
         return Polynomial(tuple(sorted(
-            ((s, ds + ((index, v),)) for v, p in enumerate(branches) for s, ds in p.monomials),
+            ((s, ds + (base | v,)) for v, p in enumerate(branches) for s, ds in p.monomials),
             key=_DELTAS,
         )))
 
@@ -190,11 +198,12 @@ class Polynomial:
         INF_POLY once an INF monomial loses its last delta."""
         out = []
         hit = False
+        picked = index << SHIFT | pick
         for m in self.monomials:
             s, ds = m
-            if ds and ds[0][0] == index:
+            if ds and ds[0] >> SHIFT == index:
                 hit = True
-                if ds[0][1] != pick:
+                if ds[0] != picked:
                     continue
                 if s == INF and len(ds) == 1:
                     return INF_POLY
@@ -206,7 +215,7 @@ class Polynomial:
         best = ZERO
         try:
             for s, ds in self.monomials:
-                if s > best and all(assignment[i] == v for i, v in ds):
+                if s > best and all(assignment[d >> SHIFT] == d & MASK for d in ds):
                     best = s
                     if best == INF:
                         break
@@ -220,7 +229,7 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        return "+".join(".".join([value_char(s), *(f"δ({v},{i})" for i, v in ds)])
+        return "+".join(".".join([value_char(s), *(f"δ({d & MASK},{d >> SHIFT})" for d in ds)])
                         for s, ds in self.monomials)
 
     def __repr__(self) -> str:
@@ -241,13 +250,13 @@ class ChoiceRegistry:
     """
 
     def __init__(self, cardinalities: Iterable[int] = ()):
-        self._cards = list(cardinalities)
-        if any(c < 1 for c in self._cards):
-            raise ValueError("every choice domain needs cardinality >= 1")
+        self._cards: list[int] = []
+        for c in cardinalities:
+            self.fresh(c)
 
     def fresh(self, cardinality: int) -> int:
-        if cardinality < 1:
-            raise ValueError("every choice domain needs cardinality >= 1")
+        if not 1 <= cardinality <= 1 << SHIFT:  # every pick must fit a delta's field
+            raise ValueError(f"every choice domain needs cardinality 1 to {1 << SHIFT}")
         self._cards.append(cardinality)
         return len(self._cards) - 1
 
@@ -361,14 +370,15 @@ def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
     """Add to acc[i] the products of the finite monomials of row i, for
     each (i, monomials) of rows, with qs: mono_mul's, built in place
     when q's indices are all newer, the fold's usual case."""
-    heads = [(q, q[1][0][0] if q[1] else float("inf")) for q in qs]
+    # q's first index as its lowest delta: last < first compares indices.
+    heads = [(q, q[1][0] & ~MASK if q[1] else float("inf")) for q in qs]
     for i, monos in rows:
         out = acc.setdefault(i, [])
         for a in monos:
             sa, da = a
             if sa == INF:
                 continue
-            last = da[-1][0] if da else -1
+            last = da[-1] if da else -1
             for q, first in heads:
                 if last < first:
                     sb = q[0]
@@ -522,11 +532,12 @@ class ChoiceMatrix:
                 cells[i] = Polynomial.of(monos + list(col_inf.monomials))
             stored[c] = tuple(cells)
             spread = spread + col_inf
-        return ChoiceMatrix._stored(
-            self.variables, self.registry, stored,
-            tuple(r + p for r, p in zip(self.row_inf, self.pending)),
-            (spread,) * n,
-        )
+        # Rows often repeat an equal pair of nonempty lists: sum it once.
+        sums: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
+        row_inf = tuple(sums.get((r, p)) or sums.setdefault((r, p), r + p)
+                        if r.monomials and p.monomials else r + p
+                        for r, p in zip(self.row_inf, self.pending))
+        return ChoiceMatrix._stored(self.variables, self.registry, stored, row_inf, (spread,) * n)
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, reached as s·(1+M) per round.
@@ -631,7 +642,8 @@ class ChoiceMatrix:
                 for a, mat in table.items():
                     v = mat.rows[i][j]
                     if v != ZERO:
-                        cylinders.setdefault(v, []).append((INF, tuple(enumerate(a))))
+                        cylinders.setdefault(v, []).append(
+                            (INF, tuple(delta(x, k) for k, x in enumerate(a))))
                 graphs = {v: DeltaGraph(registry, Polynomial.of(ms)) for v, ms in cylinders.items()}
                 for g in graphs.values():
                     g.fuse()

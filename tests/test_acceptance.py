@@ -99,7 +99,7 @@ def _random_choice_matrix(rng, reg, n):
             idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
             monos.append((
                 rng.choice((M, W, P, INF)),
-                tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx)),
+                tuple(sorted(delta(rng.randrange(reg.cardinality(i)), i) for i in idx)),
             ))
         return Polynomial.of(monos)
 

@@ -10,7 +10,7 @@ from mwpflow.analysis import (
     UNBOUNDED,
     analyze_program,
 )
-from mwpflow.frontend import parse
+from mwpflow.frontend import Call, parse, walk_commands
 from mwpflow import polynomial
 from mwpflow.polynomial import ChoiceMatrix, Polynomial, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
@@ -354,6 +354,20 @@ def test_call_with_repeated_argument_joins_flows():
     x1, x2 = main.matrix.variables.index("X1"), main.matrix.variables.index("X2")
     values = {main.matrix.entries[x1][x2].evaluate(a) for a in main.registry.assignments()}
     assert values == {P, W}
+
+
+def test_choice_sites_hold_only_calls():
+    # The sums open choices 0 and 2 and the call opens 1, but only the
+    # call's site is recorded: the inline check looks up nothing else.
+    src = (
+        "function f(X1){ X2 = X1 + X1; return X2; }"
+        " function main(){ X3 = X1 + X2; X4 = f(X3); X5 = X4 - X3; }"
+    )
+    program = parse(src)
+    main = analyze_program(program).functions["main"]
+    calls = [c for c in walk_commands(program.function("main").body) if isinstance(c, Call)]
+    assert len(main.registry) == 3
+    assert main.choice_sites == {id(calls[0]): 1}
 
 
 def test_return_variable_untouched_by_body():

@@ -13,6 +13,7 @@ from corpus import random_call_pair, random_program
 from mwpflow.cli import emit_json, run
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import ParseError, parse
+from mwpflow.polynomial import MASK, SHIFT
 from mwpflow.semiring import INF, value_char
 
 LOOP_SRC = "function main(){ loop X3 { X2 = X1 + X2; } }\n"
@@ -166,7 +167,7 @@ def _reference_json(results):
             "matrix": [
                 [
                     {"monomials": [
-                        {"scalar": scalar(m[0]), "deltas": [[v, i] for i, v in m[1]]}
+                        {"scalar": scalar(m[0]), "deltas": [[d & MASK, d >> SHIFT] for d in m[1]]}
                         for m in p.monomials
                     ]}
                     for p in row

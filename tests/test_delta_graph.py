@@ -3,12 +3,12 @@ import random
 import pytest
 
 from mwpflow.delta_graph import DeltaGraph
-from mwpflow.polynomial import ChoiceRegistry, Polynomial, delta
+from mwpflow.polynomial import MASK, SHIFT, ChoiceRegistry, Polynomial, delta
 from mwpflow.semiring import MWP_INF_VALUES
 
 
 def covered_by_raw(raw, assignment):
-    return any(all(assignment[i] == v for i, v in ds) for ds in raw)
+    return any(all(assignment[d >> SHIFT] == d & MASK for d in ds) for ds in raw)
 
 
 def complete(g):
@@ -133,7 +133,7 @@ def _random_inserts(rng, reg, count):
     for _ in range(count):
         idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
         raws.append(tuple(sorted(
-            (i, rng.randrange(reg.cardinality(i))) for i in idx
+            delta(rng.randrange(reg.cardinality(i)), i) for i in idx
         )))
     return raws
 

@@ -7,6 +7,8 @@ from mwpflow.analysis import analyze_program
 from mwpflow.frontend import parse
 from mwpflow.polynomial import (
     INF_POLY,
+    MASK,
+    SHIFT,
     ChoiceMatrix,
     ChoiceRegistry,
     Polynomial,
@@ -16,6 +18,7 @@ from mwpflow.polynomial import (
     delta,
     mono_mul,
     row_merger,
+    _multiply,
 )
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix, add, mul_inf
 
@@ -26,7 +29,7 @@ def poly(*monos):
 
 def matches(m, assignment):
     """Whether a monomial's cylinder holds the assignment."""
-    return all(assignment[i] == v for i, v in m[1])
+    return all(assignment[d >> SHIFT] == d & MASK for d in m[1])
 
 
 def assignments(registry):
@@ -219,7 +222,7 @@ def test_simplify_is_idempotent_and_eval_preserving():
             (
                 rng.choice((ZERO, M, W, P, INF)),
                 tuple(sorted(
-                    (i, rng.randrange(reg.cardinality(i)))
+                    delta(rng.randrange(reg.cardinality(i)), i)
                     for i in rng.sample(range(3), rng.randint(0, 3))
                 )),
             )
@@ -265,7 +268,7 @@ def test_subsume_matches_all_pairs_definition():
             (
                 rng.choice((M, W, P, INF, P, INF)),
                 tuple(sorted(
-                    (i, rng.randrange(cards[i]))
+                    delta(rng.randrange(cards[i]), i)
                     for i in rng.sample(range(width), rng.randint(0, min(width, 7)))
                 )),
             )
@@ -295,7 +298,7 @@ def test_subsume_matches_all_pairs_definition():
     # length throughout (nothing to drop), many INF monomials beside a
     # few finite ones, and a delta-free INF that covers everything.
     def deltas(width, cards, k):
-        return tuple(sorted((i, rng.randrange(cards[i])) for i in rng.sample(range(width), k)))
+        return tuple(sorted(delta(rng.randrange(cards[i]), i) for i in rng.sample(range(width), k)))
 
     finite_dropped = finite_kept = 0
     for shape in ("one length", "inf heavy", "delta-free inf"):
@@ -372,7 +375,7 @@ def test_row_merger_matches_of_over_the_union():
         cards = [rng.choice((1, 2, 3)) for _ in range(width)]
 
         def deltas(k):
-            return tuple(sorted((i, rng.randrange(cards[i])) for i in rng.sample(range(width), k)))
+            return tuple(sorted(delta(rng.randrange(cards[i]), i) for i in rng.sample(range(width), k)))
 
         row = Polynomial.of((INF, deltas(0 if rng.random() < 0.01 else rng.randint(1, 3)))
                             for _ in range(rng.choice((1, 2, 5, 20))))
@@ -390,9 +393,9 @@ def test_row_merger_matches_of_over_the_union():
                 if kind in ("covered", "mixed"):  # finite extensions of R's lists
                     for _, ds in rng.sample(row.monomials, min(3, len(lists))):
                         extra = deltas(rng.randint(0, min(width, 3)))
-                        picks = dict(ds)
-                        picks.update((i, v) for i, v in extra if i not in picks)
-                        raw.append((rng.choice((M, W, P)), tuple(sorted(picks.items()))))
+                        picks = {d >> SHIFT: d for d in ds}
+                        picks.update((d >> SHIFT, d) for d in extra if d >> SHIFT not in picks)
+                        raw.append((rng.choice((M, W, P)), tuple(sorted(picks.values()))))
                     if kind == "covered":
                         raw = raw[-min(3, len(lists)):]
                 if kind in ("row inf", "mixed"):
@@ -437,7 +440,7 @@ def test_product_with_fixed_monomial_is_monotone_on_equal_index_sets():
         for a in monos:
             for b in monos:
                 (_, da), (_, db) = a, b
-                same_domain = {i for i, _ in da} == {i for i, _ in db}
+                same_domain = {d >> SHIFT for d in da} == {d >> SHIFT for d in db}
                 if same_domain and da <= db:
                     pa, pb = mono_mul(a, n), mono_mul(b, n)
                     if pa is not None and pb is not None:
@@ -464,7 +467,7 @@ def _random_poly(rng, reg, allow_inf=False):
         idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
         monos.append((
             rng.choice(scalars),
-            tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx)),
+            tuple(sorted(delta(rng.randrange(reg.cardinality(i)), i) for i in idx)),
         ))
     return Polynomial.of(monos)
 
@@ -499,7 +502,7 @@ def test_branch_join_matches_plain_sum():
         width = len(cards)
         monos = [
             (rng.choice((M, W, P, INF)), tuple(sorted(
-                (i, rng.randrange(cards[i])) for i in rng.sample(range(width), rng.randint(1, width))
+                delta(rng.randrange(cards[i]), i) for i in rng.sample(range(width), rng.randint(1, width))
             )))
             for _ in range(rng.randint(0, 6))
         ]
@@ -534,7 +537,7 @@ def test_restrict_is_the_canonical_cofactor_at_the_lowest_index():
         reg = ChoiceRegistry([rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))])
         monos = [
             (rng.choice((M, W, P, INF, INF)), tuple(sorted(
-                (i, rng.randrange(reg.cardinality(i)))
+                delta(rng.randrange(reg.cardinality(i)), i)
                 for i in rng.sample(range(len(reg)), rng.randint(1, len(reg)))
             )))
             for _ in range(rng.randint(0, 5))
@@ -546,7 +549,7 @@ def test_restrict_is_the_canonical_cofactor_at_the_lowest_index():
             r = p.restrict(0, pick)
             seen["self" if r is p else "inf" if r is INF_POLY else "of"] += 1
             assert r == Polynomial.of(r.monomials), (p, pick)
-            assert all(i > 0 for _, ds in r.monomials for i, _ in ds), (p, pick)
+            assert all(d >> SHIFT > 0 for _, ds in r.monomials for d in ds), (p, pick)
             for a in assignments(reg):
                 if a[0] == pick:
                     assert r.evaluate(a) == p.evaluate(a), (p, pick, a)
@@ -561,7 +564,7 @@ def test_analysis_joins_at_fresh_indices(monkeypatch):
     seen = {"joins": 0, "branches with indices": 0}
 
     def recorded_join(index, branches):
-        held = {i for b in branches for _, ds in b.monomials for i, _ in ds}
+        held = {d >> SHIFT for b in branches for _, ds in b.monomials for d in ds}
         assert all(i < index for i in held)
         seen["joins"] += 1
         seen["branches with indices"] += bool(held)
@@ -630,6 +633,68 @@ def test_registry_allocation_and_validation():
         reg.validate((0,))
     with pytest.raises(ValueError):
         ChoiceRegistry([0])
+
+
+def test_registry_cardinality_must_fit_the_pick_field():
+    # A delta keeps its pick below SHIFT bits, so a domain of 1 << SHIFT
+    # picks is the largest one a registry takes.
+    reg = ChoiceRegistry([1 << SHIFT])
+    assert reg.fresh(1 << SHIFT) == 1
+    reg.validate((MASK, MASK))
+    for bad in ((1 << SHIFT) + 1, 0):
+        with pytest.raises(ValueError):
+            reg.fresh(bad)
+        with pytest.raises(ValueError):
+            ChoiceRegistry([3, bad])
+    assert reg.cardinalities == (1 << SHIFT, 1 << SHIFT)
+    assert delta(MASK, 0) < delta(0, 1)
+    for value, index in ((1 << SHIFT, 0), (-1, 1), (0, -1)):  # 1 << SHIFT would read as d(0, 1)
+        with pytest.raises(ValueError):
+            delta(value, index)
+
+
+# --- the delta encoding ------------------------------------------------
+
+def test_encoded_delta_lists_sort_as_their_pairs():
+    # Sorting encoded deltas, and encoded delta lists, gives the encoding
+    # of the sorted (index, value) pairs and pair lists, also with picks
+    # at the top of the field and indices past 2**10.
+    rng = random.Random(73)
+
+    def pair():
+        return (rng.choice((0, 1, 2, 1023, 1024, 1025, rng.randrange(1 << 14))),
+                rng.choice((0, 1, 2, MASK - 1, MASK, rng.randrange(1 << SHIFT))))
+
+    def encoded(pairs):
+        return tuple(delta(v, i) for i, v in pairs)
+
+    for _ in range(300):
+        lists = [tuple(pair() for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 8))]
+        for pairs in lists:
+            assert tuple(sorted(encoded(pairs))) == encoded(sorted(pairs))
+            assert [(d >> SHIFT, d & MASK) for d in encoded(pairs)] == list(pairs)
+        assert sorted(map(encoded, lists)) == [encoded(pairs) for pairs in sorted(lists)]
+
+
+def test_index_tests_read_the_index_not_the_whole_delta():
+    # Equal indices with different picks: mono_mul and _multiply must
+    # reach the conflict check, not append because the second code is
+    # larger.  restrict and evaluate read the index and the pick apart,
+    # also for a pick at the top of the field.
+    low, high = delta(0, 1), delta(MASK, 1)
+    assert mono_mul((M, (low,)), (P, (high,))) is None
+    assert mono_mul((M, (delta(5, 0),)), (P, (high,))) == (P, (delta(5, 0), high))
+    acc = {}
+    _multiply(acc, [(0, [(M, (low,))]), (1, [(W, (delta(3, 0),))])], [(P, (high,))])
+    assert acc == {0: [], 1: [(P, (delta(3, 0), high))]}
+    p = Polynomial.of([(W, (high, delta(2, 2))), (INF, (low,)), (M, (delta(1, 2),))])
+    assert p.restrict(1, MASK) == Polynomial.of([(W, (delta(2, 2),)), (M, (delta(1, 2),))])
+    assert p.restrict(1, 0) == INF_POLY
+    assert p.restrict(1, 7) == Polynomial.of([(M, (delta(1, 2),))])
+    assert p.evaluate((0, MASK, 2)) == W
+    assert p.evaluate((0, MASK - 1, 1)) == M
+    assert p.evaluate((0, 0, 2)) == INF
+    assert str(p) == f"i.δ(0,1)+w.δ({MASK},1).δ(2,2)+m.δ(1,2)"
 
 
 # --- the matrix view and the isomorphism --------------------------------
@@ -740,7 +805,7 @@ def _rows_repeating_inf(rng, reg, n, entry):
         row = [entry() for _ in range(n)]
         idx = rng.sample(range(len(reg)), rng.randint(0, len(reg)))
         inf = Polynomial.of([(
-            INF, tuple(sorted((i, rng.randrange(reg.cardinality(i))) for i in idx))
+            INF, tuple(sorted(delta(rng.randrange(reg.cardinality(i)), i) for i in idx))
         )])
         for c in rng.sample(range(n), rng.randint(min(2, n), n)):
             row[c] = row[c] + inf

@@ -192,3 +192,22 @@ def test_clean_images_are_the_derivable_matrices(source):
     clean = {flow for flow in map(result.matrix.evaluate, result.registry.assignments())
              if not flow.contains_inf()}
     assert clean == derivable_matrices(program.functions[0])
+
+
+@settings(FIXED, max_examples=50)
+@given(source=_PROGRAM)
+def test_graph_and_sweep_match_the_full_scan_with_calls(source):
+    # For each function with at most 3^5 assignments, the delta graph
+    # covers exactly the assignments whose image holds INF, and the
+    # sweep's clean count and sample are the full scan's.
+    results = [r for r in analyze_program(parse(source)) if r.total_assignments <= 3 ** 5]
+    assume(results)
+    for result in results:
+        clean = []
+        for a in result.registry.assignments():
+            dirty = result.matrix.evaluate(a).contains_inf()
+            assert result.graph.covered(a) == dirty, (result.name, a)
+            if not dirty:
+                clean.append(a)
+        assert result.clean_count == len(clean), result.name
+        assert result.sample == (clean[0] if clean else None), result.name

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
 from .inline import check_call_theorem
-from .polynomial import MASK, SHIFT, Delta, Monomial
+from .polynomial import MASK, SHIFT, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
 
@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def render_report(results: Sequence[FunctionAnalysis]) -> str:
+    texts: dict[Monomial, str] = {}  # each distinct monomial is rendered once per call
     lines = [f"mwpflow {__version__}"]
     for r in results:
         lines.append("")
@@ -60,16 +61,16 @@ def render_report(results: Sequence[FunctionAnalysis]) -> str:
         else:
             lines.append("  choices: none")
         lines.append("  matrix (rows flow into columns):")
-        rows = [[str(p) for p in row] for row in r.matrix.entries]
+        rows = [["+".join([texts.get(m) or texts.setdefault(m, monomial_text(m))
+                           for m in p.monomials]) or "0" for p in row]
+                for row in r.matrix.entries]
         width = max((len(text) for row in rows for text in row), default=1)
         name_w = max(len(v) for v in r.variables) if r.variables else 0
         for name, row in zip(r.variables, rows):
             cells = "  ".join(text.ljust(width) for text in row)
             lines.append(f"    {name.ljust(name_w)}  {cells}")
         lines.append(f"  verdict: {r.verdict.replace('_', '-')}")
-        lines.append(
-            f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}"
-        )
+        lines.append(f"  infinity-free assignments: {r.clean_count} of {r.total_assignments}")
         if r.sample is not None:
             lines.append(f"  sample assignment: {','.join(map(str, r.sample)) or '(empty)'}")
         if r.blame:
@@ -78,9 +79,8 @@ def render_report(results: Sequence[FunctionAnalysis]) -> str:
         if r.summary is not None:
             lines.append(f"  behaviors ({len(r.summary.behaviors)}):")
             for vec in r.summary.behaviors:
-                flows = ", ".join(
-                    f"{v}:{value_char(f)}" for v, f in zip(r.summary.rows, vec) if f
-                )
+                flows = ", ".join(f"{v}:{value_char(f)}"
+                                  for v, f in zip(r.summary.rows, vec) if f)
                 lines.append(f"    {{{flows}}}")
         lines.append(f"  elapsed: {r.elapsed * 1000:.1f} ms")
     lines.append("")
@@ -88,83 +88,81 @@ def render_report(results: Sequence[FunctionAnalysis]) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
-def _block(items: Iterable[list[str]], depth: int, brackets: str = "[]") -> list[str]:
-    """Items as text pieces of one indent=2 JSON container closing at depth."""
-    pad = "\n" + "  " * (depth + 1)
-    out, sep = [brackets[0]], pad
-    for item in items:
-        out.append(sep)
-        out.extend(item)
-        sep = "," + pad
-    out.append(brackets[1] if len(out) == 1 else pad[:-2] + brackets[1])
-    return out
+# The report's fixed indent=2 templates; _In is a newline and n spaces.
+# Cell and monomial pieces open with their separator, and the first
+# cell of a row and the first monomial of a cell drop their comma.
+_I6, _I8, _I10, _I12, _I14, _I16, _I18, _I20 = ("\n" + " " * d for d in range(6, 21, 2))
+_SCALAR = {s: '"inf"' if s == INF else f'"{value_char(s)}"' for s in range(M, INF + 1)}
+_MONO_OPEN = {s: f',{_I14}{{{_I16}"scalar": {v},{_I16}"deltas": [' for s, v in _SCALAR.items()}
+_CELL_OPEN, _CELL_CLOSE = f',{_I10}{{{_I12}"monomials": [', f"{_I12}]{_I10}}}"
+_EMPTY_CELL = f',{_I10}{{{_I12}"monomials": []{_I10}}}'
 
 
-def _obj(pairs: Iterable[tuple[str, list[str]]], depth: int) -> list[str]:
-    return _block(([json.dumps(k) + ": ", *v] for k, v in pairs), depth, "{}")
+def _items(texts: list[str], indent: str, close: str, ends: str = "[]") -> str:
+    """A container of rendered items, one per line at indent, or an empty one."""
+    return f"{ends[0]}{indent}{(',' + indent).join(texts)}{close}{ends[1]}" if texts else ends
 
 
 def emit_json(results: Sequence[FunctionAnalysis]) -> str:
-    """The report exactly as json.dumps(doc, indent=2) + "\n" prints it.
+    """The report exactly as json.dumps(doc, indent=2) + "\\n" prints it.
 
-    Cells dominate large reports, so each distinct cell, monomial and
-    delta is rendered once per call, by one f-string at its fixed depth,
-    and the report is joined once from pieces that share those strings;
-    json.dumps only quotes names.  A memo hit is a dict read, not a call.
+    One flat pass appends the report's pieces to one list in document
+    order, from fixed templates, and joins them once.  Each distinct
+    delta and monomial is rendered once per call into a dict memo, and
+    a cell's pieces are its monomials' memo entries.  Names are quoted
+    by encode_basestring_ascii, as json.dumps quotes a str.
     """
-    p5, p6, p7, p8, p9, p10 = ("  " * d for d in range(5, 11))
-    sep7 = f",\n{p7}"
-    heads = {s: f'{{\n{p8}"scalar": "{"inf" if s == INF else value_char(s)}",\n{p8}"deltas": '
-             for s in range(M, INF + 1)}
+    quote = encode_basestring_ascii
     deltas: dict[Delta, str] = {}
     monos: dict[Monomial, str] = {}
-    cells: dict[tuple[Monomial, ...], str] = {}
-
-    def delta(d: Delta) -> str:
-        return deltas.setdefault(d, f"\n{p9}[\n{p10}{d & MASK},\n{p10}{d >> SHIFT}\n{p9}]")
 
     def mono(m: Monomial) -> str:
         s, ds = m
-        pairs = f"[{','.join([deltas.get(d) or delta(d) for d in ds])}\n{p8}]" if ds else "[]"
-        return monos.setdefault(m, f"{heads[s]}{pairs}\n{p7}}}")
+        text, sep = _MONO_OPEN[s], ""
+        for d in ds:
+            text += sep + (deltas.get(d) or deltas.setdefault(
+                d, f"{_I18}[{_I20}{d & MASK},{_I20}{d >> SHIFT}{_I18}]"))
+            sep = ","
+        return monos.setdefault(m, f"{text}{_I16}]{_I14}}}" if ds else f"{text}]{_I14}}}")
 
-    def cell(ms: tuple[Monomial, ...]) -> str:
-        items = f"[\n{p7}{sep7.join([monos.get(m) or mono(m) for m in ms])}\n{p6}]" if ms else "[]"
-        return cells.setdefault(ms, f'{{\n{p6}"monomials": {items}\n{p5}}}')
-
-    def quoted(names: Iterable[str]) -> list[list[str]]:
-        return [[json.dumps(name)] for name in names]
-
-    functions = []
-    get = cells.get
+    out = ['{\n  "functions": [']
+    append = out.append
+    sep = "\n    {"
     for r in results:
-        behaviors = []
-        if r.summary is not None:
-            for vec in r.summary.behaviors:
-                behaviors.append(_obj((
-                    (v, ['"inf"' if f == INF else f'"{value_char(f)}"'])
-                    for v, f in zip(r.summary.rows, vec)
-                    if f
-                ), 4))
-        matrix = _block((_block(([get(p.monomials) or cell(p.monomials)] for p in row), 4)
-                         for row in r.matrix.entries), 3)
-        functions.append(_obj([
-            ("name", [json.dumps(r.name)]),
-            ("variables", _block(quoted(r.variables), 3)),
-            ("choices", _block((
-                _obj([("index", [str(i)]), ("domain", [str(c)])], 4)
-                for i, c in enumerate(r.registry.cardinalities)
-            ), 3)),
-            ("matrix", matrix),
-            ("verdict", [json.dumps(r.verdict)]),
-            ("sample_assignment",
-             ["null"] if r.sample is None else _block(([str(x)] for x in r.sample), 3)),
-            ("blame", _block((_block(quoted(pair), 4) for pair in r.blame), 3)),
-            ("behaviors", _block(behaviors, 3)),
-        ], 2))
-    doc = _obj([("functions", _block(functions, 1))], 0)
-    doc.append("\n")
-    return "".join(doc)
+        choices = [f'{{{_I10}"index": {i},{_I10}"domain": {c}{_I8}}}'
+                   for i, c in enumerate(r.registry.cardinalities)]
+        append(f'{sep}{_I6}"name": {quote(r.name)},{_I6}"variables": '
+               f'{_items(list(map(quote, r.variables)), _I8, _I6)},{_I6}"choices": '
+               f'{_items(choices, _I8, _I6)},{_I6}"matrix": ')
+        sep = ",\n    {"
+        row_open = f"[{_I8}["
+        for row in r.matrix.entries:
+            append(row_open)
+            row_open = f"{_I8}],{_I8}["
+            first = len(out)
+            for p in row:
+                if ms := p.monomials:
+                    append(_CELL_OPEN)
+                    k = len(out)
+                    out += [monos.get(m) or mono(m) for m in ms]
+                    out[k] = out[k][1:]
+                    append(_CELL_CLOSE)
+                else:
+                    append(_EMPTY_CELL)
+            out[first] = out[first][1:]
+        sample = "null" if r.sample is None else _items(list(map(str, r.sample)), _I8, _I6)
+        blame = [_items([quote(a), quote(b)], _I10, _I8) for a, b in r.blame]
+        behaviors = [] if r.summary is None else [
+            _items([f"{quote(v)}: {_SCALAR[f]}" for v, f in zip(r.summary.rows, vec) if f],
+                   _I10, _I8, "{}")
+            for vec in r.summary.behaviors
+        ]
+        append(f"{_I8}]{_I6}]" if r.matrix.entries else "[]")
+        append(f',{_I6}"verdict": {quote(r.verdict)},{_I6}"sample_assignment": {sample},'
+               f'{_I6}"blame": {_items(blame, _I8, _I6)},'
+               f'{_I6}"behaviors": {_items(behaviors, _I8, _I6)}\n    }}')
+    append("\n  ]\n}\n" if results else "]\n}\n")
+    return "".join(out)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

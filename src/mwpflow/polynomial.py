@@ -83,6 +83,11 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     return (s, tuple(sorted(picks.values())))
 
 
+def monomial_text(m: Monomial) -> str:
+    """The monomial as text reports print it, e.g. p.δ(0,1).δ(1,2)."""
+    return ".".join([value_char(m[0]), *[f"δ({d & MASK},{d >> SHIFT})" for d in m[1]]])
+
+
 class Polynomial:
     """Canonical ordered sum of monomials, evaluated as pointwise max."""
 
@@ -227,10 +232,7 @@ class Polynomial:
         return any(s == INF for s, _ in self.monomials)
 
     def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        return "+".join(".".join([value_char(s), *(f"δ({d & MASK},{d >> SHIFT})" for d in ds)])
-                        for s, ds in self.monomials)
+        return "+".join(map(monomial_text, self.monomials)) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -34,3 +34,21 @@ def test_tracer_targets_resolve():
                 f"{alias}.{attr} is not the {name} the tracer patches"
             )
     assert missing == KNOWN_MISSING
+
+
+def test_json_mode_prints_one_emit_json_call(monkeypatch, capsys):
+    # The tracer times cli.emit_s by wrapping mwpflow.cli.emit_json and
+    # counts cli.report_bytes as len() of its result, so --json must print
+    # exactly what one call through the module attribute returned.
+    from mwpflow import cli
+
+    calls = []
+
+    def counting(results, emit=cli.emit_json):
+        calls.append(emit(results))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "emit_json", counting)
+    assert cli.run([str(ROOT / "programs" / "three_behaviors.imp"), "--json"]) == 0
+    assert len(calls) == 1 and type(calls[0]) is str
+    assert capsys.readouterr().out == calls[0]

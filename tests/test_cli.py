@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from corpus import random_call_pair, random_program
 from mwpflow.cli import emit_json, run
@@ -15,12 +18,21 @@ from mwpflow.analysis import analyze_program
 from mwpflow.frontend import ParseError, parse
 from mwpflow.polynomial import MASK, SHIFT
 from mwpflow.semiring import INF, value_char
+from test_properties import FIXED, NESTED_MAINS, PROGRAMS
 
 LOOP_SRC = "function main(){ loop X3 { X2 = X1 + X2; } }\n"
 WHILE_SRC = "function main(){ while (X1 < X2) { X2 = X1 + X2; } }\n"
 PAIR_SRC = (
     "function f(X1){ loop X1 { X2 = X2 + X3; } return X2; }\n"
     "function main(){ X3 = X1 + X2; X2 = X3 + X1; X1 = f(X2); }\n"
+)
+# Non-ASCII names in a function name, its parameters, the shared rows of
+# its behaviors and main's blame pairs; g has no variables, h no choices.
+UNICODE_SRC = (
+    "function 一二(Xé, a²) { ª = Xé + a²; return ª; }\n"
+    "function main() { while (Xé < ª) { ª = Xé + ª; } Xé = 一二(a², ª); }\n"
+    "function g() { }\n"
+    "function h(X1) { X2 = X1 * X1; return X2; }\n"
 )
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "programs").glob("*.imp"))
@@ -191,7 +203,7 @@ def test_json_writer_matches_json_dumps_layout():
     sources = [path.read_text(encoding="utf-8") for path in EXAMPLES]
     sources += [random_program(rng) for _ in range(80)]
     sources += [random_call_pair(rng) for _ in range(60)]
-    sources += ["function main(){ }", LOOP_SRC, WHILE_SRC, PAIR_SRC]
+    sources += ["function main(){ }", LOOP_SRC, WHILE_SRC, PAIR_SRC, UNICODE_SRC]
     seen = {"inf": 0, "behaviors": 0, "unbounded": 0}
     for src in sources:
         results = list(analyze_program(parse(src)))
@@ -200,6 +212,23 @@ def test_json_writer_matches_json_dumps_layout():
         seen["behaviors"] += any(r.summary and r.summary.behaviors for r in results)
         seen["unbounded"] += any(r.sample is None for r in results)
     assert min(seen.values()) >= 10
+
+    # Nested expressions, and callees called from nested commands.
+    @settings(FIXED, max_examples=60)
+    @given(source=NESTED_MAINS | PROGRAMS)
+    def generated(source):
+        results = list(analyze_program(parse(source)))
+        assert emit_json(results) == _reference_json(results), source
+
+    generated()
+
+    # UNICODE_SRC reaches every field it is meant to.
+    doc = json.loads(emit_json(list(analyze_program(parse(UNICODE_SRC)))))
+    callee, main, g, h = doc["functions"]
+    assert (callee["name"], callee["variables"]) == ("一二", ["Xé", "a²", "ª"])
+    assert {"Xé": "m", "a²": "p"} in callee["behaviors"] and ["ª", "a²"] in main["blame"]
+    assert g["variables"] == g["choices"] == []
+    assert h["variables"] and h["choices"] == []
 
 
 @pytest.mark.parametrize("modes, message", [
@@ -224,6 +253,33 @@ def test_json_is_deterministic_across_runs(loop_file, capsys):
     run([loop_file, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_json_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # The engine keeps sets and dicts on its hot paths.  One process per
+    # hash seed writes the reports of 30 generated programs, nested mains
+    # and call pairs; every byte must equal this process's reports.
+    sources = []
+
+    @settings(FIXED, max_examples=15)
+    @given(source=NESTED_MAINS)
+    def draw(source):
+        sources.append(source)
+
+    draw()
+    rng = random.Random(23)
+    sources += [random_call_pair(rng) for _ in range(30 - len(sources))]
+    paths = []
+    for i, src in enumerate(sources):
+        paths.append(tmp_path / f"{i}.imp")
+        paths[-1].write_text(src, encoding="utf-8")
+    expected = "".join(emit_json(list(analyze_program(parse(src)))) for src in sources)
+    script = "import sys; from mwpflow.cli import run; [run([p, '--json']) for p in sys.argv[1:]]"
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env,
+                             capture_output=True, check=True, timeout=60).stdout
+        assert out.decode("ascii") == expected, seed
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

@@ -54,7 +54,7 @@ def _commands(calls: bool, expr=_EXPR):
     ), max_leaves=6)
 
 
-_PROGRAM = st.tuples(st.lists(_commands(False), max_size=3),
+PROGRAMS = st.tuples(st.lists(_commands(False), max_size=3),
                      st.lists(_commands(True), max_size=3)).map(
     lambda t: f"function f(X1, X2) {{ {' '.join(t[0])} return X3; }}"
               f" function main() {{ {' '.join(t[1])} }}")
@@ -66,7 +66,7 @@ def token_streams(draw):
     inserted, or a stream of the language's tokens in any order."""
     if draw(st.booleans()):
         return draw(st.lists(st.sampled_from(TOKENS), max_size=40))
-    tokens = draw(_PROGRAM).split()
+    tokens = draw(PROGRAMS).split()
     for _ in range(draw(st.integers(0, 3))):
         pos = draw(st.integers(0, len(tokens)))
         if pos < len(tokens) and draw(st.booleans()):
@@ -157,12 +157,12 @@ def test_parse_of_render_is_the_identity(program):
 # while and if.
 _OPERAND = _VAR | _BINARY.map(lambda e: f"({e})")
 _NESTED = st.tuples(_OPERAND, st.sampled_from("+-*"), _OPERAND).map(" ".join)
-_NESTED_MAIN = st.lists(_commands(False, _NESTED), min_size=1, max_size=3).map(
+NESTED_MAINS = st.lists(_commands(False, _NESTED), min_size=1, max_size=3).map(
     lambda cs: f"function main() {{ {' '.join(cs)} }}")
 
 
 @settings(FIXED, max_examples=50)
-@given(source=_NESTED_MAIN, seed=st.integers(0, 2**32 - 1))
+@given(source=NESTED_MAINS, seed=st.integers(0, 2**32 - 1))
 def test_matrix_evaluates_to_the_replayed_derivation(source, seed):
     # At up to 20 assignments (all of them when there are no more), the
     # engine's matrix evaluates to the matrix derive_with_picks replays,
@@ -182,7 +182,7 @@ def test_matrix_evaluates_to_the_replayed_derivation(source, seed):
 
 
 @settings(FIXED, max_examples=50)
-@given(source=_NESTED_MAIN)
+@given(source=NESTED_MAINS)
 def test_clean_images_are_the_derivable_matrices(source):
     # On up to 3^5 assignments, the images of the engine's matrix that
     # hold no INF are exactly the matrices the original rules derive.
@@ -195,7 +195,7 @@ def test_clean_images_are_the_derivable_matrices(source):
 
 
 @settings(FIXED, max_examples=50)
-@given(source=_PROGRAM)
+@given(source=PROGRAMS)
 def test_graph_and_sweep_match_the_full_scan_with_calls(source):
     # For each function with at most 3^5 assignments, the delta graph
     # covers exactly the assignments whose image holds INF, and the

@@ -16,7 +16,6 @@ from typing import Sequence
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
-from .inline import check_call_theorem
 from .polynomial import MASK, SHIFT, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
@@ -219,6 +218,8 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
         return 0
 
     if opts.check_inline:
+        from .inline import check_call_theorem
+
         caller_name, callee_name = opts.check_inline
         try:
             report = check_call_theorem(

@@ -110,14 +110,21 @@ class DeltaGraph:
         A state is the cover followed by the column's entries, each
         restricted by the picks so far (Polynomial.restrict); a cover
         that has become INF_POLY kills it.  Prefixes that reach the same
-        state merge into its count, and the first of them is kept.
+        state merge into its count, and the first of them is kept.  At an
+        index that no list of the cover or the column holds, restriction
+        leaves every state as it is: its count grows by the cardinality
+        and its first prefix takes pick 0, with no restriction.
         States stay in order of their first prefix, so the sample is the
         lexicographically smallest uncovered assignment and the
         behaviors (the distinct values of the column) come in order of
         their first uncovered assignment.
         """
+        held = {d >> SHIFT for p in (self.cover, *column) for _, ds in p.monomials for d in ds}
         states = {} if self.cover == INF_POLY else {(self.cover, *column): (1, ())}
         for pos, card in enumerate(self.registry.cardinalities):
+            if pos not in held:
+                states = {s: (ways * card, first + (0,)) for s, (ways, first) in states.items()}
+                continue
             nxt: dict[tuple[Polynomial, ...], tuple[int, Assignment]] = {}
             for state, (ways, first) in states.items():
                 for pick in range(card):

@@ -18,13 +18,19 @@ Variables need no declaration.  Numeric literals are not part of the
 language, and identifiers starting with a double underscore are reserved
 for the inliner's fresh names.  Boolean conditions are parsed and kept
 for round-tripping but carry no meaning for the analysis.
+
+The lexer is one regular-expression split, into each token's text and
+start offset.  Line and column are computed only for what keeps them,
+functions, commands and escaping errors, from a table of line starts.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 KEYWORDS = {"function", "return", "if", "else", "while", "loop"}
 
@@ -163,154 +169,150 @@ class Program:
 
 # --- Lexer -----------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+# Keywords, symbols and "", the end of input: the texts of no identifier.
+_NOT_IDENT = KEYWORDS | {"", *"&& || == != <= >= < > ! + - * = ( ) { } ; ,".split()}
+
+# A match is the spaces before a token and the token: a word, a symbol or
+# any other character.  \w is isalnum() or "_"; a word is an identifier
+# if it starts with a letter or "_", and other characters are errors.
+_TOKEN = re.compile(r"([ \t\r\n]*)(\w+|[=!<>]=?|&&|\|\||[+\-*(){};,]|[^ \t\r\n])")
+_COMMENT = re.compile(r"//[^\n]*")
 
 
-# Spaces, then the first piece that matches; every character and the end
-# of input start one, so the matches cover the source.  \w is isalnum()
-# or "_"; a word is an identifier if it starts with a letter or "_".
-_TOKEN = re.compile(r"""[ \t\r]*(?:
-    (?P<word>\w+)
-  | (?P<symbol>&&|\|\||[=!<>]=|[<>!+\-*=(){};,])
-  | (?P<newline>\n)
-  | (?P<skip>//[^\n]*|\Z)
-  | (?P<other>.)
-)""", re.VERBOSE)
+def tokenize(source: str) -> tuple[list[str], list[int]]:
+    """Each token's text and start offset, and "" at the end of input;
+    the first word that is no identifier or other character raises."""
+    if "//" in source:
+        source = _COMMENT.sub(lambda m: " " * len(m[0]), source)  # offsets stay
+    # "", spaces, token, "", spaces, token, ..., trailing spaces
+    parts = _TOKEN.split(source)
+    texts = parts[2::3]
+    offsets = list(accumulate(map(len, parts)))[1::3]
+    bad = [w for w in set(texts) - _NOT_IDENT
+           if w[:2] == "__" or not (w[0].isalpha() or w[0] == "_")]
+    if bad:
+        i = min(map(texts.index, bad))
+        t = texts[i]
+        code, message = LEXICAL_ERROR, f"unexpected character {t[0]!r}"
+        if t[0] == "_":
+            code = RESERVED_NAME
+            message = f"identifier {t!r} uses the reserved double-underscore prefix"
+        elif t[0].isdigit():
+            message = "numeric literals are not part of the language"
+        raise ParseError(code, message, *position(line_starts(source), offsets[i]))
+    texts.append("")
+    offsets.append(len(source))
+    return texts, offsets
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        group = m.lastgroup
-        if group == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        text, col = m[group], m.start(group) - line_start + 1
-        if group == "symbol":
-            tokens.append(Token(text, text, line, col))
-        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
-            if text.startswith("__"):
-                raise ParseError(
-                    RESERVED_NAME,
-                    f"identifier {text!r} uses the reserved double-underscore prefix",
-                    line, col,
-                )
-            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, line, col))
-        elif group != "skip":
-            message = ("numeric literals are not part of the language" if text[0].isdigit()
-                       else f"unexpected character {text[0]!r}")
-            raise ParseError(LEXICAL_ERROR, message, line, col)
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line starts; only "\\n" ends a line."""
+    return list(accumulate((len(line) + 1 for line in source.split("\n")), initial=0))
+
+
+def position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of an offset, by bisection."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 # --- Parser ----------------------------------------------------------
 
+class _Fail(Exception):
+    """A syntax error, as (message, token index); parse gives it a position."""
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str):
+        self.texts, self.offsets = tokenize(source)
+        self.starts = line_starts(source)
+        self.i = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def pos(self, i: int) -> tuple[int, int]:
+        return position(self.starts, self.offsets[i])
 
-    def error(self, message: str) -> ParseError:
-        t = self.cur
-        return ParseError(SYNTAX_ERROR, message, t.line, t.col)
+    def accept(self, text: str) -> bool:
+        if self.texts[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
-    def accept(self, kind: str) -> Token | None:
-        if self.cur.kind == kind:
-            t = self.cur
-            self.pos += 1
-            return t
-        return None
-
-    def expect(self, kind: str) -> Token:
-        t = self.accept(kind)
-        if t is None:
-            raise self.error(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
+    def expect(self, kind: str) -> str:
+        """The text of the current token, which must be of this kind."""
+        t = self.texts[self.i]
+        if t != kind and (kind != "IDENT" or t in _NOT_IDENT):
+            raise _Fail(f"expected {kind!r}, found {t or 'end of input'!r}", self.i)
+        self.i += 1
         return t
 
     def parse_program(self) -> Program:
         functions = []
-        while self.cur.kind != "EOF":
+        while self.texts[self.i]:
             functions.append(self.parse_function())
         return Program(tuple(functions))
 
     def parse_function(self) -> FunctionDecl:
-        start = self.expect("function")
-        name = self.expect("IDENT").text
+        start = self.i
+        self.expect("function")
+        name = self.expect("IDENT")
         self.expect("(")
         params: list[str] = []
-        more = self.cur.kind == "IDENT"
+        more = self.texts[self.i] not in _NOT_IDENT
         while more:
             t = self.expect("IDENT")
-            if t.text in params:
-                raise ParseError(
-                    SYNTAX_ERROR, f"duplicate parameter {t.text} in {name}", t.line, t.col
-                )
-            params.append(t.text)
-            more = self.accept(",") is not None
+            if t in params:
+                raise _Fail(f"duplicate parameter {t} in {name}", self.i - 1)
+            params.append(t)
+            more = self.accept(",")
         self.expect(")")
         self.expect("{")
         body: list[Command] = []
         returns = None
         while not self.accept("}"):
             if self.accept("return"):
-                returns = self.expect("IDENT").text
+                returns = self.expect("IDENT")
                 self.expect(";")
                 self.expect("}")
                 break
             body.append(self.parse_command())
-        return FunctionDecl(name, tuple(params), tuple(body), returns,
-                            pos=(start.line, start.col))
+        return FunctionDecl(name, tuple(params), tuple(body), returns, pos=self.pos(start))
 
     def parse_command(self) -> Command:
-        t = self.cur
-        if t.kind == "if":
-            self.pos += 1
+        i = self.i
+        t = self.texts[i]
+        if t == "if" or t == "while":
+            self.i += 1
             self.expect("(")
             cond = self.parse_bexpr()
             self.expect(")")
-            then_body = self.parse_block()
-            else_body: tuple[Command, ...] = ()
-            if self.accept("else"):
-                else_body = self.parse_block()
-            return If(cond, then_body, else_body, pos=(t.line, t.col))
-        if t.kind == "while":
-            self.pos += 1
-            self.expect("(")
-            cond = self.parse_bexpr()
-            self.expect(")")
-            return While(cond, self.parse_block(), pos=(t.line, t.col))
-        if t.kind == "loop":
-            self.pos += 1
-            counter = self.expect("IDENT").text
-            return Loop(counter, self.parse_block(), pos=(t.line, t.col))
-        if t.kind == "IDENT":
-            target = self.expect("IDENT").text
+            body = self.parse_block()
+            if t == "while":
+                return While(cond, body, pos=self.pos(i))
+            else_body = self.parse_block() if self.accept("else") else ()
+            return If(cond, body, else_body, pos=self.pos(i))
+        if t == "loop":
+            self.i += 1
+            counter = self.expect("IDENT")
+            return Loop(counter, self.parse_block(), pos=self.pos(i))
+        if t not in _NOT_IDENT:
+            self.i += 1
             self.expect("=")
-            if self.cur.kind == "IDENT" and self.tokens[self.pos + 1].kind == "(":
-                fname = self.expect("IDENT").text
-                self.expect("(")
+            texts = self.texts
+            if texts[self.i] not in _NOT_IDENT and texts[self.i + 1] == "(":
+                fname = texts[self.i]
+                self.i += 2
                 args: list[str] = []
-                if self.cur.kind == "IDENT":
-                    args.append(self.expect("IDENT").text)
+                if texts[self.i] not in _NOT_IDENT:
+                    args.append(self.expect("IDENT"))
                     while self.accept(","):
-                        args.append(self.expect("IDENT").text)
+                        args.append(self.expect("IDENT"))
                 self.expect(")")
                 self.expect(";")
-                return Call(target, fname, tuple(args), pos=(t.line, t.col))
+                return Call(t, fname, tuple(args), pos=self.pos(i))
             value = self.parse_expr()
             self.expect(";")
-            return Assign(target, value, pos=(t.line, t.col))
-        raise self.error(f"expected a command, found {t.text or 'end of input'!r}")
+            return Assign(t, value, pos=self.pos(i))
+        raise _Fail(f"expected a command, found {t or 'end of input'!r}", i)
 
     def parse_block(self) -> tuple[Command, ...]:
         self.expect("{")
@@ -321,25 +323,25 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.cur.kind in ("+", "-"):
-            op = self.cur.kind
-            self.pos += 1
+        while (op := self.texts[self.i]) == "+" or op == "-":
+            self.i += 1
             node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.accept("*"):
+        while self.texts[self.i] == "*":
+            self.i += 1
             node = BinOp("*", node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:
-        if self.accept("("):
+        if self.texts[self.i] == "(":
+            self.i += 1
             node = self.parse_expr()
             self.expect(")")
             return node
-        t = self.expect("IDENT")
-        return Var(t.text)
+        return Var(self.expect("IDENT"))
 
     def parse_bexpr(self) -> BExpr:
         node = self.parse_band()
@@ -359,16 +361,16 @@ class _Parser:
         # A "(" may open a parenthesized condition or a parenthesized
         # arithmetic operand of a comparison; try the comparison first
         # and fall back on backtracking.
-        saved = self.pos
+        saved = self.i
         try:
             left = self.parse_expr()
-            op = self.cur.kind
+            op = self.texts[self.i]
             if op not in ("<", "<=", ">", ">=", "==", "!="):
-                raise self.error("expected a comparison operator")
-            self.pos += 1
+                raise _Fail("expected a comparison operator", self.i)
+            self.i += 1
             return Compare(op, left, self.parse_expr())
-        except ParseError:
-            self.pos = saved
+        except _Fail:
+            self.i = saved
         self.expect("(")
         node = self.parse_bexpr()
         self.expect(")")
@@ -395,37 +397,31 @@ def validate(program: Program) -> Program:
     # enclosing loops share the counter it writes
     warnings: dict[int, Diagnostic] = {}
     for decl in program.functions:
-        line, col = decl.pos
         if decl.name in seen:
-            raise ParseError(
-                DUPLICATE_FUNCTION, f"function {decl.name} declared twice", line, col
-            )
+            raise ParseError(DUPLICATE_FUNCTION, f"function {decl.name} declared twice", *decl.pos)
         if decl.name == "main" and decl.params:
-            raise ParseError(
-                MAIN_HAS_PARAMETERS, "main must take no parameters", line, col
-            )
+            raise ParseError(MAIN_HAS_PARAMETERS, "main must take no parameters", *decl.pos)
         for cmd in walk_commands(decl.body):
             if isinstance(cmd, Call):
-                cline, ccol = cmd.pos
                 callee = seen.get(cmd.function)
                 if callee is None:
                     raise ParseError(
                         UNKNOWN_FUNCTION,
                         f"call to {cmd.function}, which is not declared earlier",
-                        cline, ccol,
+                        *cmd.pos,
                     )
                 if len(cmd.arguments) != len(callee.params):
                     raise ParseError(
                         CALL_ARITY,
                         f"{cmd.function} takes {len(callee.params)} arguments,"
                         f" got {len(cmd.arguments)}",
-                        cline, ccol,
+                        *cmd.pos,
                     )
                 if callee.returns is None:
                     raise ParseError(
                         NO_RETURN_VALUE,
                         f"{cmd.function} has no return value and cannot be called",
-                        cline, ccol,
+                        *cmd.pos,
                     )
             elif isinstance(cmd, Loop):
                 for inner in walk_commands(cmd.body):
@@ -444,7 +440,11 @@ def validate(program: Program) -> Program:
 
 def parse(source: str) -> Program:
     """Parse and validate a source file into a Program."""
-    program = _Parser(tokenize(source)).parse_program()
+    parser = _Parser(source)
+    try:
+        program = parser.parse_program()
+    except _Fail as e:
+        raise ParseError(SYNTAX_ERROR, e.args[0], *parser.pos(e.args[1])) from None
     return validate(program)
 
 

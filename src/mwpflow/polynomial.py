@@ -592,7 +592,8 @@ class ChoiceMatrix:
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of
-        its new cell to its pending list.
+        its new cell to its pending list.  A canonical cell's INF
+        monomials, in its order, are already a canonical Polynomial.
 
         Row lists still reach the new cells, and the old column's pending
         INF stays, so this is the plain replacement when column keeps the
@@ -604,7 +605,8 @@ class ChoiceMatrix:
         column = tuple(column)
         return ChoiceMatrix._stored(
             self.variables, self.registry, {**self.columns, j: column}, self.row_inf,
-            tuple(p + _split((q,))[1] for p, q in zip(self.pending, column)),
+            tuple(p + Polynomial(inf) if (inf := tuple(m for m in q.monomials if m[0] == INF))
+                  else p for p, q in zip(self.pending, column)),
         )
 
     def evaluate(self, assignment: Sequence[int]) -> FlowMatrix:

@@ -181,7 +181,7 @@ def _random_column(rng, reg):
 
 def test_sweep_matches_enumeration():
     rng = random.Random(53)
-    holding_empty = 0
+    holding_empty = unheld_index = empty_cover = 0
     for _ in range(400):
         reg = ChoiceRegistry([rng.choice((2, 3)) for _ in range(rng.randint(0, 5))])
         g = DeltaGraph(reg)
@@ -189,6 +189,9 @@ def test_sweep_matches_enumeration():
         for ds in raw:
             g.insert(ds)
         column = _random_column(rng, reg)
+        held = {d >> SHIFT for p in (g.cover, *column) for _, ds in p.monomials for d in ds}
+        unheld_index += len(held) < len(reg)
+        empty_cover += not g.cover.monomials and any(p.monomials for p in column)
         uncovered = [al for al in reg.assignments() if not covered_by_raw(raw, al)]
         found = g.sweep(column)
         g.fuse()
@@ -200,6 +203,8 @@ def test_sweep_matches_enumeration():
             tuple(p.evaluate(al) for p in column) for al in uncovered
         ))
     assert holding_empty >= 20
+    # The sweep skips restriction at an index no list holds.
+    assert unheld_index >= 50 and empty_cover >= 20, (unheld_index, empty_cover)
 
 
 def test_insert_never_shrinks_coverage():

@@ -7,6 +7,7 @@ import pytest
 from corpus import random_program
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import (
+    KEYWORDS,
     Assign,
     BinOp,
     Call,
@@ -16,7 +17,9 @@ from mwpflow.frontend import (
     ParseError,
     Var,
     While,
+    line_starts,
     parse,
+    position,
     render,
     tokenize,
     variable_order,
@@ -192,11 +195,20 @@ def test_conditions_do_not_influence_matrices():
     assert ra.verdict == rb.verdict
 
 
+def _kind(text):
+    if not text:
+        return "EOF"
+    return "IDENT" if (text[0].isalpha() or text[0] == "_") and text not in KEYWORDS else text
+
+
 def _lexed(src):
+    """Each token as (kind, text, line, col), or the error the lexer raised."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+        texts, offsets = tokenize(src)
     except ParseError as e:
         return ("error", e.code, e.reason, e.line, e.col)
+    starts = line_starts(src)
+    return [(_kind(t), t, *position(starts, o)) for t, o in zip(texts, offsets)]
 
 
 _NUMERIC = "numeric literals are not part of the language"
@@ -283,3 +295,14 @@ def test_trailing_comment_error_points_past_the_comment():
         parse("function f(X1){\n  return X1;// end")
     assert (err.value.line, err.value.col) == (2, 19)
     assert err.value.reason == "expected '}', found 'end of input'"
+
+
+@pytest.mark.parametrize("last, code, col", [("X2 +;", "syntax-error", 14),
+                                             ("X2 + ²;", "lexical-error", 15)])
+def test_error_on_the_last_line_of_a_long_crlf_file(last, code, col):
+    # Line 3000 of a file whose lines end in "\r\n", of which only the
+    # "\n" ends a line.
+    src = "function main() {\r\n" + "    X1 = X2 + X3;\r\n" * 2998 + f"    X1 = {last}\r\n}}\r\n"
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.code, err.value.line, err.value.col) == (code, 3000, col)

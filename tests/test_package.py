@@ -1,7 +1,10 @@
 """The package surface: the README's library example runs as written,
 and the package root exports exactly the documented names."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mwpflow
@@ -28,3 +31,13 @@ def test_package_exports_only_the_documented_names():
     ])
     for name in mwpflow.__all__:
         assert hasattr(mwpflow, name), name
+
+
+def test_importing_the_command_line_loads_no_oracle():
+    # The oracles load on first access to their names, or for --check-inline.
+    script = ("import sys, mwpflow.cli; "
+              "print([m for m in ('mwpflow.inline', 'mwpflow.exhaustive') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

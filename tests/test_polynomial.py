@@ -1209,7 +1209,7 @@ def test_stored_form_matches_plain_operations():
     # the iteration rule's twins, a poisoned call and two branches do.
     rng = random.Random(47)
     seen = dict.fromkeys(("replace", "update", "mul", "add", "closure"), 0)
-    seen.update({"row lists": 0, "uneven pending": 0, "zero": 0, "cells": 0})
+    seen.update({"row lists": 0, "uneven pending": 0, "zero": 0, "cells": 0, "inf cells": 0})
 
     def check(out, plain, flow, reg):
         assert out.entries == plain
@@ -1238,6 +1238,7 @@ def test_stored_form_matches_plain_operations():
                 col = [entry() + Polynomial.of(x for x in m.entries[i][j].monomials if x[0] == INF)
                        for i in range(n)]
                 out = m.replace_column(j, col)
+                seen["inf cells"] += sum(any(x[0] == INF for x in q.monomials) for q in col)
                 rows = [list(r) for r in m.entries]
                 for i in range(n):
                     rows[i][j] = col[i]
@@ -1284,6 +1285,7 @@ def test_stored_form_matches_plain_operations():
     assert min(seen[op] for op in ("replace", "update", "mul", "add", "closure")) >= 500, seen
     assert min(seen["row lists"], seen["uneven pending"]) >= 300, seen
     assert seen["zero"] >= 0.4 * seen["cells"]
+    assert seen["inf cells"] >= 300, seen  # replace_column reads their INF monomials
 
 
 def test_rendering():

@@ -18,7 +18,7 @@ from mwpflow.cli import run
 from mwpflow.exhaustive import derivable_matrices, derive_with_picks
 from mwpflow.frontend import (
     Assign, BinOp, BoolOp, Call, Compare, FunctionDecl, If, Loop, Not, Program, Var, While,
-    parse, render,
+    parse, render, walk_commands,
 )
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -211,3 +211,34 @@ def test_graph_and_sweep_match_the_full_scan_with_calls(source):
                 clean.append(a)
         assert result.clean_count == len(clean), result.name
         assert result.sample == (clean[0] if clean else None), result.name
+
+
+# Spaces, line breaks of either kind, tabs and comments between tokens.
+_SEPARATORS = st.sampled_from((" ", "\n", "\r\n  ", "\t", " // note\n", "\n\n    "))
+
+
+@st.composite
+def laid_out(draw, sources):
+    words = draw(sources).split(" ")
+    seps = draw(st.lists(_SEPARATORS, min_size=len(words) - 1, max_size=len(words) - 1))
+    return words[0] + "".join(s + w for s, w in zip(seps, words[1:]))
+
+
+def _first_token(node):
+    if isinstance(node, FunctionDecl):
+        return "function"
+    if isinstance(node, (Assign, Call)):
+        return node.target
+    return {If: "if", While: "while", Loop: "loop"}[type(node)]
+
+
+@FIXED
+@given(source=laid_out(PROGRAMS | NESTED_MAINS))
+def test_each_position_names_its_node_first_token(source):
+    # Line and column of every function and command, counted in code
+    # points on lines that only "\n" ends, point at its first token.
+    lines = source.split("\n")
+    for decl in parse(source).functions:
+        for node in (decl, *walk_commands(decl.body)):
+            line, col = node.pos
+            assert lines[line - 1][col - 1:].startswith(_first_token(node)), (node, source)

@@ -7,10 +7,10 @@ bounded, 1 when some function is unbounded (or an inline check fails),
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import __version__
@@ -20,45 +20,82 @@ from .polynomial import MASK, SHIFT, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first run call; it
-    holds no per-call state, as parse_args returns a new namespace."""
-    p = argparse.ArgumentParser(
-        prog="mwpflow",
-        description="Certify polynomial growth bounds of program variables.",
-    )
-    p.add_argument("file", help="source file to analyze (conventionally .imp)")
-    p.add_argument("--function", metavar="NAME", help="report only this function")
-    # Each mode prints its own output, so two would silently drop one.
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--eval", metavar="PICKS", dest="eval_picks",
-        help="print the flow matrix for one comma-separated choice assignment",
-    )
-    mode.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    mode.add_argument("--dump-ast", action="store_true", help=argparse.SUPPRESS)
-    mode.add_argument(
-        "--check-inline", nargs=2, metavar=("CALLER", "CALLEE"), help=argparse.SUPPRESS
-    )
-    # Accepted for old command lines; every report is enumeration-free.
-    p.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
-    return p
+USAGE = "usage: mwpflow [-h] [--function NAME] [--eval PICKS | --json] file\n"
+HELP = f"""{USAGE}
+Certify polynomial growth bounds of program variables.
+
+positional arguments:
+  file             source file to analyze (conventionally .imp)
+
+options:
+  -h, --help       show this help message and exit
+  --function NAME  report only this function
+  --eval PICKS     print the flow matrix for one comma-separated choice assignment
+  --json           emit a machine-readable report
+"""
+# Option -> (attribute, number of values).  The help leaves out the last
+# three; --fast is accepted for old command lines only.  Each mode prints
+# its own output, so two would silently drop one.
+_OPTIONS = {"-h": ("help", 0), "--help": ("help", 0), "--function": ("function", 1),
+            "--eval": ("eval_picks", 1), "--json": ("json", 0), "--dump-ast": ("dump_ast", 0),
+            "--check-inline": ("check_inline", 2), "--fast": ("fast", 0)}
+_MODES = ("--eval", "--json", "--dump-ast", "--check-inline")
+# Of the arguments that start with "-", only a negative number is a value.
+_VALUE = re.compile(r"[^-]|$|-\d+$|-\d*\.\d+$").match
+
+
+def read_argv(args: Sequence[str]) -> SimpleNamespace | None:
+    """The options of one command line, or None when it asks for help.
+    A usage error raises ValueError in the standard library parser's words."""
+    opts = SimpleNamespace(file=None, function=None, eval_picks=None, json=False,
+                           dump_ast=False, check_inline=None, fast=False)
+    extras, mode, file_at, rest = [], None, -1, False
+    i = 1 if args and args[0] == "analyze" else 0
+    while i < len(args):
+        arg, i = args[i], i + 1
+        name, eq, value = arg.partition("=")
+        if rest or _VALUE(arg):
+            if opts.file is None:
+                opts.file, file_at = arg, i
+                continue
+        elif arg == "--":
+            rest = True
+            if opts.file is None or file_at == i - 1:  # a file beside it takes it
+                continue
+        elif name in _OPTIONS:
+            attr, count = _OPTIONS[name]
+            values = [value] if eq else list(args[i:i + count])
+            if len(values) != count or not (eq or all(map(_VALUE, values))):
+                raise ValueError(f"argument {'-h/--help' if attr == 'help' else name}: " + (
+                    f"ignored explicit argument {value!r}" if eq and not count
+                    else "expected one argument" if count == 1 else "expected 2 arguments"))
+            i += 0 if eq else count
+            if attr == "help":
+                return None
+            if name in _MODES:
+                if mode not in (None, name):
+                    raise ValueError(f"argument {name}: not allowed with argument {mode}")
+                mode = name
+            setattr(opts, attr, values if count == 2 else values[0] if count else True)
+            continue
+        extras.append(arg)
+    if opts.file is None:
+        raise ValueError("the following arguments are required: file")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if opts.check_inline and opts.function is not None:  # the check names its own two
+        raise ValueError("argument --function: not allowed with argument --check-inline")
+    return opts
 
 
 def render_report(results: Sequence[FunctionAnalysis]) -> str:
     texts: dict[Monomial, str] = {}  # each distinct monomial is rendered once per call
     lines = [f"mwpflow {__version__}"]
     for r in results:
-        lines.append("")
-        lines.append(f"function {r.name}")
-        lines.append(f"  variables: {' '.join(r.variables)}")
+        lines += ["", f"function {r.name}", f"  variables: {' '.join(r.variables)}"]
         cards = r.registry.cardinalities
-        if cards:
-            doms = " ".join(f"#{i}:{c}" for i, c in enumerate(cards))
-            lines.append(f"  choices: {len(cards)} ({doms})")
-        else:
-            lines.append("  choices: none")
+        doms = " ".join(f"#{i}:{c}" for i, c in enumerate(cards))
+        lines.append(f"  choices: {len(cards)} ({doms})" if cards else "  choices: none")
         lines.append("  matrix (rows flow into columns):")
         rows = [["+".join([texts.get(m) or texts.setdefault(m, monomial_text(m))
                            for m in p.monomials]) or "0" for p in row]
@@ -165,17 +202,14 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "analyze":
-        args = args[1:]
-    parser = build_parser()
     try:
-        opts = parser.parse_args(args)
-        if opts.check_inline and opts.function is not None:
-            # The check names its own two functions.
-            parser.error("argument --function: not allowed with argument --check-inline")
-    except SystemExit as e:
-        return 0 if e.code == 0 else 2
+        opts = read_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:
+        sys.stderr.write(f"{USAGE}mwpflow: error: {e}\n")
+        return 2
+    if opts is None:
+        sys.stdout.write(HELP)
+        return 0
 
     try:
         with open(opts.file, encoding="utf-8-sig") as fh:
@@ -199,7 +233,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         reconfigure(errors=errors)
 
 
-def _analyze(opts: argparse.Namespace, source: str) -> int:
+def _analyze(opts: SimpleNamespace, source: str) -> int:
     try:
         program = parse(source)
     except ParseError as e:
@@ -220,11 +254,8 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
     if opts.check_inline:
         from .inline import check_call_theorem
 
-        caller_name, callee_name = opts.check_inline
         try:
-            report = check_call_theorem(
-                program.function(caller_name), program.function(callee_name)
-            )
+            report = check_call_theorem(*map(program.function, opts.check_inline))
         except (KeyError, ValueError) as e:
             # args[0], not str(e), which quotes a KeyError's message
             print(f"mwpflow: {e.args[0]}", file=sys.stderr)
@@ -235,18 +266,15 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
     results = [r for r in analyze_program(program) if opts.function in (None, r.name)]
 
     if opts.eval_picks is not None:
-        try:
-            # Only a blank string is the empty assignment.  A field is
-            # ASCII digits with optional spaces around them, so an empty
-            # field, "+1", "1_0" and non-ASCII digits are errors.
-            fields = opts.eval_picks.split(",") if opts.eval_picks.strip() else []
-            fields = [x.strip() for x in fields]
-            if not all(x.isascii() and x.isdigit() for x in fields):
-                raise ValueError(opts.eval_picks)
-            picks = tuple(map(int, fields))
-        except ValueError:
-            print(f"mwpflow: bad assignment {opts.eval_picks!r}", file=sys.stderr)
+        # Only a blank string is the empty assignment.  A field is ASCII
+        # digits with optional spaces around them, so an empty field,
+        # "+1", "1_0" and non-ASCII digits are errors.
+        text = opts.eval_picks
+        fields = [x.strip() for x in text.split(",")] if text.strip() else []
+        if not all(x.isascii() and x.isdigit() for x in fields):
+            print(f"mwpflow: bad assignment {text!r}", file=sys.stderr)
             return 2
+        picks = tuple(map(int, fields))
         out = []
         for r in results:
             try:
@@ -260,10 +288,7 @@ def _analyze(opts: argparse.Namespace, source: str) -> int:
         print("\n".join(line.rstrip() for line in out))
         return 1 if any(r.verdict == UNBOUNDED for r in results) else 0
 
-    if opts.json:
-        sys.stdout.write(emit_json(results))
-    else:
-        sys.stdout.write(render_report(results))
+    sys.stdout.write((emit_json if opts.json else render_report)(results))
     return 1 if any(r.verdict == UNBOUNDED for r in results) else 0
 
 

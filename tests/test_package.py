@@ -41,3 +41,14 @@ def test_importing_the_command_line_loads_no_oracle():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_command_line_loads_no_option_parser():
+    # The command line reads argv in one pass, so no process pays for
+    # importing argparse and the gettext that argparse imports.
+    script = ("import sys, mwpflow.cli; "
+              "print([m for m in ('argparse', 'gettext') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -18,8 +18,8 @@ compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products, scaling and restriction collect their raw
 monomials and hand them to Polynomial.of, the one place that drops
 subsumed monomials, except where none can drop (join, over a fresh
-index, and a closure cell that gains no product) and where an INF list
-drops the finite monomials it covers (covered_by).
+index) and where an INF list drops the finite monomials it covers
+(covered_by).
 
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
@@ -227,9 +227,6 @@ class Polynomial:
         except IndexError:
             raise ValueError("assignment does not cover every choice index") from None
         return best
-
-    def has_inf(self) -> bool:
-        return any(s == INF for s, _ in self.monomials)
 
     def __str__(self) -> str:
         return "+".join(map(monomial_text, self.monomials)) or "0"
@@ -513,14 +510,11 @@ class ChoiceMatrix:
         A written column's monomials that its INF list covers are dropped
         before they are multiplied (see _written).
         """
-        return self._update({c: _written(col) for c, col in columns.items()})
-
-    def _update(self, written: Mapping[int, tuple[dict, Polynomial]]) -> "ChoiceMatrix":
-        """update_columns with each written column split by _written."""
         n = len(self.variables)
         stored = dict(self.columns)
         spread = ZERO_POLY
-        for c, (col_fin, col_inf) in written.items():
+        for c, col in columns.items():
+            col_fin, col_inf = _written(col)
             acc: dict[int, list[Monomial]] = {}
             for k, qs in col_fin.items():
                 src = self.columns.get(k)
@@ -542,53 +536,57 @@ class ChoiceMatrix:
         return ChoiceMatrix._stored(self.variables, self.registry, stored, row_inf, (spread,) * n)
 
     def closure(self) -> "ChoiceMatrix":
-        """Least fixpoint of s = 1 + s·M, reached as s·(1+M) per round.
+        """Least fixpoint of s = 1 + s·M, by one Kleene (Gauss-Jordan)
+        elimination over the stored columns of 1 + M; a unit column adds
+        no walk.  Pivot p first scales column p by the finite part D of
+        its diagonal cell, which holds the unit m or a constant above
+        it, then adds column p times q to every other stored column
+        whose row p holds finite q.
 
-        s·(1+M) has the same canonical cells as s + s·M: the product
-        distributes over the sum, and a monomial that Polynomial.of drops
-        stays dominated once multiplied.  1 + M differs from M on the
-        diagonals of the stored columns only.
+        This is exact.  A product of two finite monomials is dominated
+        by the one with the larger scalar, so D·D has the same canonical
+        cells as D: a pivot's star is its own diagonal, and scaling by
+        the unit alone changes nothing.  Products respect subsumption,
+        so of(of(X) ∪ Y) == of(X ∪ Y), and the elimination gives the
+        canonical sum over all walks.
 
-        The rounds are semi-naive.  After the first product, a round adds
-        to each cell only the products of the finite monomials that the
-        last round added: older ones gave theirs then, and as 1 + M holds
-        a constant on each stored diagonal, s's own monomials are
-        dominated by their products.  The row lists grow as in s·(1+M),
-        and the rounds stop when one adds nothing and leaves them as
-        they are, so no entries are merged.
+        Only finite monomials multiply.  Each column's INF list is
+        merged into its cells at the end, and as s·(1+M) spreads them,
+        every row's pending list becomes the union of those lists, and
+        its row list gains its own pending list, that union and every
+        row list.  A product of a monomial that a column's INF list
+        covers is covered by every row list, so it may wait in a cell
+        (see update_columns).
         """
-        step = ChoiceMatrix._stored(
-            self.variables, self.registry,
-            {c: col[:c] + (UNIT_POLY + col[c],) + col[c + 1:] for c, col in self.columns.items()},
-            self.row_inf, self.pending,
-        )
-        written = {c: _written(col) for c, col in step.columns.items()}
-        spread = sum(step.row_inf, ZERO_POLY)
-        # step * step from the split columns; the rounds spread the row lists.
-        prev, s = step, step._update(written)
-        while True:
-            added: dict[int, list[tuple[int, set[Monomial]]]] = {}
-            for k, col in s.columns.items():
-                for i, (p, q) in enumerate(zip(col, prev.columns[k])):
-                    if p is not q and (new := {m for m in p.monomials if m[0] != INF}
-                                       - set(q.monomials)):
-                        added.setdefault(k, []).append((i, new))
-            row_inf = tuple(r + p + spread for r, p in zip(s.row_inf, s.pending))
-            if not added and row_inf == s.row_inf:
-                return s
-            columns = dict(s.columns)
-            for c, (fin, _) in written.items():
+        cols, infs = {}, {}
+        for c, col in self.columns.items():
+            cols[c], infs[c] = _written(col[:c] + (UNIT_POLY + col[c],) + col[c + 1:])
+        for p, colp in cols.items():
+            if (d := colp.get(p)) and (len(d) > 1 or d[0] != (M, ())):
                 acc: dict[int, list[Monomial]] = {}
-                for k, qs in fin.items():
-                    if k in added:
-                        _multiply(acc, added[k], qs)
-                if acc:
-                    cells = list(columns[c])
-                    for i, monos in acc.items():
-                        cells[i] = Polynomial.of((*cells[i].monomials, *monos))
-                    columns[c] = tuple(cells)
-            prev, s = s, ChoiceMatrix._stored(
-                self.variables, self.registry, columns, row_inf, s.pending)
+                _multiply(acc, colp.items(), d)
+                colp = cols[p] = {i: Polynomial.of(ms).monomials for i, ms in acc.items()}
+            for c, colc in cols.items():
+                if c != p and (q := colc.get(p)):
+                    acc = {}
+                    _multiply(acc, colp.items(), q)
+                    for i, ms in acc.items():
+                        colc[i] = Polynomial.of((*colc.get(i, ()), *ms)).monomials
+        n = len(self.variables)
+        columns = {}
+        for c, col in cols.items():
+            inf = infs[c]
+            merge = row_merger(inf) if inf.monomials else None
+            cells = [inf] * n
+            for i, ms in col.items():
+                if ms:
+                    cell = Polynomial(tuple(ms))
+                    cells[i] = merge(cell) if merge else cell
+            columns[c] = tuple(cells)
+        pend = sum(infs.values(), ZERO_POLY)
+        tail = pend + sum(self.row_inf, ZERO_POLY)
+        row_inf = tuple(r + p + tail for r, p in zip(self.row_inf, self.pending))
+        return ChoiceMatrix._stored(self.variables, self.registry, columns, row_inf, (pend,) * n)
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of

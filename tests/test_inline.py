@@ -10,6 +10,7 @@ from mwpflow.delta_graph import DeltaGraph
 from mwpflow.frontend import parse, render
 from mwpflow.inline import build_inlined, check_call_theorem
 from mwpflow.frontend import Program
+from mwpflow.semiring import INF
 
 INLINE_PAIR = """
 function f(X1){
@@ -205,7 +206,7 @@ def test_empty_blame_verdict_matches_inlined_program():
     assert main.verdict == expected.verdict
     # The matrix has no cell to hold this infinity, yet the graph
     # covers every assignment.
-    assert not any(p.has_inf() for row in main.matrix.entries for p in row)
+    assert not any(m[0] == INF for row in main.matrix.entries for p in row for m in p.monomials)
     assert main.graph.sweep().count == 0
 
 

@@ -460,6 +460,10 @@ def test_monotonicity_fails_across_index_sets():
     assert not pa[1] <= pb[1]
 
 
+def _has_inf(p):
+    return any(s == INF for s, _ in p.monomials)
+
+
 def _random_poly(rng, reg, allow_inf=False):
     scalars = (M, W, P, INF) if allow_inf else (M, W, P)
     monos = []
@@ -818,7 +822,7 @@ def _unit_column_rows(a, b):
     whether row i of a holds INF."""
     n = len(a.variables)
     return [
-        any(p.has_inf() for p in a.entries[i])
+        any(_has_inf(p) for p in a.entries[i])
         for c in range(n)
         if all(b.entries[k][c] == (UNIT_POLY if k == c else ZERO_POLY) for k in range(n))
         for i in range(n)
@@ -853,8 +857,8 @@ def test_matrix_product_matches_cellwise_definition():
                 _unit_outside_columns(rng, n, entry) if shape == "unit columns" else dense()
             ), reg)
             inf_opposite_zero += sum(
-                (a.entries[i][k].has_inf() and not b.entries[k][c].monomials)
-                or (not a.entries[i][k].monomials and b.entries[k][c].has_inf())
+                (_has_inf(a.entries[i][k]) and not b.entries[k][c].monomials)
+                or (not a.entries[i][k].monomials and _has_inf(b.entries[k][c]))
                 for i in range(n) for k in range(n) for c in range(n)
             )
             for row_has_inf in _unit_column_rows(a, b):
@@ -872,14 +876,13 @@ def _product_checker(monkeypatch):
     update is also checked against the product with the matrix it
     stands for: the identity with those columns replaced.  __mul__
     calls the update itself, so only the outermost call is checked.
-    The closure takes its first product through _update, with columns
-    split by _written; each is rebuilt as its finite monomials in their
-    cells plus its INF list in every cell, which the product spreads
-    over the column anyway.
+    The closure takes no product: each is checked against the
+    definition's fixpoint and counted as 1 + M times itself, the
+    product its first step stands for.
     """
     product = ChoiceMatrix.__mul__
     update = ChoiceMatrix.update_columns
-    split_update = ChoiceMatrix._update
+    closure = ChoiceMatrix.closure
     checked = []
     updates = []  # the pairs of column updates the fold takes directly
     busy = []
@@ -918,15 +921,23 @@ def _product_checker(monkeypatch):
         updates.extend(checked[done:])
         return out
 
-    def checked_split_update(a, written):
-        return checked_columns(split_update, a, written, lambda: {
-            c: [Polynomial.of([*fin.get(k, ()), *inf.monomials]) for k in range(len(a.variables))]
-            for c, (fin, inf) in written.items()
-        })
+    def checked_closure(m):
+        if busy:
+            return closure(m)
+        plain = ChoiceMatrix(m.variables, m.entries, m.registry)
+        busy.append(True)
+        try:
+            out = closure(m)
+            assert out.entries == _sum_fixpoint(plain).entries
+        finally:
+            busy.pop()
+        first = ChoiceMatrix.identity(m.variables, m.registry) + plain
+        checked.append((first, first))
+        return out
 
     monkeypatch.setattr(ChoiceMatrix, "__mul__", checked_product)
     monkeypatch.setattr(ChoiceMatrix, "update_columns", checked_update)
-    monkeypatch.setattr(ChoiceMatrix, "_update", checked_split_update)
+    monkeypatch.setattr(ChoiceMatrix, "closure", checked_closure)
     return checked, updates
 
 
@@ -974,11 +985,11 @@ def test_analysis_products_match_cellwise_definition(monkeypatch, src, inf_rows_
 
 
 def test_analysis_closures_match_sum_fixpoint(monkeypatch):
-    # The closure's rounds after the first product update its stored
-    # columns directly, so _product_checker does not see them.  Every
-    # closure the analysis takes must equal the definition's fixpoint
-    # of its body's cells byte for byte, also where the body's rows hold
-    # INF and the fixpoint takes more rounds than the first product.
+    # Every closure the analysis takes must equal the definition's
+    # fixpoint of its body's cells byte for byte, also where the body's
+    # rows hold INF, where the fixpoint takes more rounds than the first
+    # product, and in nested loops, which _product_checker's programs
+    # do not hold.
     closure = ChoiceMatrix.closure
     seen = {"closures": 0, "inf rows": 0, "past first product": 0}
 
@@ -988,7 +999,7 @@ def test_analysis_closures_match_sum_fixpoint(monkeypatch):
         assert out.entries == _sum_fixpoint(plain).entries
         first = ChoiceMatrix.identity(m.variables, m.registry) + plain
         seen["closures"] += 1
-        seen["inf rows"] += sum(any(p.has_inf() for p in row) for row in m.entries)
+        seen["inf rows"] += sum(any(_has_inf(p) for p in row) for row in m.entries)
         seen["past first product"] += out != first * first
         return out
 
@@ -1026,9 +1037,9 @@ def test_fold_column_updates_match_cellwise_definition(monkeypatch):
     )
     _, updates = _product_checker(monkeypatch)
     analyze_program(parse(src))
-    inf_rows = sum(any(p.has_inf() for p in row) for a, _ in updates for row in a.entries)
+    inf_rows = sum(any(_has_inf(p) for p in row) for a, _ in updates for row in a.entries)
     inf_columns = sum(
-        any(b.entries[k][c].has_inf() for k in range(len(b.variables)))
+        any(_has_inf(b.entries[k][c]) for k in range(len(b.variables)))
         for _, b in updates for c in range(len(b.variables))
     )
     assert (len(updates), inf_rows, inf_columns) == (7, 16, 2)
@@ -1074,8 +1085,9 @@ def _sum_fixpoint(m):
 
 
 def test_closure_matches_sum_fixpoint_and_flow_closure():
-    # closure iterates s·(1+M); it must give the cells of s + s·M byte
-    # for byte, and evaluate to the flow closure at every assignment.
+    # closure eliminates over the stored columns; it must give the cells
+    # of the fixpoint of s + s·M byte for byte, and evaluate to the flow
+    # closure at every assignment.
     rng = random.Random(37)
     seen = {"inf": 0, "rounds": 0, "zero": 0, "cells": 0}
     for _ in range(600):
@@ -1094,16 +1106,15 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
         assert star == _sum_fixpoint(m)
         for a in assignments(reg):
             assert star.evaluate(a) == m.evaluate(a).closure(), a
-        seen["inf"] += any(p.has_inf() for row in m.entries for p in row)
+        seen["inf"] += any(_has_inf(p) for row in m.entries for p in row)
         seen["rounds"] += star != ChoiceMatrix.identity(m.variables, reg) + m
         seen["zero"] += sum(not p.monomials for row in rows for p in row)
         seen["cells"] += n * n
     assert seen["inf"] >= 100 and seen["rounds"] >= 100
     assert seen["zero"] >= 0.4 * seen["cells"]
 
-    # The first product adds no finite monomial, yet row 1's INF, which
-    # it brings into cell (0, 0), reaches the rest of row 0 only in the
-    # round after: the rounds stop on the row lists too.
+    # No finite monomial moves, yet row 1's INF, which s·M brings into
+    # cell (0, 0), reaches the rest of row 0 through the row lists.
     reg = ChoiceRegistry([2])
     inf = poly((INF, [delta(0, 0)]))
     m = ChoiceMatrix(("V0", "V1"), [[UNIT_POLY, ZERO_POLY], [inf, UNIT_POLY]], reg)
@@ -1112,6 +1123,112 @@ def test_closure_matches_sum_fixpoint_and_flow_closure():
     assert star.entries[0][1] == inf
     for a in assignments(reg):
         assert star.evaluate(a) == m.evaluate(a).closure(), a
+
+
+def _diagonal(rng, reg):
+    """A diagonal cell: zero, one monomial (the unit, w, p, or one with
+    deltas), INF alone or beside finite ones, or a random polynomial."""
+    def cylinder():
+        idx = rng.sample(range(len(reg)), rng.randint(1, len(reg))) if len(reg) else []
+        return tuple(sorted(delta(rng.randrange(reg.cardinality(i)), i) for i in idx))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return ZERO_POLY
+    if kind == 1:
+        return Polynomial.of([(rng.choice((M, W, P)), ())])
+    if kind == 2:
+        return Polynomial.of([(rng.choice((M, W, P)), cylinder())])
+    if kind == 3:
+        return Polynomial.of([(INF, cylinder())])
+    if kind == 4:
+        return Polynomial.of([(INF, cylinder()), (rng.choice((W, P)), cylinder())])
+    return _random_poly(rng, reg, allow_inf=kind == 5)
+
+
+def _stored_columns_matrix(rng, reg, n, k):
+    """A matrix that is the identity outside k stored columns, with some
+    rows zero in all of them, and, half the time, carried row lists: it
+    is then the product of such a matrix with another, whose row INF
+    spreads over whole rows."""
+    names = tuple(f"V{i}" for i in range(n))
+    written = rng.sample(range(n), k)
+    zero_rows = set(rng.sample(range(n), rng.randint(0, n - 1)))
+
+    def cell(r, c):
+        if r == c:
+            return _diagonal(rng, reg)
+        if r in zero_rows or rng.random() < 0.4:
+            return ZERO_POLY
+        return _random_poly(rng, reg, allow_inf=rng.random() < 0.2)
+
+    def matrix():
+        return ChoiceMatrix(names, [
+            [cell(r, c) if c in written else UNIT_POLY if r == c else ZERO_POLY for c in range(n)]
+            for r in range(n)
+        ], reg)
+
+    m = matrix()
+    return m * matrix() if rng.random() < 0.5 else m
+
+
+def _check_closure(m, reg):
+    star = m.closure()
+    assert star.entries == _sum_fixpoint(ChoiceMatrix(m.variables, m.entries, reg)).entries
+    for a in assignments(reg):
+        assert star.evaluate(a) == m.evaluate(a).closure(), a
+    return star
+
+
+def test_closure_eliminates_up_to_six_stored_columns():
+    # The elimination pivots on each stored column once, in the order of
+    # the columns dict.  It must give the definition's fixpoint and the
+    # flow closure, for every diagonal shape a pivot can meet, and a
+    # different pivot order must give the same cells.
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(300):
+        reg = ChoiceRegistry([rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
+        k = rng.randint(1, 6)
+        m = _stored_columns_matrix(rng, reg, rng.randint(k, 7), k)
+        star = _check_closure(m, reg)
+        order = list(m.columns.items())
+        rng.shuffle(order)
+        other = ChoiceMatrix._stored(m.variables, reg, dict(order), m.row_inf, m.pending)
+        assert other.closure().entries == star.entries
+        seen[f"{len(m.columns)} stored"] += 1
+        seen["reordered"] += [c for c, _ in order] != list(m.columns)
+        seen["row lists"] += any(r.monomials for r in m.row_inf)
+        for c, col in m.columns.items():
+            diag = col[c].monomials
+            seen["one non-unit diagonal"] += len(diag) == 1 and diag[0] != (M, ())
+            seen["INF diagonal"] += any(x[0] == INF for x in diag)
+        seen["zero rows"] += sum(
+            not any(col[i].monomials for col in m.columns.values()) for i in range(len(m.variables)))
+    assert min(seen[f"{k} stored"] for k in range(1, 7)) >= 20, seen
+    assert min(seen["reordered"], seen["row lists"], seen["one non-unit diagonal"],
+               seen["INF diagonal"], seen["zero rows"]) >= 100, seen
+
+
+def test_closure_of_one_stored_column():
+    # One stored column: the elimination only scales it by its diagonal,
+    # and skips that only when the diagonal is the unit alone.
+    reg = ChoiceRegistry([2, 3])
+    d0, d1 = delta(0, 0), delta(2, 1)
+    names = ("V0", "V1", "V2")
+    cells = [
+        ZERO_POLY, UNIT_POLY, Polynomial.const(W), Polynomial.const(P),
+        poly((W, [d0])), poly((P, [d0, d1])), poly((M, []), (P, [d1])),
+        poly((INF, [d0])), poly((INF, [])), poly((INF, [d1]), (W, [d0])),
+    ]
+    for diag in cells:
+        for other in cells:
+            for c in range(3):
+                rows = [[UNIT_POLY if r == k else ZERO_POLY for k in range(3)] for r in range(3)]
+                rows[c][c] = diag
+                rows[(c + 1) % 3][c] = other
+                m = ChoiceMatrix(names, rows, reg)
+                assert len(m.columns) <= 1
+                _check_closure(m, reg)
 
 
 def _eager_update(rows, columns):

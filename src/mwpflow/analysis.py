@@ -168,14 +168,14 @@ class _FunctionRun:
         counted loop instead adds the p monomials of every column to the
         counter's row.  A unit column holds nothing above m and no p, so
         only the stored columns of the closure are read, each merged
-        with row_inf, and those the rule tops are replaced.
+        with the closure's one INF list, and those the rule tops are
+        replaced.
         """
         star = out = body.closure()
-        merges = {i: row_merger(r) for i, r in enumerate(star.row_inf) if r.monomials}
+        inf = star.row_inf[0] if star.columns else ZERO_POLY
+        merge = row_merger(inf) if inf.monomials else None
         for j, stored in star.columns.items():
-            column = list(stored)
-            for i, merge in merges.items():
-                column[i] = merge(column[i])
+            column = list(map(merge, stored) if merge else stored)
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W

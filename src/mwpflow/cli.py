@@ -229,6 +229,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"mwpflow: {opts.file}: program nested too deeply to analyze",
               file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"mwpflow: {opts.file}: out of memory", file=sys.stderr)
+        return 2
     finally:
         reconfigure(errors=errors)
 

@@ -30,7 +30,10 @@ update of the right factor's stored columns
 (ChoiceMatrix.update_columns), and the fold of a body calls it directly
 for assignments and calls.  Each row keeps its canonical INF lists
 beside its cells, carried from update to update without a scan; the
-cells take them, through row_merger, only when entries are read.
+cells take them, through row_merger, only when entries are read.  The
+closure of a loop body goes furthest: an INF monomial anywhere in M
+reaches every cell of M³, so the star's INF forms one list, which every
+row holds (ChoiceMatrix.closure).
 """
 
 from __future__ import annotations
@@ -72,10 +75,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     """
     (sa, da), (sb, db) = a, b
     s = sa if sa > sb else sb
-    if not da or not db:
-        return (s, da or db)
-    if da[-1] >> SHIFT < db[0] >> SHIFT:  # the fold's usual case: b's indices are newer
-        return (s, da + db)
     picks = {d >> SHIFT: d for d in da}
     for d in db:
         if picks.setdefault(d >> SHIFT, d) != d:
@@ -368,7 +367,8 @@ def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Poly
 def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
     """Add to acc[i] the products of the finite monomials of row i, for
     each (i, monomials) of rows, with qs: mono_mul's, built in place
-    when q's indices are all newer, the fold's usual case."""
+    when q's indices are all newer, the fold's usual case, or either
+    delta list is empty."""
     # q's first index as its lowest delta: last < first compares indices.
     heads = [(q, q[1][0] & ~MASK if q[1] else float("inf")) for q in qs]
     for i, monos in rows:
@@ -550,17 +550,18 @@ class ChoiceMatrix:
         so of(of(X) ∪ Y) == of(X ∪ Y), and the elimination gives the
         canonical sum over all walks.
 
-        Only finite monomials multiply.  Each column's INF list is
-        merged into its cells at the end, and as s·(1+M) spreads them,
-        every row's pending list becomes the union of those lists, and
-        its row list gains its own pending list, that union and every
-        row list.  A product of a monomial that a column's INF list
-        covers is covered by every row list, so it may wait in a cell
-        (see update_columns).
+        Only finite monomials multiply, and the stored cells keep just
+        their products: the star has one INF list.  As 0·∞ = ∞, an INF
+        monomial anywhere in M reaches every cell of M³, so every row's
+        list is the union of M's row lists, its pending lists and its
+        columns' INF lists, and no list is left pending.  A product of a
+        monomial that a column's INF list covers is covered by that union,
+        so it may wait in a cell (see update_columns).
         """
-        cols, infs = {}, {}
+        cols, inf = {}, sum(self.row_inf + self.pending, ZERO_POLY)
         for c, col in self.columns.items():
-            cols[c], infs[c] = _written(col[:c] + (UNIT_POLY + col[c],) + col[c + 1:])
+            cols[c], col_inf = _written(col[:c] + (UNIT_POLY + col[c],) + col[c + 1:])
+            inf = inf + col_inf
         for p, colp in cols.items():
             if (d := colp.get(p)) and (len(d) > 1 or d[0] != (M, ())):
                 acc: dict[int, list[Monomial]] = {}
@@ -573,20 +574,10 @@ class ChoiceMatrix:
                     for i, ms in acc.items():
                         colc[i] = Polynomial.of((*colc.get(i, ()), *ms)).monomials
         n = len(self.variables)
-        columns = {}
-        for c, col in cols.items():
-            inf = infs[c]
-            merge = row_merger(inf) if inf.monomials else None
-            cells = [inf] * n
-            for i, ms in col.items():
-                if ms:
-                    cell = Polynomial(tuple(ms))
-                    cells[i] = merge(cell) if merge else cell
-            columns[c] = tuple(cells)
-        pend = sum(infs.values(), ZERO_POLY)
-        tail = pend + sum(self.row_inf, ZERO_POLY)
-        row_inf = tuple(r + p + tail for r, p in zip(self.row_inf, self.pending))
-        return ChoiceMatrix._stored(self.variables, self.registry, columns, row_inf, (pend,) * n)
+        columns = {c: tuple(Polynomial(tuple(col[i])) if i in col else ZERO_POLY for i in range(n))
+                   for c, col in cols.items()}
+        return ChoiceMatrix._stored(self.variables, self.registry, columns,
+                                    (inf,) * n, (ZERO_POLY,) * n)
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of
@@ -596,7 +587,8 @@ class ChoiceMatrix:
         Row lists still reach the new cells, and the old column's pending
         INF stays, so this is the plain replacement when column keeps the
         INF monomials of the entries it replaces: a unit column of the
-        identity holds none, and the iteration rule only adds monomials.
+        identity holds none, and the iteration rule only adds monomials
+        to the closure's columns merged with its INF list.
         """
         if len(column) != len(self.variables):
             raise ValueError("column length mismatch")

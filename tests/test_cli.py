@@ -737,6 +737,19 @@ def test_deeply_nested_expression_exits_two(tmp_path, capsys):
     assert captured.err.startswith("mwpflow: ")
 
 
+def test_out_of_memory_exits_two(loop_file, monkeypatch, capsys):
+    # Exit code 1 means only "unbounded": an analysis that runs out of
+    # memory ends in a one-line diagnostic, not a traceback.
+    def exhausted(program):
+        raise MemoryError
+
+    monkeypatch.setattr("mwpflow.cli.analyze_program", exhausted)
+    assert run([loop_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mwpflow: ") and captured.err.count("\n") == 1
+
+
 def test_feedback_chain_48_decided(tmp_path, capsys):
     # 48 counted loops over a rotating pool of five variables.
     pool = [f"X{i + 1}" for i in range(5)]

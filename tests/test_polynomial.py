@@ -1183,7 +1183,9 @@ def test_closure_eliminates_up_to_six_stored_columns():
     # The elimination pivots on each stored column once, in the order of
     # the columns dict.  It must give the definition's fixpoint and the
     # flow closure, for every diagonal shape a pivot can meet, and a
-    # different pivot order must give the same cells.
+    # different pivot order must give the same cells.  As 0·∞ = ∞, the
+    # star has one INF list, every INF monomial of m's, held by every
+    # row: no list is pending and no stored cell holds INF.
     rng = random.Random(53)
     seen = Counter()
     for _ in range(300):
@@ -1191,6 +1193,11 @@ def test_closure_eliminates_up_to_six_stored_columns():
         k = rng.randint(1, 6)
         m = _stored_columns_matrix(rng, reg, rng.randint(k, 7), k)
         star = _check_closure(m, reg)
+        inf = Polynomial.of(x for row in m.entries for p in row for x in p.monomials if x[0] == INF)
+        assert star.row_inf == (inf,) * len(m.variables)
+        assert not any(p.monomials for p in star.pending)
+        assert all(x[0] != INF for col in star.columns.values() for p in col for x in p.monomials)
+        seen["INF list"] += bool(inf.monomials)
         order = list(m.columns.items())
         rng.shuffle(order)
         other = ChoiceMatrix._stored(m.variables, reg, dict(order), m.row_inf, m.pending)
@@ -1206,7 +1213,7 @@ def test_closure_eliminates_up_to_six_stored_columns():
             not any(col[i].monomials for col in m.columns.values()) for i in range(len(m.variables)))
     assert min(seen[f"{k} stored"] for k in range(1, 7)) >= 20, seen
     assert min(seen["reordered"], seen["row lists"], seen["one non-unit diagonal"],
-               seen["INF diagonal"], seen["zero rows"]) >= 100, seen
+               seen["INF diagonal"], seen["zero rows"], seen["INF list"]) >= 100, seen
 
 
 def test_closure_of_one_stored_column():

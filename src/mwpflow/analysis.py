@@ -43,15 +43,17 @@ from .polynomial import (
     Polynomial,
     UNIT_POLY,
     ZERO_POLY,
-    row_merger,
+    delta,
 )
-from .semiring import INF, M, P, W
+from .semiring import INF, M, P, W, ZERO
 
 BOUNDED = "bounded"
 CONDITIONALLY_BOUNDED = "conditionally_bounded"
 UNBOUNDED = "unbounded"
 
 _W_POLY = Polynomial.const(W)
+# The scalar of a delta-free vector cell: 0, a variable's m or a product's w.
+_FLAT = {ZERO_POLY: ZERO, UNIT_POLY: M, _W_POLY: W}
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,9 @@ class _FunctionRun:
     # -- expressions ---------------------------------------------------
 
     def vector_of(self, e: Expr) -> list[Polynomial]:
+        """The expression's column (rules E1, E2).  A +/- site builds a
+        cell whose two operand cells are delta-free from their scalars,
+        and joins the three branches of any other cell."""
         v = [ZERO_POLY] * len(self.variables)
         if isinstance(e, Var):
             v[self.index[e.name]] = UNIT_POLY
@@ -126,9 +131,15 @@ class _FunctionRun:
         # Additive operator: p on the right, p on the left, or rule E2,
         # tracked under a fresh three-valued choice index.
         j = self.registry.fresh(3)
+        base = delta(0, j)
         for k, (a, b) in enumerate(zip(v1, v2)):
             if a.monomials or b.monomials:
-                v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
+                sa, sb = _FLAT.get(a), _FLAT.get(b)
+                if sa is None or sb is None:
+                    v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
+                else:  # the join's cell: p times a nonzero scalar is p
+                    v[k] = Polynomial(((P if sb else sa, (base,)), (P if sa else sb, (base | 1,)),
+                                       (W, (base | 2,))))
         return v
 
     # -- commands -------------------------------------------------------
@@ -167,27 +178,26 @@ class _FunctionRun:
         unbounded while also tops each p monomial in its own cell; a
         counted loop instead adds the p monomials of every column to the
         counter's row.  A unit column holds nothing above m and no p, so
-        only the stored columns of the closure are read, each merged
-        with the closure's one INF list, and those the rule tops are
-        replaced.
+        only the stored columns of the closure are read, and those the
+        rule tops are replaced.  They hold no INF: the closure's one INF
+        list stays in its row lists, which reach the new cells too, so
+        each row's pending list takes only the twins the rule put there.
+        A twin or p copy of a monomial that list covers is covered too.
         """
         star = out = body.closure()
-        inf = star.row_inf[0] if star.columns else ZERO_POLY
-        merge = row_merger(inf) if inf.monomials else None
-        for j, stored in star.columns.items():
-            column = list(map(merge, stored) if merge else stored)
+        for j, column in star.columns.items():
             cells = list(column)
             for i in range(len(column)) if counter is None else (j,):
                 floor = M if i == j else W
                 monos = column[i].monomials
-                twins = [(INF, ds) for s, ds in monos if floor < s < INF]
+                twins = [(INF, ds) for s, ds in monos if s > floor]
                 if twins:
                     cells[i] = Polynomial.of([*monos, *twins])
             if counter is not None:
                 hits = [m for p in column for m in p.monomials if m[0] == P]
                 if hits:
                     cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
-            if cells != column:
+            if tuple(cells) != column:
                 out = out.replace_column(j, cells)
         return out
 

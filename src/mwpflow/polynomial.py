@@ -8,7 +8,7 @@ deltas) tuple.  A polynomial is an ordered sum (pointwise max) of
 monomials and represents one coefficient of an analysis matrix.
 Polynomial.of keeps no ZERO scalar, so the finite scalars of a
 canonical polynomial lie in m..p, where the product is the max: the
-product of two finite monomials takes the larger scalar.
+product of two finite monomials (_multiply) takes the larger scalar.
 
 A delta is one int, index << SHIFT | value, read back as d >> SHIFT
 and d & MASK.  ChoiceRegistry keeps every pick below 1 << SHIFT, so
@@ -18,8 +18,8 @@ compare lexicographically by their delta lists with shorter prefixes
 first.  Sums, products, scaling and restriction collect their raw
 monomials and hand them to Polynomial.of, the one place that drops
 subsumed monomials, except where none can drop (join, over a fresh
-index) and where an INF list drops the finite monomials it covers
-(covered_by).
+index, and a sum site over delta-free cells) and where an INF list
+drops the finite monomials it covers (covered_by).
 
 INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
@@ -33,7 +33,7 @@ beside its cells, carried from update to update without a scan; the
 cells take them, through row_merger, only when entries are read.  The
 closure of a loop body goes furthest: an INF monomial anywhere in M
 reaches every cell of M³, so the star's INF forms one list, which every
-row holds (ChoiceMatrix.closure).
+row holds and no stored cell repeats (ChoiceMatrix.closure).
 """
 
 from __future__ import annotations
@@ -63,23 +63,6 @@ def delta(value: int, index: int) -> Delta:
     if not 0 <= value <= MASK or index < 0:  # a larger pick would spill into the index
         raise ValueError(f"delta ({value},{index}) does not fit the encoding")
     return index << SHIFT | value
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two finite monomials; None when their deltas conflict.
-
-    Deltas at the same index with different values select disjoint
-    cylinders, so the product vanishes.  The scalar is the max of the
-    two: callers pass only finite monomials of canonical polynomials,
-    which hold no ZERO scalar, and on m..p the product is the max.
-    """
-    (sa, da), (sb, db) = a, b
-    s = sa if sa > sb else sb
-    picks = {d >> SHIFT: d for d in da}
-    for d in db:
-        if picks.setdefault(d >> SHIFT, d) != d:
-            return None
-    return (s, tuple(sorted(picks.values())))
 
 
 def monomial_text(m: Monomial) -> str:
@@ -157,20 +140,17 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Pointwise product.
 
-        Finite monomials multiply pairwise.  INF monomials bypass the
-        pairwise step: an INF cylinder absorbs whatever the other factor
-        holds there, 0 included, so it survives verbatim.
+        Finite monomials multiply pairwise (_multiply).  INF monomials
+        bypass the pairwise step: an INF cylinder absorbs whatever the
+        other factor holds there, 0 included, so it survives verbatim.
         """
-        out: list[Monomial] = []
-        fin_p: list[Monomial] = []
-        for m in self.monomials:
-            (out if m[0] == INF else fin_p).append(m)
+        out = [m for m in self.monomials if m[0] == INF]
+        fin_q: list[Monomial] = []
         for q in other.monomials:
-            if q[0] == INF:
-                out.append(q)
-            else:
-                out.extend(r for p in fin_p if (r := mono_mul(p, q)) is not None)
-        return Polynomial.of(out)
+            (out if q[0] == INF else fin_q).append(q)
+        acc: dict[int, list[Monomial]] = {}
+        _multiply(acc, ((0, self.monomials),), fin_q)
+        return Polynomial.of(out + acc[0])
 
     def scale(self, scalar: int) -> "Polynomial":
         if scalar == ZERO or not self.monomials:
@@ -366,24 +346,42 @@ def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Poly
 
 def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
     """Add to acc[i] the products of the finite monomials of row i, for
-    each (i, monomials) of rows, with qs: mono_mul's, built in place
-    when q's indices are all newer, the fold's usual case, or either
-    delta list is empty."""
+    each (i, monomials) of rows, with the finite monomials qs: the one
+    product of two monomials, whose scalar is the max.  A pair that can
+    share no index, as q's indices are all newer or a list is empty, is
+    concatenated; equal lists are their own product.  Other pairs read
+    q's picks, built once per call: a differing pick at any shared index
+    makes the product vanish, else its list is the one that holds the
+    other, or the sorted union."""
     # q's first index as its lowest delta: last < first compares indices.
-    heads = [(q, q[1][0] & ~MASK if q[1] else float("inf")) for q in qs]
+    heads = [(k, sb, db, db[0] & ~MASK if db else float("inf"))
+             for k, (sb, db) in enumerate(qs)]
+    picks: list = [None] * len(qs)
     for i, monos in rows:
         out = acc.setdefault(i, [])
-        for a in monos:
-            sa, da = a
+        for sa, da in monos:
             if sa == INF:
                 continue
             last = da[-1] if da else -1
-            for q, first in heads:
+            for k, sb, db, first in heads:
+                s = sa if sa > sb else sb
                 if last < first:
-                    sb = q[0]
-                    out.append((sa if sa > sb else sb, da + q[1]))
-                elif (r := mono_mul(a, q)) is not None:
-                    out.append(r)
+                    out.append((s, da + db))
+                elif da == db:
+                    out.append((s, da))
+                else:
+                    get = picks[k]
+                    if get is None:
+                        get = picks[k] = {d >> SHIFT: d for d in db}.get
+                    shared = 0
+                    for d in da:
+                        if (e := get(d >> SHIFT)) is not None:
+                            if e != d:
+                                break
+                            shared += 1
+                    else:
+                        out.append((s, db if shared == len(da) else da if shared == len(db)
+                                    else tuple(sorted({*da, *db}))))
 
 
 def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
@@ -586,9 +584,9 @@ class ChoiceMatrix:
 
         Row lists still reach the new cells, and the old column's pending
         INF stays, so this is the plain replacement when column keeps the
-        INF monomials of the entries it replaces: a unit column of the
-        identity holds none, and the iteration rule only adds monomials
-        to the closure's columns merged with its INF list.
+        INF monomials of the stored cells it replaces: a unit column of
+        the identity holds none, and neither does a stored column of a
+        closure, to which the iteration rule only adds monomials.
         """
         if len(column) != len(self.variables):
             raise ValueError("column length mismatch")

@@ -8,11 +8,12 @@ from mwpflow.analysis import (
     BOUNDED,
     CONDITIONALLY_BOUNDED,
     UNBOUNDED,
+    _FunctionRun,
     analyze_program,
 )
 from mwpflow.frontend import Call, parse, walk_commands
 from mwpflow import polynomial
-from mwpflow.polynomial import ChoiceMatrix, Polynomial, delta
+from mwpflow.polynomial import ChoiceMatrix, Polynomial, ZERO_POLY, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
 
 
@@ -77,6 +78,31 @@ def test_chained_sum_keeps_seven_monomials(terms):
     # the last two sites show, however long the sum.
     r = analyze_main("function main(){ X1 = " + " + ".join(["X2"] * terms) + "; }")
     assert sum(len(p.monomials) for row in r.matrix.entries for p in row) == 7
+
+
+def test_sum_sites_over_delta_free_cells_match_the_general_rule():
+    # A +/- site whose two operand cells are delta-free (0, a variable's
+    # m or a product's w) builds its cell from their scalars; that cell
+    # must be the general rule's join over the site's index.
+    operands = ("X1", "X2", "X1 * X2", "X2 * X3", "X3 * X3")
+    w_poly = Polynomial.const(W)
+    scalar = {ZERO_POLY: ZERO, Polynomial.const(M): M, w_poly: W}
+    seen = set()
+    for left, op, right in itertools.product(operands, "+-", operands):
+        run = _FunctionRun(parse(f"function main(){{ X4 = {left} {op} {right}; }}").functions[0],
+                           {})
+        e = run.decl.body[0].value
+        v1, v2 = run.vector_of(e.left), run.vector_of(e.right)
+        cells = run.vector_of(e)
+        j = len(run.registry) - 1
+        for a, b, cell in zip(v1, v2, cells):
+            seen.add((scalar[a], scalar[b]))
+            if a.monomials or b.monomials:
+                assert cell.monomials == Polynomial.join(
+                    j, (a + b.scale(P), a.scale(P) + b, w_poly)).monomials, (e, a, b)
+            else:
+                assert cell is ZERO_POLY
+    assert seen == set(itertools.product((ZERO, M, W), repeat=2))
 
 
 # --- command matrices ---------------------------------------------------
@@ -253,6 +279,56 @@ def test_loop_counter_takes_p_of_topped_diagonal():
     picks = [delta(v, 0) for v in range(3)]
     assert r.matrix.entries[x2][x2] == poly((M, []), *((INF, [d]) for d in picks))
     assert r.matrix.entries[x1][x2] == poly(*((P, [d]) for d in picks[:2]))
+
+
+def _rule_on_entries(star, counter):
+    """The iteration rule applied to the closure's entries, its INF list
+    merged into every cell: the rows of the matrix it gives."""
+    rows = [list(row) for row in star.entries]
+    for j in star.columns:
+        column = [row[j] for row in rows]
+        for i in range(len(rows)) if counter is None else (j,):
+            floor = M if i == j else W
+            twins = [(INF, ds) for s, ds in column[i].monomials if floor < s < INF]
+            rows[i][j] = Polynomial.of([*column[i].monomials, *twins])
+        if counter is not None:
+            hits = [m for p in column for m in p.monomials if m[0] == P]
+            rows[counter][j] = Polynomial.of([*rows[counter][j].monomials, *hits])
+    return tuple(map(tuple, rows))
+
+
+def test_iteration_rule_pends_only_its_twins(monkeypatch):
+    # _iterate reads the closure's stored cells, which hold no INF, and
+    # leaves the closure's one INF list in the row lists: each row's
+    # pending list is exactly the INF twins that the rule put in that
+    # row, and the entries are those of the rule on merged cells.
+    calls = []
+    iterate = _FunctionRun._iterate
+
+    def recording(self, body, counter):
+        out = iterate(self, body, counter)
+        calls.append((body, counter, out))
+        return out
+
+    monkeypatch.setattr(_FunctionRun, "_iterate", recording)
+    rng = random.Random(2805)
+    sources = [random_program(rng) for _ in range(300)]
+    sources.append("function main(){ loop X3 { while (X1 < X2) { X1 = X1 + X2; } X2 = X2 + X4; } }")
+    for src in sources:
+        analyze_program(parse(src))
+    carried = 0
+    for body, counter, out in calls:
+        star = body.closure()
+        assert out.row_inf == star.row_inf
+        twins = [[] for _ in star.variables]
+        for j, column in star.columns.items():
+            for i in range(len(column)) if counter is None else (j,):
+                floor = M if i == j else W
+                twins[i] += [(INF, ds) for s, ds in column[i].monomials if s > floor]
+        assert out.pending == tuple(map(Polynomial.of, twins)), (body, counter)
+        assert out.entries == _rule_on_entries(star, counter)
+        carried += bool(star.row_inf[0].monomials and any(twins))
+    assert carried >= 30, carried
 
 
 # --- function summaries and calls ---------------------------------------
@@ -435,10 +511,11 @@ def test_call_inside_loop_body():
 
 
 def test_engine_cells_hold_no_zero_scalar(monkeypatch):
-    # mono_mul takes the max of its two scalars, which is their product
+    # _multiply takes the max of two scalars, which is their product
     # only when neither is ZERO or INF.  It relies on every cell that the
     # engine builds being canonical, since Polynomial.of keeps no ZERO
-    # scalar, and on its callers passing finite monomials only.
+    # scalar, on its callers passing finite right factors only, and on
+    # its own skip of the rows' INF monomials.
     built = []
     stored = ChoiceMatrix._stored.__func__
 
@@ -448,16 +525,19 @@ def test_engine_cells_hold_no_zero_scalar(monkeypatch):
         return m
 
     factors = 0
-    plain_mul = polynomial.mono_mul
+    plain_multiply = polynomial._multiply
 
-    def checked_mul(a, b):
+    def checked_multiply(acc, rows, qs):
         nonlocal factors
-        assert M <= a[0] <= P and M <= b[0] <= P, (a, b)
-        factors += 1
-        return plain_mul(a, b)
+        rows = [(i, list(monos)) for i, monos in rows]
+        finite = [a for _, monos in rows for a in monos if a[0] != INF]
+        for m in (*finite, *qs):
+            assert M <= m[0] <= P, (m, qs)
+        factors += len(finite) * len(qs)
+        return plain_multiply(acc, rows, qs)
 
     monkeypatch.setattr(ChoiceMatrix, "_stored", classmethod(recording_stored))
-    monkeypatch.setattr(polynomial, "mono_mul", checked_mul)
+    monkeypatch.setattr(polynomial, "_multiply", checked_multiply)
     rng = random.Random(67)
     sources = [random_program(rng) for _ in range(80)]
     sources += [random_call_pair(rng) for _ in range(40)]

@@ -16,7 +16,6 @@ from mwpflow.polynomial import (
     ZERO_POLY,
     covered_by,
     delta,
-    mono_mul,
     row_merger,
     _multiply,
 )
@@ -43,11 +42,19 @@ def assert_pointwise(result, expected_fn, registry):
 
 # --- monomial products -------------------------------------------------
 
-def test_mono_mul_same_delta():
+def _product(a, b):
+    """The product of two finite monomials by _multiply, or None when
+    their deltas conflict."""
+    acc = {}
+    _multiply(acc, [(0, [a])], [b])
+    return acc[0][0] if acc[0] else None
+
+
+def test_multiply_same_delta():
     reg = ChoiceRegistry([1, 3])
     a = (M, (delta(0, 1),))
     b = (P, (delta(0, 1),))
-    out = mono_mul(a, b)
+    out = _product(a, b)
     assert out == (P, (delta(0, 1),))
     for al in assignments(reg):
         lhs = out[0] if matches(out, al) else ZERO
@@ -57,24 +64,112 @@ def test_mono_mul_same_delta():
         assert lhs == rhs
 
 
-def test_mono_mul_conflict_is_zero():
+def test_multiply_conflict_is_zero():
     a = (M, (delta(0, 1),))
     b = (M, (delta(1, 1),))
-    assert mono_mul(a, b) is None
+    assert _product(a, b) is None
+    assert _product(b, a) is None
 
 
-def test_mono_mul_disjoint_union():
+def test_multiply_disjoint_union():
     reg = ChoiceRegistry([1, 3, 3])
     a = (W, (delta(0, 1),))
     b = (M, (delta(2, 2),))
-    out = mono_mul(a, b)
+    out = _product(a, b)
     assert out == (W, (delta(0, 1), delta(2, 2)))
+    assert _product(b, a) == out  # older indices on the right: the merged path
     for al in assignments(reg):
         lhs = out[0] if matches(out, al) else ZERO
         rhs = mul_inf(
             a[0] if matches(a, al) else ZERO, b[0] if matches(b, al) else ZERO
         )
         assert lhs == rhs
+
+
+def _pairwise(a, b):
+    """The product of two finite monomials, pair by pair: None when a
+    shared index holds different picks, else the larger scalar on the
+    sorted union of their deltas."""
+    picks = {}
+    for d in (*a[1], *b[1]):
+        if picks.setdefault(d >> SHIFT, d) != d:
+            return None
+    return (max(a[0], b[0]), tuple(sorted(picks.values())))
+
+
+def _kind(da, db):
+    """The case of _multiply that a pair of delta lists exercises."""
+    if not da or not db:
+        return "empty"
+    if da == db:
+        return "equal"
+    pa, pb = {d >> SHIFT: d for d in da}, {d >> SHIFT: d for d in db}
+    shared = sorted(pa.keys() & pb.keys())
+    if not shared:
+        return "disjoint"
+    if pa[shared[0]] != pb[shared[0]]:
+        return "conflict first"
+    if any(pa[k] != pb[k] for k in shared):
+        return "conflict later"
+    if set(da) < set(db):
+        return "left sub-list"
+    if set(db) < set(da):
+        return "right sub-list"
+    return "union"
+
+
+def test_multiply_matches_a_pairwise_product():
+    # Rows and right factors drawn to share indices: each row monomial
+    # is often derived from a right factor, by copying it, changing a
+    # pick at its first or a later shared index, dropping or adding
+    # deltas.  acc must gain, row by row, exactly the pairwise products.
+    rng = random.Random(2803)
+    picks = (0, 1, 2, MASK)
+
+    def fresh():
+        idx = sorted(rng.sample(range(7), rng.randint(0, 4)))
+        return tuple(delta(rng.choice(picks), i) for i in idx)
+
+    def derived(dq):
+        ds = dict((d >> SHIFT, d) for d in dq)
+        move = rng.randrange(6)
+        keys = sorted(ds)
+        if move in (1, 2) and len(keys) >= move:  # another pick at q's first or a later index
+            k = keys[0] if move == 1 else rng.choice(keys[1:])
+            ds[k] = delta(((ds[k] & MASK) + 1) % 3, k)
+        elif move == 3 and keys:  # a sub-list
+            del ds[rng.choice(keys)]
+        elif move == 4:  # a longer list
+            for k in rng.sample(range(7), rng.randint(1, 2)):
+                ds.setdefault(k, delta(rng.choice(picks), k))
+        elif move == 5:
+            return fresh()
+        return tuple(sorted(ds.values()))
+
+    seen = Counter()
+    for _ in range(600):
+        qs = [(rng.choice((M, W, P)), fresh()) for _ in range(rng.randint(0, 4))]
+        rows = []
+        for i in range(rng.randint(1, 4)):
+            monos = []
+            for _ in range(rng.randint(0, 4)):
+                base = rng.choice(qs)[1] if qs and rng.random() < 0.8 else fresh()
+                monos.append((rng.choice((M, W, P, INF)), derived(base)))
+            rows.append((i, monos))
+            seen["INF rows"] += any(s == INF for s, _ in monos)
+        acc = {0: [(W, ())]}
+        _multiply(acc, iter(rows), qs)
+        expected = {i: [r for a in monos if a[0] != INF for q in qs
+                        if (r := _pairwise(a, q)) is not None] for i, monos in rows}
+        expected[0] = [(W, ())] + expected[0]
+        assert acc == expected, (rows, qs)
+        for _, monos in rows:
+            for a in monos:
+                if a[0] != INF:
+                    seen.update(_kind(a[1], q[1]) for q in qs)
+    for kind in ("equal", "conflict first", "conflict later", "left sub-list",
+                 "right sub-list", "empty", "union", "disjoint", "INF rows"):
+        assert seen[kind] >= 100, seen
 
 
 # --- addition ----------------------------------------------------------
@@ -442,7 +537,7 @@ def test_product_with_fixed_monomial_is_monotone_on_equal_index_sets():
                 (_, da), (_, db) = a, b
                 same_domain = {d >> SHIFT for d in da} == {d >> SHIFT for d in db}
                 if same_domain and da <= db:
-                    pa, pb = mono_mul(a, n), mono_mul(b, n)
+                    pa, pb = _product(a, n), _product(b, n)
                     if pa is not None and pb is not None:
                         assert pa[1] <= pb[1]
 
@@ -455,7 +550,7 @@ def test_monotonicity_fails_across_index_sets():
     b = (M, (delta(0, 1),))
     n = (M, (delta(0, 0),))
     assert a[1] <= b[1]
-    pa, pb = mono_mul(a, n), mono_mul(b, n)
+    pa, pb = _product(a, n), _product(b, n)
     assert pa is not None and pb is not None
     assert not pa[1] <= pb[1]
 
@@ -681,13 +776,14 @@ def test_encoded_delta_lists_sort_as_their_pairs():
 
 
 def test_index_tests_read_the_index_not_the_whole_delta():
-    # Equal indices with different picks: mono_mul and _multiply must
-    # reach the conflict check, not append because the second code is
-    # larger.  restrict and evaluate read the index and the pick apart,
-    # also for a pick at the top of the field.
+    # Equal indices with different picks: _multiply must reach the
+    # conflict check, not append because the second code is larger.
+    # restrict and evaluate read the index and the pick apart, also for
+    # a pick at the top of the field.
     low, high = delta(0, 1), delta(MASK, 1)
-    assert mono_mul((M, (low,)), (P, (high,))) is None
-    assert mono_mul((M, (delta(5, 0),)), (P, (high,))) == (P, (delta(5, 0), high))
+    assert _product((M, (low,)), (P, (high,))) is None
+    assert _product((M, (delta(5, 0),)), (P, (high,))) == (P, (delta(5, 0), high))
+    assert _product((M, (low, delta(2, 2))), (P, (high,))) is None
     acc = {}
     _multiply(acc, [(0, [(M, (low,))]), (1, [(W, (delta(3, 0),))])], [(P, (high,))])
     assert acc == {0: [], 1: [(P, (delta(3, 0), high))]}
@@ -1255,12 +1351,15 @@ def _eager_update(rows, columns):
             monos += [
                 r
                 for k, q in enumerate(col)
-                for a in row[k].monomials if a[0] != INF
-                for b in q.monomials if b[0] != INF and (r := mono_mul(a, b)) is not None
+                for r in (_finite(row[k]) * _finite(q)).monomials
             ]
             new_row.append(Polynomial.of(monos))
         out.append(tuple(new_row))
     return tuple(out)
+
+
+def _finite(p):
+    return Polynomial(tuple(m for m in p.monomials if m[0] != INF))
 
 
 def _stored_view(m):

@@ -3,8 +3,9 @@
 Each function body is folded into a single choice matrix: assignments
 replace one column with the expression's vector, sequences multiply,
 branches of a conditional join by entry-wise max over independent choice
-indices, and the two iteration rules close the body matrix and then top
-the cells that break the polynomial-growth argument with INF.  The
+indices, and a loop or while hands its body matrix to
+ChoiceMatrix.iterate, which closes it and then tops the cells that
+break the polynomial-growth argument with INF.  The
 final matrix is the only record of infinity, except for a call that
 poisons every assignment (see poisoned): once the body is folded, one
 Polynomial.of over its INF monomials is the cover of the function's
@@ -166,40 +167,10 @@ class _FunctionRun:
         if isinstance(c, If):
             return self.matrix_of_body(c.then_body) + self.matrix_of_body(c.else_body)
         if isinstance(c, While):
-            return self._iterate(self.matrix_of_body(c.body), counter=None)
+            return self.matrix_of_body(c.body).iterate(None)
         if isinstance(c, Loop):
-            return self._iterate(self.matrix_of_body(c.body), counter=self.index[c.counter])
+            return self.matrix_of_body(c.body).iterate(self.index[c.counter])
         raise TypeError(f"unknown command {c!r}")
-
-    def _iterate(self, body: ChoiceMatrix, counter: int | None) -> ChoiceMatrix:
-        """Apply the iteration rule to a closed body matrix.
-
-        Both rules give every diagonal monomial above m an INF twin.  An
-        unbounded while also tops each p monomial in its own cell; a
-        counted loop instead adds the p monomials of every column to the
-        counter's row.  A unit column holds nothing above m and no p, so
-        only the stored columns of the closure are read, and those the
-        rule tops are replaced.  They hold no INF: the closure's one INF
-        list stays in its row lists, which reach the new cells too, so
-        each row's pending list takes only the twins the rule put there.
-        A twin or p copy of a monomial that list covers is covered too.
-        """
-        star = out = body.closure()
-        for j, column in star.columns.items():
-            cells = list(column)
-            for i in range(len(column)) if counter is None else (j,):
-                floor = M if i == j else W
-                monos = column[i].monomials
-                twins = [(INF, ds) for s, ds in monos if s > floor]
-                if twins:
-                    cells[i] = Polynomial.of([*monos, *twins])
-            if counter is not None:
-                hits = [m for p in column for m in p.monomials if m[0] == P]
-                if hits:
-                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
-            if tuple(cells) != column:
-                out = out.replace_column(j, cells)
-        return out
 
     def column_of(self, c: Assign | Call) -> tuple[int, list[Polynomial]]:
         """The target index and new column of an assignment or call."""

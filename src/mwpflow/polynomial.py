@@ -33,7 +33,9 @@ beside its cells, carried from update to update without a scan; the
 cells take them, through row_merger, only when entries are read.  The
 closure of a loop body goes furthest: an INF monomial anywhere in M
 reaches every cell of M³, so the star's INF forms one list, which every
-row holds and no stored cell repeats (ChoiceMatrix.closure).
+row holds and no stored cell repeats (ChoiceMatrix.closure).  The loop
+and while rules read that stored form next to it (ChoiceMatrix.iterate),
+so the fold of a body reads no stored column or INF list.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .semiring import INF, M, ZERO, FlowMatrix, mul_inf, value_char
+from .semiring import INF, M, P, W, ZERO, FlowMatrix, mul_inf, value_char
 
 SHIFT = 16  # bits of a delta's pick field
 MASK = (1 << SHIFT) - 1
@@ -267,25 +269,6 @@ class ChoiceRegistry:
                 raise ValueError(f"pick {v} out of range for choice {j} (domain {c})")
 
 
-def _split(
-    polys: Iterable[Polynomial],
-) -> tuple[dict[int, list[Monomial]], Polynomial]:
-    """Cells as their finite monomials by position, and their INF ones.
-
-    The INF monomials come back as one canonical Polynomial, so a list
-    that repeats across the cells of a column or row is merged once.
-    """
-    fin: dict[int, list[Monomial]] = {}
-    inf: set[Monomial] = set()
-    for k, poly in enumerate(polys):
-        for m in poly.monomials:
-            if m[0] == INF:
-                inf.add(m)
-            else:
-                fin.setdefault(k, []).append(m)
-    return fin, Polynomial.of(inf) if inf else ZERO_POLY
-
-
 def _dominated(ds: tuple[Delta, ...], sizes: Iterable[int], get, s: int) -> bool:
     """Whether a sub-list of ds of one of these sizes has get(sub)[0] >= s."""
     for r in sizes:
@@ -333,15 +316,26 @@ def row_merger(inf: Polynomial) -> Callable[[Polynomial], Polynomial]:
     return merge
 
 
-def _written(col: Sequence[Polynomial]) -> tuple[dict[int, list[Monomial]], Polynomial]:
-    """A written column as _split gives it, less the finite monomials
-    that its INF list covers: their products would be covered too, and
-    Polynomial.of would drop them."""
-    fin, inf = _split(col)
-    if inf.monomials:
-        covered = covered_by(inf)
-        fin = {k: kept for k, qs in fin.items() if (kept := [q for q in qs if not covered(q[1])])}
-    return fin, inf
+def _written(cells: Iterable[Polynomial]) -> tuple[dict[int, list[Monomial]], Polynomial]:
+    """Cells as their finite monomials by position, and their INF ones
+    as one canonical Polynomial, so a list that repeats across the cells
+    of a column or row is merged once.  The finite monomials that the
+    INF list covers are dropped: their products would be covered too,
+    and Polynomial.of would drop them."""
+    fin: dict[int, list[Monomial]] = {}
+    inf: set[Monomial] = set()
+    for k, poly in enumerate(cells):
+        for m in poly.monomials:
+            if m[0] == INF:
+                inf.add(m)
+            else:
+                fin.setdefault(k, []).append(m)
+    if not inf:
+        return fin, ZERO_POLY
+    inf_poly = Polynomial.of(inf)
+    covered = covered_by(inf_poly)
+    return {k: kept for k, qs in fin.items()
+            if (kept := [q for q in qs if not covered(q[1])])}, inf_poly
 
 
 def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
@@ -417,7 +411,7 @@ class ChoiceMatrix:
             raise ValueError("matrix shape must match the variable list")
         self.variables, self.registry, self._entries = tuple(variables), registry, None
         self.columns = {c: col for c, col in enumerate(zip(*rows)) if col != _unit(n, c)}
-        self.row_inf, self.pending = (ZERO_POLY,) * n, tuple(_split(row)[1] for row in rows)
+        self.row_inf, self.pending = (ZERO_POLY,) * n, tuple(_written(row)[1] for row in rows)
 
     @classmethod
     def _stored(cls, variables, registry, columns, row_inf, pending) -> "ChoiceMatrix":
@@ -577,6 +571,41 @@ class ChoiceMatrix:
         return ChoiceMatrix._stored(self.variables, self.registry, columns,
                                     (inf,) * n, (ZERO_POLY,) * n)
 
+    def iterate(self, counter: int | None) -> "ChoiceMatrix":
+        """The iteration rule on the closure of this body matrix: the
+        loop rule at the counter's index, or the while rule when counter
+        is None.
+
+        Both rules give every diagonal monomial above m an INF twin.  An
+        unbounded while also tops each p monomial in its own cell; a
+        counted loop instead adds the p monomials of every column to the
+        counter's row.  A unit column holds nothing above m and no p, so
+        only the nonempty cells of the star's stored columns are read.
+        They hold no INF: the star's one INF list stays in its row lists,
+        which reach the new cells too, so each row's pending list takes
+        only the twins the rule put there.  A twin or p copy of a
+        monomial that list covers is covered too.
+        """
+        star = self.closure()
+        columns = {}
+        twins: list[list[Monomial]] = [[] for _ in self.variables]
+        for j, column in star.columns.items():
+            cells = list(column)
+            for i in range(len(column)) if counter is None else (j,):
+                if not (monos := column[i].monomials):
+                    continue
+                topped = [(INF, ds) for s, ds in monos if s > (M if i == j else W)]
+                if topped:
+                    cells[i] = Polynomial.of([*monos, *topped])
+                    twins[i] += topped
+            if counter is not None:
+                hits = [m for p in column for m in p.monomials if m[0] == P]
+                if hits:
+                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
+            columns[j] = tuple(cells)
+        return ChoiceMatrix._stored(self.variables, self.registry, columns, star.row_inf,
+                                    tuple(map(Polynomial.of, twins)))
+
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of
         its new cell to its pending list.  A canonical cell's INF
@@ -584,9 +613,8 @@ class ChoiceMatrix:
 
         Row lists still reach the new cells, and the old column's pending
         INF stays, so this is the plain replacement when column keeps the
-        INF monomials of the stored cells it replaces: a unit column of
-        the identity holds none, and neither does a stored column of a
-        closure, to which the iteration rule only adds monomials.
+        INF monomials of the stored cells it replaces, as a unit column
+        of the identity holds none.
         """
         if len(column) != len(self.variables):
             raise ValueError("column length mismatch")

@@ -12,7 +12,7 @@ from mwpflow.analysis import (
     analyze_program,
 )
 from mwpflow.frontend import Call, parse, walk_commands
-from mwpflow import polynomial
+from mwpflow import exhaustive, polynomial
 from mwpflow.polynomial import ChoiceMatrix, Polynomial, ZERO_POLY, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
 
@@ -298,19 +298,19 @@ def _rule_on_entries(star, counter):
 
 
 def test_iteration_rule_pends_only_its_twins(monkeypatch):
-    # _iterate reads the closure's stored cells, which hold no INF, and
-    # leaves the closure's one INF list in the row lists: each row's
-    # pending list is exactly the INF twins that the rule put in that
-    # row, and the entries are those of the rule on merged cells.
+    # ChoiceMatrix.iterate reads the closure's stored cells, which hold
+    # no INF, and leaves the closure's one INF list in the row lists:
+    # each row's pending list is exactly the INF twins that the rule put
+    # in that row, and the entries are those of the rule on merged cells.
     calls = []
-    iterate = _FunctionRun._iterate
+    iterate = ChoiceMatrix.iterate
 
-    def recording(self, body, counter):
-        out = iterate(self, body, counter)
+    def recording(body, counter):
+        out = iterate(body, counter)
         calls.append((body, counter, out))
         return out
 
-    monkeypatch.setattr(_FunctionRun, "_iterate", recording)
+    monkeypatch.setattr(ChoiceMatrix, "iterate", recording)
     rng = random.Random(2805)
     sources = [random_program(rng) for _ in range(300)]
     sources.append("function main(){ loop X3 { while (X1 < X2) { X1 = X1 + X2; } X2 = X2 + X4; } }")
@@ -329,6 +329,39 @@ def test_iteration_rule_pends_only_its_twins(monkeypatch):
         assert out.entries == _rule_on_entries(star, counter)
         carried += bool(star.row_inf[0].monomials and any(twins))
     assert carried >= 30, carried
+
+
+def test_iteration_rule_matches_the_reference_rule(monkeypatch):
+    # ChoiceMatrix.iterate on its own: at every assignment of the indices
+    # a loop or while body holds, it gives the reference rule applied to
+    # the closure of the body's flow matrix, or INF somewhere where the
+    # reference rule's side condition fails.
+    bodies = []
+    iterate = ChoiceMatrix.iterate
+
+    def recording(body, counter):
+        out = iterate(body, counter)
+        bodies.append((body, counter, len(body.registry), out))
+        return out
+
+    monkeypatch.setattr(ChoiceMatrix, "iterate", recording)
+    rng = random.Random(2901)
+    for _ in range(400):
+        analyze_program(parse(random_program(rng)))
+    seen = {"loop": 0, "while": 0, "carried": 0}
+    for body, counter, held, out in bodies:
+        pad = (0,) * (len(body.registry) - held)
+        for picks in itertools.product(*map(range, body.registry.cardinalities[:held])):
+            a = picks + pad
+            want = exhaustive._iterate(body.evaluate(a).closure(), counter)
+            got = out.evaluate(a)
+            if want is None:
+                assert got.contains_inf(), (body, counter, a)
+            else:
+                assert got == want, (body, counter, a)
+        seen["while" if counter is None else "loop"] += 1
+        seen["carried"] += bool(body.closure().row_inf[0].monomials)
+    assert seen["loop"] >= 180 and seen["while"] >= 120 and seen["carried"] >= 50, seen
 
 
 # --- function summaries and calls ---------------------------------------

@@ -13,12 +13,14 @@ delta graph, whose vertices are their minimal delta lists, so the
 qualitative verdict is available without touching the assignment
 space.  The sweep that decides it restricts that cover and the return
 column one choice index at a time.
+
+The results, FunctionSummary, FunctionAnalysis and ProgramAnalysis,
+are immutable Records (see frontend), like the AST they come from.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from .delta_graph import DeltaGraph, Sweep
@@ -31,6 +33,7 @@ from .frontend import (
     If,
     Loop,
     Program,
+    Record,
     Var,
     While,
     expression_vars,
@@ -55,10 +58,10 @@ UNBOUNDED = "unbounded"
 _W_POLY = Polynomial.const(W)
 # The scalar of a delta-free vector cell: 0, a variable's m or a product's w.
 _FLAT = {ZERO_POLY: ZERO, UNIT_POLY: M, _W_POLY: W}
+_set = object.__setattr__  # a Record's __init__ sets each field once
 
 
-@dataclass(frozen=True)
-class FunctionSummary:
+class FunctionSummary(Record):
     """Deduplicated INF-free input-to-return dependency vectors.
 
     Rows are the callee's parameters followed by its shared input
@@ -68,36 +71,50 @@ class FunctionSummary:
     their lexicographically first clean assignment.
     """
 
-    name: str
-    param_count: int
-    rows: tuple[str, ...]
-    behaviors: tuple[tuple[int, ...], ...]
+    __slots__ = ("name", "param_count", "rows", "behaviors")
+
+    def __init__(self, name: str, param_count: int, rows: tuple[str, ...],
+                 behaviors: tuple[tuple[int, ...], ...]):
+        _set(self, "name", name)
+        _set(self, "param_count", param_count)
+        _set(self, "rows", rows)
+        _set(self, "behaviors", behaviors)
 
     @property
     def shared_rows(self) -> tuple[str, ...]:
         return self.rows[self.param_count:]
 
 
-@dataclass
-class FunctionAnalysis:
-    name: str
-    variables: tuple[str, ...]
-    registry: ChoiceRegistry
-    matrix: ChoiceMatrix
-    graph: DeltaGraph
-    verdict: str
-    sample: Assignment | None
-    blame: tuple[tuple[str, str], ...]
-    summary: FunctionSummary | None
-    clean_count: int
-    total_assignments: int
-    choice_sites: dict[int, int]  # id(Call node) -> first choice index it allocated
-    elapsed: float
+class FunctionAnalysis(Record):
+    __slots__ = ("name", "variables", "registry", "matrix", "graph", "verdict", "sample",
+                 "blame", "summary", "clean_count", "total_assignments", "choice_sites",
+                 "elapsed")
+
+    def __init__(self, name: str, variables: tuple[str, ...], registry: ChoiceRegistry,
+                 matrix: ChoiceMatrix, graph: DeltaGraph, verdict: str,
+                 sample: Assignment | None, blame: tuple[tuple[str, str], ...],
+                 summary: FunctionSummary | None, clean_count: int, total_assignments: int,
+                 choice_sites: dict[int, int], elapsed: float):
+        _set(self, "name", name)
+        _set(self, "variables", variables)
+        _set(self, "registry", registry)
+        _set(self, "matrix", matrix)
+        _set(self, "graph", graph)
+        _set(self, "verdict", verdict)
+        _set(self, "sample", sample)
+        _set(self, "blame", blame)
+        _set(self, "summary", summary)
+        _set(self, "clean_count", clean_count)
+        _set(self, "total_assignments", total_assignments)
+        _set(self, "choice_sites", choice_sites)  # id(Call node) -> its first choice index
+        _set(self, "elapsed", elapsed)
 
 
-@dataclass
-class ProgramAnalysis:
-    functions: dict[str, FunctionAnalysis]
+class ProgramAnalysis(Record):
+    __slots__ = ("functions",)
+
+    def __init__(self, functions: dict[str, FunctionAnalysis]):
+        _set(self, "functions", functions)
 
     def __iter__(self):
         return iter(self.functions.values())
@@ -202,13 +219,14 @@ class _FunctionRun:
         matrix = self.matrix_of_body(self.decl.body)
         # The final matrix's INF monomials cover exactly the assignments
         # that hold an INF, so their graph answers every qualitative
-        # question on its own.
+        # question on its own.  Most cells share one row's INF list, so
+        # the cover is canonicalized from the distinct monomials only.
         inf_cells = {
             (i, j): infs for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
             if (infs := [m for m in p.monomials if m[0] == INF])
         }
         graph = DeltaGraph(self.registry, INF_POLY if self.poisoned else Polynomial.of(
-            m for infs in inf_cells.values() for m in infs))
+            set().union(*inf_cells.values())))
         found, summary = self._build_summary(matrix, graph)
         if not graph.cover.monomials:
             verdict = BOUNDED

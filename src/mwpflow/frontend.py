@@ -22,13 +22,17 @@ for round-tripping but carry no meaning for the analysis.
 The lexer is one regular-expression split, into each token's text and
 start offset.  Line and column are computed only for what keeps them,
 functions, commands and escaping errors, from a table of line starts.
+
+The AST nodes, Program and Diagnostic are immutable slotted Records,
+not dataclasses, so importing the command line loads no dataclasses
+module: a node's __slots__ list its fields in constructor order, and
+equality and hashing ignore positions and a program's warnings.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
@@ -56,12 +60,59 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    line: int
-    col: int
+# --- Records ---------------------------------------------------------
+
+_set = object.__setattr__
+_UNCOMPARED = ("pos", "warnings")
+
+
+class Record:
+    """An immutable record with one slot per field.
+
+    A subclass names its fields in ``__slots__``, in the order its
+    ``__init__`` takes them, and its ``__init__`` sets each one once
+    through ``object.__setattr__``.  Equality and hashing read the class
+    and every field except a ``pos`` or ``warnings``, which say where a
+    node stands or what validation noticed, not what it means.  The
+    repr names every field, and assigning to a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__ if f not in _UNCOMPARED])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._key()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, tuple([getattr(self, f) for f in self.__slots__])
+
+
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "line", "col")
+
+    def __init__(self, code: str, message: str, line: int, col: int):
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: [{self.code}] {self.message}"
@@ -69,96 +120,126 @@ class Diagnostic:
 
 # --- AST -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - *
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - *
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = Var | BinOp
 
 
-@dataclass(frozen=True)
-class Compare:
-    op: str
-    left: Expr
-    right: Expr
+class Compare(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class BoolOp:
-    op: str  # && or ||
-    left: "BExpr"
-    right: "BExpr"
+class BoolOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: BExpr, right: BExpr):  # op is && or ||
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "BExpr"
+class Not(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: BExpr):
+        _set(self, "operand", operand)
 
 
 BExpr = Compare | BoolOp | Not
 
-
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    value: Expr
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+# The pos of a command or declaration is the (line, column) of its first
+# token; a node built by hand has (0, 0).
 
 
-@dataclass(frozen=True)
-class If:
-    cond: BExpr
-    then_body: tuple["Command", ...]
-    else_body: tuple["Command", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Assign(Record):
+    __slots__ = ("target", "value", "pos")
+
+    def __init__(self, target: str, value: Expr, pos: tuple[int, int] = (0, 0)):
+        _set(self, "target", target)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: BExpr
-    body: tuple["Command", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class If(Record):
+    __slots__ = ("cond", "then_body", "else_body", "pos")
+
+    def __init__(self, cond: BExpr, then_body: tuple[Command, ...],
+                 else_body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
+        _set(self, "cond", cond)
+        _set(self, "then_body", then_body)
+        _set(self, "else_body", else_body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Loop:
-    counter: str
-    body: tuple["Command", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class While(Record):
+    __slots__ = ("cond", "body", "pos")
+
+    def __init__(self, cond: BExpr, body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
+        _set(self, "cond", cond)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    target: str
-    function: str
-    arguments: tuple[str, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Loop(Record):
+    __slots__ = ("counter", "body", "pos")
+
+    def __init__(self, counter: str, body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
+        _set(self, "counter", counter)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
+
+
+class Call(Record):
+    __slots__ = ("target", "function", "arguments", "pos")
+
+    def __init__(self, target: str, function: str, arguments: tuple[str, ...],
+                 pos: tuple[int, int] = (0, 0)):
+        _set(self, "target", target)
+        _set(self, "function", function)
+        _set(self, "arguments", arguments)
+        _set(self, "pos", pos)
 
 
 Command = Assign | If | While | Loop | Call
 
 
-@dataclass(frozen=True)
-class FunctionDecl:
-    name: str
-    params: tuple[str, ...]
-    body: tuple[Command, ...]
-    returns: str | None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class FunctionDecl(Record):
+    __slots__ = ("name", "params", "body", "returns", "pos")
+
+    def __init__(self, name: str, params: tuple[str, ...], body: tuple[Command, ...],
+                 returns: str | None, pos: tuple[int, int] = (0, 0)):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "returns", returns)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Program:
-    functions: tuple[FunctionDecl, ...]
-    warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
+class Program(Record):
+    __slots__ = ("functions", "warnings")
+
+    def __init__(self, functions: tuple[FunctionDecl, ...], warnings: tuple[Diagnostic, ...] = ()):
+        _set(self, "functions", functions)
+        _set(self, "warnings", warnings)
 
     def function(self, name: str) -> FunctionDecl:
         for f in self.functions:

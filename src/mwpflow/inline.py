@@ -15,7 +15,7 @@ block is poisoned shows an infinity inside that projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import analyze_program
@@ -31,7 +31,8 @@ from .frontend import (
 )
 
 # AST fields that hold no variable: every other string field is a
-# variable name, every other field a subtree or a tuple of either.
+# variable name, every other field a subtree or a tuple of either.  A
+# record's __slots__ list its fields in the order its __init__ takes them.
 _NOT_VARIABLES = ("op", "function", "pos")
 
 # Most caller and inlined assignments, together, the inline check enumerates.
@@ -55,10 +56,11 @@ def _rebuild(node, names: dict[str, str], call: Call | None = None,
             else:
                 out.append(_rebuild(c, names, call, replacement))
         return tuple(out)
-    return replace(node, **{
-        f.name: _rebuild(getattr(node, f.name), names, call, replacement)
-        for f in fields(node) if f.name not in _NOT_VARIABLES
-    })
+    return node.__class__(*[
+        getattr(node, f) if f in _NOT_VARIABLES
+        else _rebuild(getattr(node, f), names, call, replacement)
+        for f in node.__slots__
+    ])
 
 
 def _the_call(caller: FunctionDecl, callee: FunctionDecl) -> Call:
@@ -99,7 +101,8 @@ def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
     replacement.extend(Assign(names[v], Var(v)) for v in others)
     replacement.extend(_rebuild(callee.body, names))
     replacement.append(Assign(call.target, Var("__r1")))
-    return replace(caller, body=_rebuild(caller.body, {}, call, replacement))
+    return FunctionDecl(caller.name, caller.params, _rebuild(caller.body, {}, call, replacement),
+                        caller.returns, caller.pos)
 
 
 @dataclass

@@ -604,7 +604,7 @@ class ChoiceMatrix:
                     cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
             columns[j] = tuple(cells)
         return ChoiceMatrix._stored(self.variables, self.registry, columns, star.row_inf,
-                                    tuple(map(Polynomial.of, twins)))
+                                    tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins))
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of

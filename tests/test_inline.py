@@ -1,11 +1,10 @@
-import dataclasses
 import random
 
 import pytest
 
 from corpus import random_call_pair
 from mwpflow import analysis
-from mwpflow.analysis import analyze_program
+from mwpflow.analysis import FunctionSummary, analyze_program
 from mwpflow.delta_graph import DeltaGraph
 from mwpflow.frontend import parse, render
 from mwpflow.inline import build_inlined, check_call_theorem
@@ -263,7 +262,7 @@ def _check_with_callee_summary(monkeypatch, edit):
 
 def test_theorem_catches_summary_missing_a_behavior(monkeypatch):
     report = _check_with_callee_summary(
-        monkeypatch, lambda s: dataclasses.replace(s, behaviors=s.behaviors[:-1])
+        monkeypatch, lambda s: FunctionSummary(s.name, s.param_count, s.rows, s.behaviors[:-1])
     )
     assert not report.ok
     assert "unknown behavior" in report.failure
@@ -273,7 +272,7 @@ def test_theorem_catches_summary_with_mislabeled_rows(monkeypatch):
     # With the two parameter rows swapped, every clean block reads as
     # the mirrored behavior, which the caller matrix does not produce.
     report = _check_with_callee_summary(
-        monkeypatch, lambda s: dataclasses.replace(s, rows=s.rows[::-1])
+        monkeypatch, lambda s: FunctionSummary(s.name, s.param_count, s.rows[::-1], s.behaviors)
     )
     assert not report.ok
     assert "disagrees with behavior" in report.failure

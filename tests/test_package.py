@@ -52,3 +52,14 @@ def test_importing_the_command_line_loads_no_option_parser():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_command_line_loads_no_dataclasses():
+    # The AST and result records are slotted classes, so no process pays
+    # for dataclasses and the inspect, ast, dis and tokenize it imports.
+    script = ("import sys, mwpflow.cli; "
+              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

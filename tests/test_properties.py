@@ -7,6 +7,7 @@ bounded example count, so a run is deterministic and short.
 import contextlib
 import io
 import itertools
+import pickle
 import random
 
 import pytest
@@ -17,9 +18,10 @@ from mwpflow.analysis import analyze_program
 from mwpflow.cli import run
 from mwpflow.exhaustive import derivable_matrices, derive_with_picks
 from mwpflow.frontend import (
-    Assign, BinOp, BoolOp, Call, Compare, FunctionDecl, If, Loop, Not, Program, Var, While,
-    parse, render, walk_commands,
+    Assign, BinOp, BoolOp, Call, Compare, Diagnostic, FunctionDecl, If, Loop, Not, Program,
+    Record, Var, While, parse, render, walk_commands,
 )
+from mwpflow.inline import _rebuild
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -242,3 +244,52 @@ def test_each_position_names_its_node_first_token(source):
         for node in (decl, *walk_commands(decl.body)):
             line, col = node.pos
             assert lines[line - 1][col - 1:].startswith(_first_token(node)), (node, source)
+
+
+def _records(node):
+    """Every record of an AST value, each before the records inside it."""
+    if isinstance(node, tuple):
+        for x in node:
+            yield from _records(x)
+    elif isinstance(node, Record):
+        yield node
+        for f in node.__slots__:
+            yield from _records(getattr(node, f))
+
+
+@FIXED
+@given(source=PROGRAMS | NESTED_MAINS)
+def test_records_compare_by_class_and_meaning(source):
+    # Equality and hashing read the class and every field but pos and a
+    # program's warnings; records refuse assignment; and every field is
+    # in __slots__, in __init__'s order, which _rebuild relies on.
+    def positions(p):
+        return [n.pos for n in (*p.functions, *walk_commands(p.functions[-1].body))]
+
+    program = parse(source)
+    again = parse(render(program))  # one line per command: other positions
+    assert again == program and hash(again) == hash(program)
+    assert positions(again) != positions(program)
+    noted = Program(program.functions, (Diagnostic("code", "message", 1, 1),))
+    assert noted == program and hash(noted) == hash(program) and repr(noted) != repr(program)
+    assert pickle.loads(pickle.dumps(program)) == program
+    for node in _records(program):
+        assert repr(node).startswith(f"{type(node).__name__}({node.__slots__[0]}=")
+        for f in node.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, f, None)
+        if isinstance(node, BinOp):
+            assert node != BoolOp(node.op, node.left, node.right)
+            assert node != Compare(node.op, node.left, node.right)
+        elif isinstance(node, Loop):
+            assert node != While(node.counter, node.body, node.pos)
+    for decl in program.functions:
+        rebuilt = _rebuild(decl.body, {})
+        assert rebuilt == decl.body
+        assert [c.pos for c in walk_commands(rebuilt)] == [c.pos for c in walk_commands(decl.body)]
+    for result in analyze_program(program):
+        with pytest.raises(AttributeError):
+            result.verdict = None
+        summary = result.summary
+        if summary is not None:
+            assert type(summary)(*[getattr(summary, f) for f in summary.__slots__]) == summary

@@ -40,7 +40,6 @@ from .frontend import (
     variable_order,
 )
 from .polynomial import (
-    Assignment,
     ChoiceMatrix,
     ChoiceRegistry,
     INF_POLY,
@@ -58,7 +57,6 @@ UNBOUNDED = "unbounded"
 _W_POLY = Polynomial.const(W)
 # The scalar of a delta-free vector cell: 0, a variable's m or a product's w.
 _FLAT = {ZERO_POLY: ZERO, UNIT_POLY: M, _W_POLY: W}
-_set = object.__setattr__  # a Record's __init__ sets each field once
 
 
 class FunctionSummary(Record):
@@ -73,48 +71,20 @@ class FunctionSummary(Record):
 
     __slots__ = ("name", "param_count", "rows", "behaviors")
 
-    def __init__(self, name: str, param_count: int, rows: tuple[str, ...],
-                 behaviors: tuple[tuple[int, ...], ...]):
-        _set(self, "name", name)
-        _set(self, "param_count", param_count)
-        _set(self, "rows", rows)
-        _set(self, "behaviors", behaviors)
-
     @property
     def shared_rows(self) -> tuple[str, ...]:
         return self.rows[self.param_count:]
 
 
 class FunctionAnalysis(Record):
+    # choice_sites maps id(Call node) to the call's first choice index.
     __slots__ = ("name", "variables", "registry", "matrix", "graph", "verdict", "sample",
                  "blame", "summary", "clean_count", "total_assignments", "choice_sites",
                  "elapsed")
 
-    def __init__(self, name: str, variables: tuple[str, ...], registry: ChoiceRegistry,
-                 matrix: ChoiceMatrix, graph: DeltaGraph, verdict: str,
-                 sample: Assignment | None, blame: tuple[tuple[str, str], ...],
-                 summary: FunctionSummary | None, clean_count: int, total_assignments: int,
-                 choice_sites: dict[int, int], elapsed: float):
-        _set(self, "name", name)
-        _set(self, "variables", variables)
-        _set(self, "registry", registry)
-        _set(self, "matrix", matrix)
-        _set(self, "graph", graph)
-        _set(self, "verdict", verdict)
-        _set(self, "sample", sample)
-        _set(self, "blame", blame)
-        _set(self, "summary", summary)
-        _set(self, "clean_count", clean_count)
-        _set(self, "total_assignments", total_assignments)
-        _set(self, "choice_sites", choice_sites)  # id(Call node) -> its first choice index
-        _set(self, "elapsed", elapsed)
-
 
 class ProgramAnalysis(Record):
     __slots__ = ("functions",)
-
-    def __init__(self, functions: dict[str, FunctionAnalysis]):
-        _set(self, "functions", functions)
 
     def __iter__(self):
         return iter(self.functions.values())

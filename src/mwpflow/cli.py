@@ -226,14 +226,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _analyze(opts, source)
     except RecursionError:
         # Expressions and command nesting are walked recursively.
-        print(f"mwpflow: {opts.file}: program nested too deeply to analyze",
-              file=sys.stderr)
-        return 2
+        failure = "program nested too deeply to analyze"
     except MemoryError:
-        print(f"mwpflow: {opts.file}: out of memory", file=sys.stderr)
-        return 2
+        failure = "out of memory"
     finally:
         reconfigure(errors=errors)
+    # Printed once the handler has let go of the traceback, whose frames
+    # hold the matrices that used up the memory.
+    print(f"mwpflow: {opts.file}: {failure}", file=sys.stderr)
+    return 2
 
 
 def _analyze(opts: SimpleNamespace, source: str) -> int:

@@ -23,10 +23,12 @@ The lexer is one regular-expression split, into each token's text and
 start offset.  Line and column are computed only for what keeps them,
 functions, commands and escaping errors, from a table of line starts.
 
-The AST nodes, Program and Diagnostic are immutable slotted Records,
-not dataclasses, so importing the command line loads no dataclasses
-module: a node's __slots__ list its fields in constructor order, and
-equality and hashing ignore positions and a program's warnings.
+The AST nodes, Program and Diagnostic are immutable slotted Records.
+Each class lists its fields once, in __slots__, and Record compiles its
+constructor from them, so creating the classes loads no other module:
+a node is built from its fields in __slots__ order, a command's pos and
+a program's warnings may be omitted, and equality and hashing ignore
+both.
 """
 
 from __future__ import annotations
@@ -62,23 +64,33 @@ class ParseError(Exception):
 
 # --- Records ---------------------------------------------------------
 
-_set = object.__setattr__
 _UNCOMPARED = ("pos", "warnings")
 
 
 class Record:
     """An immutable record with one slot per field.
 
-    A subclass names its fields in ``__slots__``, in the order its
-    ``__init__`` takes them, and its ``__init__`` sets each one once
-    through ``object.__setattr__``.  Equality and hashing read the class
-    and every field except a ``pos`` or ``warnings``, which say where a
-    node stands or what validation noticed, not what it means.  The
-    repr names every field, and assigning to a field raises
-    AttributeError.
+    A subclass names its fields once, in ``__slots__``, and may give
+    trailing fields defaults in a class-level ``_defaults`` mapping.
+    Its ``__init__`` is compiled from them when the class is created:
+    it takes the fields in ``__slots__`` order, positionally or by
+    keyword, and sets each one once through ``object.__setattr__``.
+    Equality and hashing read the class and every field except a
+    ``pos`` or ``warnings``, which say where a node stands or what
+    validation noticed, not what it means.  The repr names every field,
+    and assigning to a field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields, defaults = cls.__slots__, getattr(cls, "_defaults", {})
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__ if f not in _UNCOMPARED])
@@ -108,12 +120,6 @@ class Record:
 class Diagnostic(Record):
     __slots__ = ("code", "message", "line", "col")
 
-    def __init__(self, code: str, message: str, line: int, col: int):
-        _set(self, "code", code)
-        _set(self, "message", message)
-        _set(self, "line", line)
-        _set(self, "col", col)
-
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: [{self.code}] {self.message}"
 
@@ -123,123 +129,69 @@ class Diagnostic(Record):
 class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
 
 class BinOp(Record):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - *
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op is one of + - *
 
 
 Expr = Var | BinOp
 
 
 class Compare(Record):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op is one of == != < <= > >=
 
 
 class BoolOp(Record):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: BExpr, right: BExpr):  # op is && or ||
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op is && or ||
 
 
 class Not(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: BExpr):
-        _set(self, "operand", operand)
-
 
 BExpr = Compare | BoolOp | Not
 
 # The pos of a command or declaration is the (line, column) of its first
-# token; a node built by hand has (0, 0).
+# token; a node built by hand has (0, 0).  Bodies are tuples of commands.
+_AT_START = {"pos": (0, 0)}
 
 
 class Assign(Record):
     __slots__ = ("target", "value", "pos")
-
-    def __init__(self, target: str, value: Expr, pos: tuple[int, int] = (0, 0)):
-        _set(self, "target", target)
-        _set(self, "value", value)
-        _set(self, "pos", pos)
+    _defaults = _AT_START
 
 
 class If(Record):
     __slots__ = ("cond", "then_body", "else_body", "pos")
-
-    def __init__(self, cond: BExpr, then_body: tuple[Command, ...],
-                 else_body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
-        _set(self, "cond", cond)
-        _set(self, "then_body", then_body)
-        _set(self, "else_body", else_body)
-        _set(self, "pos", pos)
+    _defaults = _AT_START
 
 
 class While(Record):
     __slots__ = ("cond", "body", "pos")
-
-    def __init__(self, cond: BExpr, body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
-        _set(self, "cond", cond)
-        _set(self, "body", body)
-        _set(self, "pos", pos)
+    _defaults = _AT_START
 
 
 class Loop(Record):
     __slots__ = ("counter", "body", "pos")
-
-    def __init__(self, counter: str, body: tuple[Command, ...], pos: tuple[int, int] = (0, 0)):
-        _set(self, "counter", counter)
-        _set(self, "body", body)
-        _set(self, "pos", pos)
+    _defaults = _AT_START
 
 
 class Call(Record):
     __slots__ = ("target", "function", "arguments", "pos")
-
-    def __init__(self, target: str, function: str, arguments: tuple[str, ...],
-                 pos: tuple[int, int] = (0, 0)):
-        _set(self, "target", target)
-        _set(self, "function", function)
-        _set(self, "arguments", arguments)
-        _set(self, "pos", pos)
+    _defaults = _AT_START
 
 
 Command = Assign | If | While | Loop | Call
 
 
 class FunctionDecl(Record):
-    __slots__ = ("name", "params", "body", "returns", "pos")
-
-    def __init__(self, name: str, params: tuple[str, ...], body: tuple[Command, ...],
-                 returns: str | None, pos: tuple[int, int] = (0, 0)):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "body", body)
-        _set(self, "returns", returns)
-        _set(self, "pos", pos)
+    __slots__ = ("name", "params", "body", "returns", "pos")  # returns is a name or None
+    _defaults = _AT_START
 
 
 class Program(Record):
     __slots__ = ("functions", "warnings")
-
-    def __init__(self, functions: tuple[FunctionDecl, ...], warnings: tuple[Diagnostic, ...] = ()):
-        _set(self, "functions", functions)
-        _set(self, "warnings", warnings)
+    _defaults = {"warnings": ()}
 
     def function(self, name: str) -> FunctionDecl:
         for f in self.functions:

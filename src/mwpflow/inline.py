@@ -15,7 +15,6 @@ block is poisoned shows an infinity inside that projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import analyze_program
@@ -25,6 +24,7 @@ from .frontend import (
     Command,
     FunctionDecl,
     Program,
+    Record,
     Var,
     variable_order,
     walk_commands,
@@ -105,15 +105,10 @@ def build_inlined(caller: FunctionDecl, callee: FunctionDecl) -> FunctionDecl:
                         caller.returns, caller.pos)
 
 
-@dataclass
-class InlineReport:
-    ok: bool
-    caller: str
-    callee: str
-    checked_images: int
-    checked_poisoned: int
-    checked_merged: int
-    failure: str | None = None
+class InlineReport(Record):
+    __slots__ = ("ok", "caller", "callee", "checked_images", "checked_poisoned",
+                 "checked_merged", "failure")
+    _defaults = {"failure": None}
 
     def __str__(self) -> str:
         if self.ok:
@@ -156,11 +151,10 @@ def check_call_theorem(caller: FunctionDecl, callee: FunctionDecl) -> InlineRepo
     callee_res = results.functions[callee.name]
     caller_res = results.functions[caller.name]
     summary = callee_res.summary
-    report = InlineReport(True, caller.name, callee.name, 0, 0, 0)
+    images = poisoned = merged = 0
 
     def fail(failure: str) -> InlineReport:
-        report.ok, report.failure = False, failure
-        return report
+        return InlineReport(False, caller.name, callee.name, images, poisoned, merged, failure)
 
     if not summary.behaviors:
         return fail("callee has no usable behavior summary")
@@ -203,13 +197,13 @@ def check_call_theorem(caller: FunctionDecl, callee: FunctionDecl) -> InlineRepo
         if cls is None:
             if not projected.contains_inf():
                 return fail(f"no infinity in projection at poisoned assignment {b}")
-            report.checked_poisoned += 1
+            poisoned += 1
             continue
         bi, first = cls
         if caller_res.matrix.evaluate(b[:i0] + (bi,) + b[i0 + k:]) != projected:
             return fail(f"inlined assignment {b} disagrees with behavior {bi}")
         if first:
-            report.checked_images += 1
+            images += 1
         else:
-            report.checked_merged += 1
-    return report
+            merged += 1
+    return InlineReport(True, caller.name, callee.name, images, poisoned, merged)

@@ -512,8 +512,9 @@ class ChoiceMatrix:
                 src = self.columns.get(k)
                 if src is None:
                     acc.setdefault(k, []).extend(qs)
-                else:
-                    _multiply(acc, ((i, p.monomials) for i, p in enumerate(src) if p.monomials),
+                else:  # a list: a generator left suspended by a MemoryError
+                    # fails to close and prints "Exception ignored in: "
+                    _multiply(acc, [(i, p.monomials) for i, p in enumerate(src) if p.monomials],
                               qs)
             cells = [col_inf] * n
             for i, monos in acc.items():

@@ -750,6 +750,27 @@ def test_out_of_memory_exits_two(loop_file, monkeypatch, capsys):
     assert captured.err.startswith("mwpflow: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_real_memory_exhaustion_exits_two_with_one_line(tmp_path):
+    # Thirty rotating additions over five variables: a bounded
+    # straight-line program whose matrix outgrows 400 MB of address
+    # space, set in the child only.  Nothing may print but the one line:
+    # no traceback, fatal-error dump or "Exception ignored in: ".
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    p = tmp_path / "FILE"
+    p.write_text("function main() {\n" + "".join(
+        f"    X{i % 5 + 1} = X{(i + 1) % 5 + 1} + X{(i + 2) % 5 + 1};\n" for i in range(30)
+    ) + "}\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "mwpflow.cli", "FILE"], cwd=tmp_path, env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "mwpflow: FILE: out of memory\n")
+
+
 def test_feedback_chain_48_decided(tmp_path, capsys):
     # 48 counted loops over a rotating pool of five variables.
     pool = [f"X{i + 1}" for i in range(5)]

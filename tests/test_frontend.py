@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import random
 from pathlib import Path
 
 import pytest
 
+import mwpflow.inline
 from corpus import random_program
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import (
@@ -15,6 +17,7 @@ from mwpflow.frontend import (
     If,
     Loop,
     ParseError,
+    Record,
     Var,
     While,
     line_starts,
@@ -306,3 +309,34 @@ def test_error_on_the_last_line_of_a_long_crlf_file(last, code, col):
     with pytest.raises(ParseError) as err:
         parse(src)
     assert (err.value.code, err.value.line, err.value.col) == (code, 3000, col)
+
+
+# Every record class of the three modules that hold them, and the only
+# fields that may be omitted, with their defaults.
+RECORDS = sorted((cls for cls in Record.__subclasses__() if cls.__module__ in (
+    "mwpflow.frontend", "mwpflow.analysis", "mwpflow.inline")), key=lambda cls: cls.__name__)
+OPTIONAL = {"pos": (0, 0), "warnings": (), "failure": None}
+
+
+def test_every_record_class_is_checked():
+    assert mwpflow.inline.InlineReport in RECORDS
+    assert len(RECORDS) == 17
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_takes_its_slots_in_order(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls.__slots__)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == {
+        f: OPTIONAL[f] for f in cls.__slots__ if f in OPTIONAL}
+    values = [f"value of {f}" for f in cls.__slots__]
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(cls.__slots__, values)))
+    assert by_position == by_keyword
+    assert [getattr(by_keyword, f) for f in cls.__slots__] == values
+    for f in cls.__slots__:
+        if f not in OPTIONAL:
+            with pytest.raises(TypeError):
+                cls(**{g: v for g, v in zip(cls.__slots__, values) if g != f})
+    with pytest.raises(TypeError):
+        cls(*values, unknown=None)

@@ -63,3 +63,13 @@ def test_importing_the_command_line_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_inline_check_loads_no_dataclasses():
+    # --check-inline imports mwpflow.inline; its report is a Record too.
+    script = ("import sys, mwpflow.inline; "
+              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -1,4 +1,4 @@
-"""Lexer, parser and validation for the analyzed imperative language.
+"""Lexer and checking parser for the analyzed imperative language.
 
 Programs are series of function declarations; exactly one must be named
 main and take no parameters, and every call must target a function
@@ -22,6 +22,12 @@ for round-tripping but carry no meaning for the analysis.
 The lexer is one regular-expression split, into each token's text and
 start offset.  Line and column are computed only for what keeps them,
 functions, commands and escaping errors, from a table of line starts.
+
+The parser checks these rules, and that a callee is given as many
+arguments as it has parameters and has a return value, as it builds the
+tree; the first broken one is raised once the whole file has parsed, so
+a syntax error anywhere wins.  An assignment or call to the counter of
+an enclosing loop is warned of once, under the outermost such loop.
 
 The AST nodes, Program and Diagnostic are immutable slotted Records.
 Each class lists its fields once, in __slots__, and Record compiles its
@@ -77,7 +83,7 @@ class Record:
     keyword, and sets each one once through ``object.__setattr__``.
     Equality and hashing read the class and every field except a
     ``pos`` or ``warnings``, which say where a node stands or what
-    validation noticed, not what it means.  The repr names every field,
+    the parser noticed, not what it means.  The repr names every field,
     and assigning to a field raises AttributeError.
     """
 
@@ -260,6 +266,16 @@ class _Parser:
         self.texts, self.offsets = tokenize(source)
         self.starts = line_starts(source)
         self.i = 0
+        self.declared: dict[str, FunctionDecl] = {}  # the functions parsed so far
+        self.loops: list[tuple[str, int]] = []  # (counter, first token) of enclosing loops
+        # (first token of the outermost loop on the target's counter, first
+        # token of the assignment or call) -> its warning; sorted in pre-order
+        self.warnings: dict[tuple[int, int], Diagnostic] = {}
+        self.error: ParseError | None = None  # the first semantic error
+
+    def check(self, code: str, message: str, pos: tuple[int, int]) -> None:
+        """Record a semantic error unless an earlier one is recorded."""
+        self.error = self.error or ParseError(code, message, *pos)
 
     def pos(self, i: int) -> tuple[int, int]:
         return position(self.starts, self.offsets[i])
@@ -282,7 +298,11 @@ class _Parser:
         functions = []
         while self.texts[self.i]:
             functions.append(self.parse_function())
-        return Program(tuple(functions))
+        if "main" not in self.declared:
+            self.check(MISSING_MAIN, "program needs exactly one function named main", (1, 1))
+        if self.error is not None:
+            raise self.error
+        return Program(tuple(functions), tuple([w for _, w in sorted(self.warnings.items())]))
 
     def parse_function(self) -> FunctionDecl:
         start = self.i
@@ -298,6 +318,11 @@ class _Parser:
             params.append(t)
             more = self.accept(",")
         self.expect(")")
+        pos = self.pos(start)
+        if name in self.declared:
+            self.check(DUPLICATE_FUNCTION, f"function {name} declared twice", pos)
+        if name == "main" and params:
+            self.check(MAIN_HAS_PARAMETERS, "main must take no parameters", pos)
         self.expect("{")
         body: list[Command] = []
         returns = None
@@ -308,7 +333,9 @@ class _Parser:
                 self.expect("}")
                 break
             body.append(self.parse_command())
-        return FunctionDecl(name, tuple(params), tuple(body), returns, pos=self.pos(start))
+        decl = FunctionDecl(name, tuple(params), tuple(body), returns, pos=pos)
+        self.declared[name] = decl
+        return decl
 
     def parse_command(self) -> Command:
         i = self.i
@@ -326,10 +353,18 @@ class _Parser:
         if t == "loop":
             self.i += 1
             counter = self.expect("IDENT")
-            return Loop(counter, self.parse_block(), pos=self.pos(i))
+            self.loops.append((counter, i))
+            body = self.parse_block()
+            self.loops.pop()
+            return Loop(counter, body, pos=self.pos(i))
         if t not in _NOT_IDENT:
             self.i += 1
             self.expect("=")
+            for counter, start in self.loops:
+                if counter == t:  # one warning, however many loops share the counter
+                    why = f"loop counter {t} is assigned inside its own body"
+                    self.warnings[start, i] = Diagnostic(LOOP_COUNTER_ASSIGNED, why, *self.pos(i))
+                    break
             texts = self.texts
             if texts[self.i] not in _NOT_IDENT and texts[self.i + 1] == "(":
                 fname = texts[self.i]
@@ -341,7 +376,18 @@ class _Parser:
                         args.append(self.expect("IDENT"))
                 self.expect(")")
                 self.expect(";")
-                return Call(t, fname, tuple(args), pos=self.pos(i))
+                pos = self.pos(i)
+                callee = self.declared.get(fname)
+                if callee is None:
+                    why = f"call to {fname}, which is not declared earlier"
+                    self.check(UNKNOWN_FUNCTION, why, pos)
+                elif len(args) != len(callee.params):
+                    why = f"{fname} takes {len(callee.params)} arguments, got {len(args)}"
+                    self.check(CALL_ARITY, why, pos)
+                elif callee.returns is None:
+                    why = f"{fname} has no return value and cannot be called"
+                    self.check(NO_RETURN_VALUE, why, pos)
+                return Call(t, fname, tuple(args), pos=pos)
             value = self.parse_expr()
             self.expect(";")
             return Assign(t, value, pos=self.pos(i))
@@ -410,7 +456,16 @@ class _Parser:
         return node
 
 
-# --- Validation ------------------------------------------------------
+def parse(source: str) -> Program:
+    """Parse and check a source file into a Program, with its warnings."""
+    parser = _Parser(source)
+    try:
+        return parser.parse_program()
+    except _Fail as e:
+        raise ParseError(SYNTAX_ERROR, e.args[0], *parser.pos(e.args[1])) from None
+
+
+# --- Traversal -------------------------------------------------------
 
 def walk_commands(body: Sequence[Command]) -> Iterator[Command]:
     """Every command of a body, each before the commands nested in it."""
@@ -421,64 +476,6 @@ def walk_commands(body: Sequence[Command]) -> Iterator[Command]:
             yield from walk_commands(c.else_body)
         elif isinstance(c, (While, Loop)):
             yield from walk_commands(c.body)
-
-
-def validate(program: Program) -> Program:
-    """Check program-level invariants, returning the program with warnings."""
-    seen: dict[str, FunctionDecl] = {}
-    # id(assignment) -> its warning: one per assignment, however many
-    # enclosing loops share the counter it writes
-    warnings: dict[int, Diagnostic] = {}
-    for decl in program.functions:
-        if decl.name in seen:
-            raise ParseError(DUPLICATE_FUNCTION, f"function {decl.name} declared twice", *decl.pos)
-        if decl.name == "main" and decl.params:
-            raise ParseError(MAIN_HAS_PARAMETERS, "main must take no parameters", *decl.pos)
-        for cmd in walk_commands(decl.body):
-            if isinstance(cmd, Call):
-                callee = seen.get(cmd.function)
-                if callee is None:
-                    raise ParseError(
-                        UNKNOWN_FUNCTION,
-                        f"call to {cmd.function}, which is not declared earlier",
-                        *cmd.pos,
-                    )
-                if len(cmd.arguments) != len(callee.params):
-                    raise ParseError(
-                        CALL_ARITY,
-                        f"{cmd.function} takes {len(callee.params)} arguments,"
-                        f" got {len(cmd.arguments)}",
-                        *cmd.pos,
-                    )
-                if callee.returns is None:
-                    raise ParseError(
-                        NO_RETURN_VALUE,
-                        f"{cmd.function} has no return value and cannot be called",
-                        *cmd.pos,
-                    )
-            elif isinstance(cmd, Loop):
-                for inner in walk_commands(cmd.body):
-                    if isinstance(inner, (Assign, Call)) and inner.target == cmd.counter:
-                        warnings.setdefault(id(inner), Diagnostic(
-                            LOOP_COUNTER_ASSIGNED,
-                            f"loop counter {cmd.counter} is assigned inside its own body",
-                            *inner.pos,
-                        ))
-        seen[decl.name] = decl
-    mains = [f for f in program.functions if f.name == "main"]
-    if len(mains) != 1:
-        raise ParseError(MISSING_MAIN, "program needs exactly one function named main", 1, 1)
-    return Program(program.functions, tuple(warnings.values()))
-
-
-def parse(source: str) -> Program:
-    """Parse and validate a source file into a Program."""
-    parser = _Parser(source)
-    try:
-        program = parser.parse_program()
-    except _Fail as e:
-        raise ParseError(SYNTAX_ERROR, e.args[0], *parser.pos(e.args[1])) from None
-    return validate(program)
 
 
 # --- Rendering -------------------------------------------------------

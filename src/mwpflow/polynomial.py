@@ -157,9 +157,6 @@ class Polynomial:
     def scale(self, scalar: int) -> "Polynomial":
         if scalar == ZERO or not self.monomials:
             return ZERO_POLY
-        if len(self.monomials) == 1:  # one nonzero product: canonical as it is
-            (s, ds), = self.monomials
-            return Polynomial(((mul_inf(scalar, s), ds),))
         return Polynomial.of((mul_inf(scalar, s), ds) for s, ds in self.monomials)
 
     @staticmethod

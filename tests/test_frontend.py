@@ -1,12 +1,13 @@
 import hashlib
 import inspect
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import mwpflow.inline
-from corpus import random_program
+from corpus import random_call_pair, random_program
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import (
     KEYWORDS,
@@ -27,6 +28,7 @@ from mwpflow.frontend import (
     tokenize,
     variable_order,
 )
+from validate_oracle import parse_then_validate
 
 
 def test_parse_single_assignment():
@@ -144,6 +146,48 @@ def test_loop_counter_warning_once_per_assignment_in_nested_loops():
     assert [(w.line, w.col) for w in prog.warnings] == [(1, 28), (1, 47), (1, 56)]
 
 
+def _error(src):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    return err.value.code, err.value.line, err.value.col
+
+
+def test_a_syntax_error_after_a_semantic_one_is_reported():
+    assert _error("function main(){ X1 = g(X2);\n X1 = ; }") == ("syntax-error", 2, 7)
+    assert _error("function main(X1){}\nfunction f(){") == ("syntax-error", 2, 14)
+
+
+@pytest.mark.parametrize("src, expected", [
+    # a header is checked before its body, a duplicate before main's parameters
+    ("function main(X1){ X2 = g(X1); }", ("main-has-parameters", 1, 1)),
+    ("function f(X1){ return X1; }\nfunction f(X1){ return X1; }\nfunction main(X1){}",
+     ("duplicate-function", 2, 1)),
+    ("function main(){}\nfunction main(X1){}", ("duplicate-function", 2, 1)),
+    # an earlier function's body before a later header
+    ("function f(X1){ X1 = g(X1); return X1; }\nfunction main(X1){}",
+     ("unknown-function", 1, 17)),
+    # within a body, the first call in pre-order
+    ("function f(X1){ return X1; }\n"
+     "function main(){ loop X1 { if (X1 < X2) { X2 = f(X1, X2); } } X3 = g(X1); }",
+     ("call-arity", 2, 43)),
+    ("function f(X1){ X1 = X1; }\nfunction main(){ X3 = f(); X2 = f(X1); }",
+     ("call-arity", 2, 18)),
+    # missing-main comes last, whatever precedes it
+    ("function f(X1){ X2 = g(X1); return X2; }", ("unknown-function", 1, 17)),
+    ("function f(X1){ return X1; }\nfunction g(){ X2 = f(X1); }", ("missing-main", 1, 1)),
+])
+def test_first_semantic_error_in_declaration_and_pre_order(src, expected):
+    assert _error(src) == expected
+
+
+def test_loop_counter_warnings_follow_the_outermost_loop():
+    prog = parse("function main(){ loop X1 { loop X2 { X2 = X3; X1 = X3; } } }")
+    assert [(w.message, w.col) for w in prog.warnings] == [
+        ("loop counter X1 is assigned inside its own body", 47),
+        ("loop counter X2 is assigned inside its own body", 38),
+    ]
+
+
 def test_collect_vars_params_first():
     prog = parse("function f(X1){ X2 = X1; return X2; } function main(){ X1 = f(X3); }")
     assert variable_order(prog.functions[0]) == ("X1", "X2")
@@ -196,6 +240,121 @@ def test_conditions_do_not_influence_matrices():
     assert ra.variables == rb.variables
     assert ra.matrix.entries == rb.matrix.entries
     assert ra.verdict == rb.verdict
+
+
+# --- Checks made while parsing, against the two-pass oracle -------------
+#
+# Each mutation takes a generated program's lines and returns new ones.
+# A call mutation finds nothing to change in a program with no call.
+
+def _call_line(lines):
+    return next((k for k, line in enumerate(lines) if "= f(" in line), None)
+
+
+def _rename_call(rng, lines):
+    k = _call_line(lines)
+    if k is None:
+        return lines
+    name = rng.choice(("g", "main", "h"))  # undeclared, the caller itself, declared later
+    later = ["function h(X1) {", "    return X1;", "}"] if name == "h" else []
+    return [*lines[:k], lines[k].replace("= f(", f"= {name}("), *lines[k + 1:], *later]
+
+
+def _change_arity(rng, lines):
+    k = _call_line(lines)
+    if k is None:
+        return lines
+    if rng.random() < 0.5:
+        call = lines[k].replace(");", ", X4);")
+    else:
+        call = re.sub(r"(, )?X\d+\);", ");", lines[k])
+    return [*lines[:k], call, *lines[k + 1:]]
+
+
+def _drop_return(rng, lines):
+    return [line for line in lines if not line.lstrip().startswith("return")]
+
+
+def _duplicate_function(rng, lines):
+    starts = [k for k, line in enumerate(lines) if line.startswith("function")]
+    start = rng.choice(starts)
+    end = lines.index("}", start) + 1
+    at = rng.choice((end, len(lines)))
+    return [*lines[:at], *lines[start:end], *lines[at:]]
+
+
+def _main_parameter(rng, lines):
+    return [line.replace("function main()", "function main(X1)") for line in lines]
+
+
+def _rename_main(rng, lines):
+    return [line.replace("function main(", "function m(") for line in lines]
+
+
+def _assign_counters(rng, lines):
+    """Assign an enclosing loop's counter at a few places, or wrap the
+    call, if any, in a loop on its own target."""
+    out = list(lines)
+    k = _call_line(out)
+    if k is not None and rng.random() < 0.5:
+        target = out[k].split()[0]
+        out[k:k + 1] = [f"    loop {target} {{", out[k], "    }"]
+    for _ in range(rng.randint(1, 3)):
+        sites = []  # (line after which to insert, counters of the loops open there)
+        open_blocks = []
+        for j, line in enumerate(out):
+            text = line.strip()
+            if text == "}" or text.startswith("} else"):
+                open_blocks.pop()
+            if text.endswith("{"):
+                open_blocks.append(text.split()[1] if text.startswith("loop") else None)
+            counters = [c for c in open_blocks if c]
+            if counters and "return" not in text:
+                sites.append((j, counters))
+        if not sites:
+            break
+        j, counters = rng.choice(sites)
+        out.insert(j + 1, f"    {rng.choice(counters)} = X1 + X2;")
+    return out
+
+
+def _syntax_error(rng, lines):
+    at = rng.randint(0, len(lines))
+    return [*lines[:at], "    X1 = ;", *lines[at:]]
+
+
+_MUTATIONS = (_rename_call, _change_arity, _drop_return, _duplicate_function,
+              _main_parameter, _rename_main, _assign_counters, _syntax_error)
+
+
+def _outcome(parse_with, src):
+    try:
+        program = parse_with(src)
+    except ParseError as e:
+        return e.code, e.reason, e.line, e.col
+    return program.functions, program.warnings
+
+
+def test_parse_matches_parse_then_validate_on_mutated_corpus():
+    rng = random.Random(32)
+    codes = set()
+    unordered = 0  # programs whose warnings are out of source order
+    for n in range(900):
+        lines = (random_call_pair(rng) if n % 3 == 1 else random_program(rng)).splitlines()
+        mutations = rng.sample(_MUTATIONS, rng.choice((0, 1, 1, 2, 3)))
+        for mutate in ([_assign_counters] if n % 3 == 2 else []) + mutations:
+            lines = mutate(rng, lines)
+        src = "\n".join(lines) + "\n"
+        expected = _outcome(parse_then_validate, src)
+        assert _outcome(parse, src) == expected, src
+        if isinstance(expected[0], str):
+            codes.add(expected[0])
+        else:
+            at = [(w.line, w.col) for w in expected[1]]
+            unordered += at != sorted(at)
+    assert codes == {"syntax-error", "duplicate-function", "unknown-function",
+                     "main-has-parameters", "missing-main", "call-arity", "no-return-value"}
+    assert unordered >= 5
 
 
 def _kind(text):

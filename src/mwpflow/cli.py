@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -19,6 +18,10 @@ from .frontend import ParseError, Program, parse, render
 from .polynomial import MASK, SHIFT, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
+try:  # the C routine that json.encoder re-exports, without the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 USAGE = "usage: mwpflow [-h] [--function NAME] [--eval PICKS | --json] file\n"
 HELP = f"""{USAGE}
@@ -146,7 +149,8 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     order, from fixed templates, and joins them once.  Each distinct
     delta and monomial is rendered once per call into a dict memo, and
     a cell's pieces are its monomials' memo entries.  Names are quoted
-    by encode_basestring_ascii, as json.dumps quotes a str.
+    by encode_basestring_ascii, as json.dumps quotes a str; it comes
+    from _json, so no json module loads.
     """
     quote = encode_basestring_ascii
     deltas: dict[Delta, str] = {}

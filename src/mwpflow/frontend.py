@@ -61,7 +61,7 @@ LOOP_COUNTER_ASSIGNED = "loop-counter-assigned"
 
 class ParseError(Exception):
     def __init__(self, code: str, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: [{code}] {message}")
+        super().__init__(str(Diagnostic(code, message, line, col)))
         self.code = code
         self.reason = message
         self.line = line
@@ -257,10 +257,6 @@ def position(starts: list[int], offset: int) -> tuple[int, int]:
 
 # --- Parser ----------------------------------------------------------
 
-class _Fail(Exception):
-    """A syntax error, as (message, token index); parse gives it a position."""
-
-
 class _Parser:
     def __init__(self, source: str):
         self.texts, self.offsets = tokenize(source)
@@ -280,6 +276,10 @@ class _Parser:
     def pos(self, i: int) -> tuple[int, int]:
         return position(self.starts, self.offsets[i])
 
+    def syntax_error(self, message: str, i: int) -> ParseError:
+        """The syntax error at the token with index i."""
+        return ParseError(SYNTAX_ERROR, message, *self.pos(i))
+
     def accept(self, text: str) -> bool:
         if self.texts[self.i] == text:
             self.i += 1
@@ -290,7 +290,7 @@ class _Parser:
         """The text of the current token, which must be of this kind."""
         t = self.texts[self.i]
         if t != kind and (kind != "IDENT" or t in _NOT_IDENT):
-            raise _Fail(f"expected {kind!r}, found {t or 'end of input'!r}", self.i)
+            raise self.syntax_error(f"expected {kind!r}, found {t or 'end of input'!r}", self.i)
         self.i += 1
         return t
 
@@ -314,7 +314,7 @@ class _Parser:
         while more:
             t = self.expect("IDENT")
             if t in params:
-                raise _Fail(f"duplicate parameter {t} in {name}", self.i - 1)
+                raise self.syntax_error(f"duplicate parameter {t} in {name}", self.i - 1)
             params.append(t)
             more = self.accept(",")
         self.expect(")")
@@ -391,7 +391,7 @@ class _Parser:
             value = self.parse_expr()
             self.expect(";")
             return Assign(t, value, pos=self.pos(i))
-        raise _Fail(f"expected a command, found {t or 'end of input'!r}", i)
+        raise self.syntax_error(f"expected a command, found {t or 'end of input'!r}", i)
 
     def parse_block(self) -> tuple[Command, ...]:
         self.expect("{")
@@ -439,16 +439,17 @@ class _Parser:
             return Not(self.parse_bfactor())
         # A "(" may open a parenthesized condition or a parenthesized
         # arithmetic operand of a comparison; try the comparison first
-        # and fall back on backtracking.
+        # and fall back on backtracking.  Only a syntax error can reach the
+        # handler: semantic errors are recorded, lexical ones raised before.
         saved = self.i
         try:
             left = self.parse_expr()
             op = self.texts[self.i]
             if op not in ("<", "<=", ">", ">=", "==", "!="):
-                raise _Fail("expected a comparison operator", self.i)
+                raise self.syntax_error("expected a comparison operator", self.i)
             self.i += 1
             return Compare(op, left, self.parse_expr())
-        except _Fail:
+        except ParseError:
             self.i = saved
         self.expect("(")
         node = self.parse_bexpr()
@@ -458,11 +459,7 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse and check a source file into a Program, with its warnings."""
-    parser = _Parser(source)
-    try:
-        return parser.parse_program()
-    except _Fail as e:
-        raise ParseError(SYNTAX_ERROR, e.args[0], *parser.pos(e.args[1])) from None
+    return _Parser(source).parse_program()
 
 
 # --- Traversal -------------------------------------------------------

@@ -41,6 +41,7 @@ so the fold of a body reads no stored column or INF list.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -248,10 +249,7 @@ class ChoiceRegistry:
         return len(self._cards)
 
     def count_assignments(self) -> int:
-        n = 1
-        for c in self._cards:
-            n *= c
-        return n
+        return math.prod(self._cards)
 
     def assignments(self) -> Iterator[Assignment]:
         return itertools.product(*(range(c) for c in self._cards))

@@ -128,6 +128,23 @@ def test_duplicate_parameter_named_at_its_repeat():
     assert (err.value.line, err.value.col) == (2, 9)
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("if ((X1 < X2) && ) { }", ("syntax-error", "expected '(', found ')'", 1, 36)),
+    ("while ((X1 + X2) { }", ("syntax-error", "expected '(', found 'X1'", 1, 27)),
+    ("if (!(X1 <)) { }", ("syntax-error", "expected '(', found 'X1'", 1, 25)),
+    ("if ((X1) < ) { }", ("syntax-error", "expected '(', found 'X1'", 1, 24)),
+])
+def test_a_condition_that_fails_both_readings_is_reported_once(command, expected):
+    # A "(" in a condition is first read as a comparison's operand, then,
+    # after backtracking, as a parenthesized condition; the error is the
+    # second reading's, with nothing of the first attached.
+    with pytest.raises(ParseError) as err:
+        parse(f"function main() {{ {command} }}")
+    e = err.value
+    assert (e.code, e.reason, e.line, e.col) == expected
+    assert e.__context__ is None
+
+
 def test_loop_counter_warning():
     prog = parse("function main(){ loop X1 { X1 = X1 + X2; } }")
     assert len(prog.warnings) == 1

@@ -1,11 +1,14 @@
 """The package surface: the README's library example runs as written,
-and the package root exports exactly the documented names."""
+the package root exports exactly the documented names, and a fresh
+import loads none of the modules it has no use for."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mwpflow
 
@@ -33,42 +36,28 @@ def test_package_exports_only_the_documented_names():
         assert hasattr(mwpflow, name), name
 
 
-def test_importing_the_command_line_loads_no_oracle():
-    # The oracles load on first access to their names, or for --check-inline.
-    script = ("import sys, mwpflow.cli; "
-              "print([m for m in ('mwpflow.inline', 'mwpflow.exhaustive') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+# case -> (module imported in a fresh process, modules it must not load).
+# One case per reason, so a failure names the cause:
+# - oracle: the oracles load on first access to their names, or for
+#   --check-inline;
+# - option_parser: the command line reads argv in one pass, so no
+#   argparse or the gettext that argparse imports;
+# - dataclasses: the AST and result records are slotted classes, so no
+#   dataclasses or the inspect, ast, dis and tokenize it imports; the
+#   inline report is a Record too;
+# - json: the JSON writer quotes names with _json's routine.
+_UNLOADED = {
+    "command_line-oracle": ("mwpflow.cli", ("mwpflow.inline", "mwpflow.exhaustive")),
+    "command_line-option_parser": ("mwpflow.cli", ("argparse", "gettext")),
+    "command_line-dataclasses": ("mwpflow.cli", ("dataclasses", "inspect")),
+    "command_line-json": ("mwpflow.cli", ("json",)),
+    "inline_check-dataclasses": ("mwpflow.inline", ("dataclasses", "inspect")),
+}
 
 
-def test_importing_the_command_line_loads_no_option_parser():
-    # The command line reads argv in one pass, so no process pays for
-    # importing argparse and the gettext that argparse imports.
-    script = ("import sys, mwpflow.cli; "
-              "print([m for m in ('argparse', 'gettext') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
-
-
-def test_importing_the_command_line_loads_no_dataclasses():
-    # The AST and result records are slotted classes, so no process pays
-    # for dataclasses and the inspect, ast, dis and tokenize it imports.
-    script = ("import sys, mwpflow.cli; "
-              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
-
-
-def test_importing_the_inline_check_loads_no_dataclasses():
-    # --check-inline imports mwpflow.inline; its report is a Record too.
-    script = ("import sys, mwpflow.inline; "
-              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+@pytest.mark.parametrize("module, unloaded", _UNLOADED.values(), ids=_UNLOADED.keys())
+def test_fresh_import_loads_none_of(module, unloaded):
+    script = f"import sys, {module}; print([m for m in {unloaded!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout

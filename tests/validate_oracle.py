@@ -16,7 +16,6 @@ from mwpflow.frontend import (
     MAIN_HAS_PARAMETERS,
     MISSING_MAIN,
     NO_RETURN_VALUE,
-    SYNTAX_ERROR,
     UNKNOWN_FUNCTION,
     Assign,
     Call,
@@ -25,7 +24,6 @@ from mwpflow.frontend import (
     Loop,
     ParseError,
     Program,
-    _Fail,
     _Parser,
     walk_commands,
 )
@@ -40,12 +38,7 @@ class _Unchecked(_Parser):
 
 def parse_then_validate(source: str) -> Program:
     """Parse without checks, raising syntax errors as parse does, then validate."""
-    parser = _Unchecked(source)
-    try:
-        program = parser.parse_program()
-    except _Fail as e:
-        raise ParseError(SYNTAX_ERROR, e.args[0], *parser.pos(e.args[1])) from None
-    return validate(Program(program.functions))
+    return validate(Program(_Unchecked(source).parse_program().functions))
 
 
 def validate(program: Program) -> Program:

@@ -40,6 +40,7 @@ from .frontend import (
     variable_order,
 )
 from .polynomial import (
+    BudgetExceeded,
     ChoiceMatrix,
     ChoiceRegistry,
     INF_POLY,
@@ -254,12 +255,17 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     allocated depth-first over each body, so repeated runs are
     identical.  Verdicts, clean counts, samples and summaries all come
     from one sweep of each function's delta graph; no assignment is
-    ever scanned.
+    ever scanned.  A matrix past the monomial budget raises
+    BudgetExceeded, which names the function.
     """
     summaries: dict[str, FunctionSummary] = {}
     results: dict[str, FunctionAnalysis] = {}
     for decl in program.functions:
-        analysis = _FunctionRun(decl, summaries).finish()
+        try:
+            analysis = _FunctionRun(decl, summaries).finish()
+        except BudgetExceeded as e:
+            e.function = decl.name
+            raise
         if analysis.summary is not None:
             summaries[decl.name] = analysis.summary
         results[decl.name] = analysis

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every analyzed function is bounded or conditionally
 bounded, 1 when some function is unbounded (or an inline check fails),
-2 on usage or parse errors and on programs nested too deeply to analyze.
+2 when run refuses the command line or the program, with one stderr line.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
 from .frontend import ParseError, Program, parse, render
-from .polynomial import MASK, SHIFT, Delta, Monomial, monomial_text
+from .polynomial import MASK, SHIFT, BudgetExceeded, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
 try:  # the C routine that json.encoder re-exports, without the json package
@@ -205,12 +205,23 @@ def emit_json(results: Sequence[FunctionAnalysis]) -> str:
     return "".join(out)
 
 
+class _Refusal(Exception):
+    """The one stderr line of a command line that exits 2."""
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        opts = read_argv(sys.argv[1:] if argv is None else argv)
-    except ValueError as e:
-        sys.stderr.write(f"{USAGE}mwpflow: error: {e}\n")
+        return _run(sys.argv[1:] if argv is None else argv)
+    except _Refusal as refusal:
+        print(refusal, file=sys.stderr)
         return 2
+
+
+def _run(argv: Sequence[str]) -> int:
+    try:
+        opts = read_argv(argv)
+    except ValueError as e:
+        raise _Refusal(f"{USAGE}mwpflow: error: {e}")
     if opts is None:
         sys.stdout.write(HELP)
         return 0
@@ -219,8 +230,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         with open(opts.file, encoding="utf-8-sig") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"mwpflow: cannot read {opts.file}: {e}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"mwpflow: cannot read {opts.file}: {e}")
 
     # Unencodable output prints as "?", in this call only.
     errors = getattr(sys.stdout, "errors", None)
@@ -233,27 +243,26 @@ def run(argv: Sequence[str] | None = None) -> int:
         failure = "program nested too deeply to analyze"
     except MemoryError:
         failure = "out of memory"
+    except BudgetExceeded as e:
+        failure = str(e)
     finally:
         reconfigure(errors=errors)
-    # Printed once the handler has let go of the traceback, whose frames
+    # Raised once the handler has let go of the traceback, whose frames
     # hold the matrices that used up the memory.
-    print(f"mwpflow: {opts.file}: {failure}", file=sys.stderr)
-    return 2
+    raise _Refusal(f"mwpflow: {opts.file}: {failure}")
 
 
 def _analyze(opts: SimpleNamespace, source: str) -> int:
     try:
         program = parse(source)
     except ParseError as e:
-        print(f"{opts.file}:{e}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"{opts.file}:{e}")
     for w in program.warnings:
         print(f"{opts.file}:{w}", file=sys.stderr)
 
     shown = tuple(f for f in program.functions if opts.function in (None, f.name))
     if opts.function is not None and not shown:
-        print(f"mwpflow: no function named {opts.function}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"mwpflow: no function named {opts.function}")
 
     if opts.dump_ast:
         print(render(Program(shown)), end="")
@@ -266,8 +275,7 @@ def _analyze(opts: SimpleNamespace, source: str) -> int:
             report = check_call_theorem(*map(program.function, opts.check_inline))
         except (KeyError, ValueError) as e:
             # args[0], not str(e), which quotes a KeyError's message
-            print(f"mwpflow: {e.args[0]}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"mwpflow: {e.args[0]}")
         print(report)
         return 0 if report.ok else 1
 
@@ -280,16 +288,14 @@ def _analyze(opts: SimpleNamespace, source: str) -> int:
         text = opts.eval_picks
         fields = [x.strip() for x in text.split(",")] if text.strip() else []
         if not all(x.isascii() and x.isdigit() for x in fields):
-            print(f"mwpflow: bad assignment {text!r}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"mwpflow: bad assignment {text!r}")
         picks = tuple(map(int, fields))
         out = []
         for r in results:
             try:
                 flow = r.matrix.evaluate(picks)
             except ValueError as e:
-                print(f"mwpflow: {r.name}: {e}", file=sys.stderr)
-                return 2
+                raise _Refusal(f"mwpflow: {r.name}: {e}")
             out.append(f"function {r.name} at [{','.join(map(str, picks))}]")
             out.append(f"  variables: {' '.join(r.variables)}")
             out.extend("  " + line for line in str(flow).splitlines())

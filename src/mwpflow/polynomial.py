@@ -60,6 +60,19 @@ _DELTAS = itemgetter(1)
 
 _NONE = (ZERO, ())  # what Polynomial.of reads for an absent delta list
 
+BUDGET = 1_000_000  # monomials in the stored columns of one ChoiceMatrix
+
+
+class BudgetExceeded(Exception):
+    """Raised with the count when a matrix's stored columns hold more
+    than BUDGET monomials; analyze_program names the function it folds."""
+
+    function = "?"
+
+    def __str__(self) -> str:
+        return (f"function {self.function}: monomial budget exceeded: "
+                f"{self.args[0]} monomials in one matrix > {BUDGET}")
+
 
 def delta(value: int, index: int) -> Delta:
     """Build a delta in the conventional d(value, index) argument order."""
@@ -373,6 +386,21 @@ def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
                                     else tuple(sorted({*da, *db}))))
 
 
+def _count(column: Iterable[Polynomial]) -> int:
+    """The monomials in these cells: a loop is faster than a sum on the
+    short columns the fold mostly writes."""
+    n = 0
+    for p in column:
+        n += len(p.monomials)
+    return n
+
+
+def _within_budget(size: int) -> int:
+    if size > BUDGET:
+        raise BudgetExceeded(size)
+    return size
+
+
 def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
     """The unit vector e_c of length n."""
     return (ZERO_POLY,) * c + (UNIT_POLY,) + (ZERO_POLY,) * (n - c - 1)
@@ -388,9 +416,14 @@ class ChoiceMatrix:
     pending[i], the INF that row i's stored cells hold, which the next
     product spreads over the whole row.  entries is the row view, with
     each row's list merged into its cells.
+
+    size counts the monomials of the stored columns.  An operation
+    updates it from the columns it writes, and refuses a matrix whose
+    size passes BUDGET (BudgetExceeded): the fold of a plain 30-line
+    program can otherwise exhaust gigabytes.
     """
 
-    __slots__ = ("variables", "registry", "columns", "row_inf", "pending", "_entries")
+    __slots__ = ("variables", "registry", "columns", "row_inf", "pending", "size", "_entries")
 
     def __init__(
         self,
@@ -407,19 +440,21 @@ class ChoiceMatrix:
         self.variables, self.registry, self._entries = tuple(variables), registry, None
         self.columns = {c: col for c, col in enumerate(zip(*rows)) if col != _unit(n, c)}
         self.row_inf, self.pending = (ZERO_POLY,) * n, tuple(_written(row)[1] for row in rows)
+        self.size = _within_budget(sum(map(_count, self.columns.values())))
 
     @classmethod
-    def _stored(cls, variables, registry, columns, row_inf, pending) -> "ChoiceMatrix":
+    def _stored(cls, variables, registry, columns, row_inf, pending, size) -> "ChoiceMatrix":
         """The matrix with this stored form (see the class docstring)."""
         m = cls.__new__(cls)
         m.variables, m.registry, m._entries = variables, registry, None
         m.columns, m.row_inf, m.pending = columns, row_inf, pending
+        m.size = _within_budget(size)
         return m
 
     @classmethod
     def identity(cls, variables: Sequence[str], registry: ChoiceRegistry) -> "ChoiceMatrix":
         empty = (ZERO_POLY,) * len(variables)
-        return cls._stored(tuple(variables), registry, {}, empty, empty)
+        return cls._stored(tuple(variables), registry, {}, empty, empty, 0)
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
@@ -463,6 +498,7 @@ class ChoiceMatrix:
             self.variables, self.registry, columns,
             tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
             tuple(map(Polynomial.__add__, self.pending, other.pending)),
+            sum(map(_count, columns.values())),
         )
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
@@ -499,7 +535,7 @@ class ChoiceMatrix:
         """
         n = len(self.variables)
         stored = dict(self.columns)
-        spread = ZERO_POLY
+        spread, size = ZERO_POLY, self.size
         for c, col in columns.items():
             col_fin, col_inf = _written(col)
             acc: dict[int, list[Monomial]] = {}
@@ -511,9 +547,11 @@ class ChoiceMatrix:
                     # fails to close and prints "Exception ignored in: "
                     _multiply(acc, [(i, p.monomials) for i, p in enumerate(src) if p.monomials],
                               qs)
-            cells = [col_inf] * n
+            cells, tail = [col_inf] * n, list(col_inf.monomials)
+            size += (n - len(acc)) * len(tail) - _count(stored.get(c, ()))
             for i, monos in acc.items():
-                cells[i] = Polynomial.of(monos + list(col_inf.monomials))
+                cells[i] = cell = Polynomial.of(monos + tail)
+                size += len(cell.monomials)
             stored[c] = tuple(cells)
             spread = spread + col_inf
         # Rows often repeat an equal pair of nonempty lists: sum it once.
@@ -521,7 +559,8 @@ class ChoiceMatrix:
         row_inf = tuple(sums.get((r, p)) or sums.setdefault((r, p), r + p)
                         if r.monomials and p.monomials else r + p
                         for r, p in zip(self.row_inf, self.pending))
-        return ChoiceMatrix._stored(self.variables, self.registry, stored, row_inf, (spread,) * n)
+        return ChoiceMatrix._stored(self.variables, self.registry, stored, row_inf,
+                                    (spread,) * n, size)
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, by one Kleene (Gauss-Jordan)
@@ -564,8 +603,9 @@ class ChoiceMatrix:
         n = len(self.variables)
         columns = {c: tuple(Polynomial(tuple(col[i])) if i in col else ZERO_POLY for i in range(n))
                    for c, col in cols.items()}
-        return ChoiceMatrix._stored(self.variables, self.registry, columns,
-                                    (inf,) * n, (ZERO_POLY,) * n)
+        return ChoiceMatrix._stored(self.variables, self.registry, columns, (inf,) * n,
+                                    (ZERO_POLY,) * n, sum([len(ms) for col in cols.values()
+                                                           for ms in col.values()]))
 
     def iterate(self, counter: int | None) -> "ChoiceMatrix":
         """The iteration rule on the closure of this body matrix: the
@@ -583,7 +623,7 @@ class ChoiceMatrix:
         monomial that list covers is covered too.
         """
         star = self.closure()
-        columns = {}
+        columns, size = {}, star.size
         twins: list[list[Monomial]] = [[] for _ in self.variables]
         for j, column in star.columns.items():
             cells = list(column)
@@ -593,14 +633,18 @@ class ChoiceMatrix:
                 topped = [(INF, ds) for s, ds in monos if s > (M if i == j else W)]
                 if topped:
                     cells[i] = Polynomial.of([*monos, *topped])
+                    size += len(cells[i].monomials) - len(monos)
                     twins[i] += topped
             if counter is not None:
                 hits = [m for p in column for m in p.monomials if m[0] == P]
                 if hits:
-                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
+                    held = cells[counter].monomials
+                    cells[counter] = Polynomial.of([*held, *hits])
+                    size += len(cells[counter].monomials) - len(held)
             columns[j] = tuple(cells)
         return ChoiceMatrix._stored(self.variables, self.registry, columns, star.row_inf,
-                                    tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins))
+                                    tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins),
+                                    size)
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of
@@ -619,6 +663,7 @@ class ChoiceMatrix:
             self.variables, self.registry, {**self.columns, j: column}, self.row_inf,
             tuple(p + Polynomial(inf) if (inf := tuple(m for m in q.monomials if m[0] == INF))
                   else p for p, q in zip(self.pending, column)),
+            self.size + _count(column) - _count(self.columns.get(j, ())),
         )
 
     def evaluate(self, assignment: Sequence[int]) -> FlowMatrix:

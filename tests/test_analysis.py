@@ -591,7 +591,8 @@ def test_analysis_matrices_are_canonical(monkeypatch):
     # analysis builds must already be in Polynomial.of's form.  So must
     # every stored cell, which products read before any INF is merged,
     # and every row list.  The analysis builds its matrices from stored
-    # columns only, never from rows.
+    # columns only, never from rows.  Each operation updates a matrix's
+    # size from the columns it writes; it must count every stored cell.
     built = []
     stored = ChoiceMatrix._stored.__func__
 
@@ -629,6 +630,7 @@ def test_analysis_matrices_are_canonical(monkeypatch):
         analyze_program(parse(src))
         assert built, src
         for m in built:
+            assert m.size == sum(len(p.monomials) for col in m.columns.values() for p in col)
             cells = (*m.entries, *m.columns.values(), m.row_inf, m.pending)
             for row in cells:
                 for p in row:

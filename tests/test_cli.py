@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import random_call_pair, random_program
-from mwpflow.cli import emit_json, run
+from mwpflow.cli import USAGE, emit_json, run
 from mwpflow.analysis import analyze_program
 from mwpflow.frontend import ParseError, parse
 from mwpflow.polynomial import MASK, SHIFT
@@ -753,13 +753,14 @@ def test_out_of_memory_exits_two(loop_file, monkeypatch, capsys):
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_real_memory_exhaustion_exits_two_with_one_line(tmp_path):
     # Thirty rotating additions over five variables: a bounded
-    # straight-line program whose matrix outgrows 400 MB of address
-    # space, set in the child only.  Nothing may print but the one line:
-    # no traceback, fatal-error dump or "Exception ignored in: ".
+    # straight-line program whose matrix outgrows 150 MB of address
+    # space, set in the child only, before it passes the monomial budget
+    # at about 280 MB.  Nothing may print but the one line: no
+    # traceback, fatal-error dump or "Exception ignored in: ".
     import resource
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
 
     p = tmp_path / "FILE"
     p.write_text("function main() {\n" + "".join(
@@ -769,6 +770,122 @@ def test_real_memory_exhaustion_exits_two_with_one_line(tmp_path):
     done = subprocess.run([sys.executable, "-m", "mwpflow.cli", "FILE"], cwd=tmp_path, env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "mwpflow: FILE: out of memory\n")
+
+
+def _rotating_adds(n: int) -> str:
+    return "function main() {\n" + "".join(
+        f"    X{i % 5 + 1} = X{(i + 1) % 5 + 1} + X{(i + 2) % 5 + 1};\n" for i in range(n)
+    ) + "}\n"
+
+
+def _branch_chain(k: int) -> str:
+    # bench/workloads.py's branch_chain(k, n_vars=5) for an even k: k / 2
+    # conditional blocks rotating over X1..X5, two choices each.
+    return "function main() {\n" + "".join(
+        f"    if (X{(s + 1) % 5 + 1} < X{(s + 2) % 5 + 1}) {{"
+        f" X{s % 5 + 1} = X{(s + 1) % 5 + 1} + X{(s + 2) % 5 + 1}; }}"
+        f" else {{ X{s % 5 + 1} = X{(s + 2) % 5 + 1} - X{(s + 1) % 5 + 1}; }}\n"
+        for s in range(k // 2)
+    ) + "}\n"
+
+
+def _out_of_memory(program):
+    raise MemoryError
+
+
+# Every refusal, as (source of FILE or None for no file, arguments,
+# patch or None, stderr): each exits 2, prints nothing on stdout and
+# only its line on stderr, the usage error after the usage line.
+REFUSALS = {
+    "usage": (None, [], None,
+              USAGE + "mwpflow: error: the following arguments are required: file\n"),
+    "unreadable": (None, ["FILE"], None,
+                   "mwpflow: cannot read FILE: [Errno 2] No such file or directory: 'FILE'\n"),
+    "parse": ("function main(){ X1 = 3; }", ["FILE"], None,
+              "FILE:1:23: [lexical-error] numeric literals are not part of the language\n"),
+    "function": (LOOP_SRC, ["FILE", "--function", "nosuch"], None,
+                 "mwpflow: no function named nosuch\n"),
+    "inline-function": (PAIR_SRC, ["FILE", "--check-inline", "nosuch", "f"], None,
+                        "mwpflow: no function named nosuch\n"),
+    "inline-pair": ("function g(X1){ return X1; }\nfunction f(X1){ X2 = X1 + X1; return X2; }\n"
+                    "function main(){ X1 = g(X2); X3 = f(X1); }\n",
+                    ["FILE", "--check-inline", "main", "f"], None,
+                    "mwpflow: main calls g, which the inline check of main -> f cannot follow\n"),
+    "eval-field": (LOOP_SRC, ["FILE", "--eval", "zero"], None,
+                   "mwpflow: bad assignment 'zero'\n"),
+    "eval-pick": (LOOP_SRC, ["FILE", "--eval", "7"], None,
+                  "mwpflow: main: pick 7 out of range for choice 0 (domain 3)\n"),
+    "nesting": ("function main() { X1 = " + " + ".join(f"X{i % 7 + 1}" for i in range(1200))
+                + "; }\n", ["FILE"], None, "mwpflow: FILE: program nested too deeply to analyze\n"),
+    "memory": (LOOP_SRC, ["FILE", "--json"], ("mwpflow.cli.analyze_program", _out_of_memory),
+               "mwpflow: FILE: out of memory\n"),
+    "budget": (PAIR_SRC, ["FILE"], ("mwpflow.polynomial.BUDGET", 4),
+               "mwpflow: FILE: function f: monomial budget exceeded: "
+               "6 monomials in one matrix > 4\n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_exits_two_with_one_line(case, tmp_path, monkeypatch, capsys):
+    source, args, patch, err = REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    if source is not None:
+        (tmp_path / "FILE").write_text(source)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_budget_names_the_function_and_the_count(monkeypatch):
+    from mwpflow.polynomial import BudgetExceeded
+
+    monkeypatch.setattr("mwpflow.polynomial.BUDGET", 4)
+    with pytest.raises(BudgetExceeded) as refused:
+        analyze_program(parse(PAIR_SRC))
+    assert (refused.value.function, refused.value.args) == ("f", (6,))
+    # The largest matrix of the run, in main, holds 31 monomials.
+    monkeypatch.setattr("mwpflow.polynomial.BUDGET", 31)
+    assert [r.name for r in analyze_program(parse(PAIR_SRC))] == ["f", "main"]
+    monkeypatch.setattr("mwpflow.polynomial.BUDGET", 30)
+    with pytest.raises(BudgetExceeded, match="^function main: .* 31 monomials in one matrix > 30$"):
+        analyze_program(parse(PAIR_SRC))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("source", [_branch_chain(48), _rotating_adds(30)],
+                         ids=["branch-chain-48", "rotating-adds-30"])
+def test_blow_up_is_refused_by_the_monomial_budget(source, tmp_path):
+    # Both exhausted 3 GB before the budget.  The child's own limits only
+    # stop a run that the budget would miss.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    (tmp_path / "FILE").write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "mwpflow.cli", "FILE"], cwd=tmp_path,
+                                 env=env, stdout=out, stderr=err, preexec_fn=limit)
+        _, status, usage = os.wait4(child.pid, 0)  # the rusage of this child alone
+        elapsed = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0), err.seek(0)
+        printed = out.read(), err.read()
+    assert child.returncode == 2 and printed[0] == ""
+    assert re.fullmatch(r"mwpflow: FILE: function main: monomial budget exceeded: "
+                        r"\d+ monomials in one matrix > 1000000\n", printed[1])
+    assert elapsed < 15 and usage.ru_maxrss < 500 << 10  # kB
+
+
+def test_branch_chain_32_answers_under_the_budget():
+    # Its largest matrix holds 643,032 monomials.  The report is left
+    # out: --json would print all of them for 10 s.
+    result = analyze_program(parse(_branch_chain(32))).functions["main"]
+    assert result.verdict == "bounded" and result.matrix.size == 643032
 
 
 def test_feedback_chain_48_decided(tmp_path, capsys):

@@ -1296,7 +1296,7 @@ def test_closure_eliminates_up_to_six_stored_columns():
         seen["INF list"] += bool(inf.monomials)
         order = list(m.columns.items())
         rng.shuffle(order)
-        other = ChoiceMatrix._stored(m.variables, reg, dict(order), m.row_inf, m.pending)
+        other = ChoiceMatrix._stored(m.variables, reg, dict(order), m.row_inf, m.pending, m.size)
         assert other.closure().entries == star.entries
         seen[f"{len(m.columns)} stored"] += 1
         seen["reordered"] += [c for c, _ in order] != list(m.columns)

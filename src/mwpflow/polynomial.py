@@ -386,16 +386,16 @@ def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
                                     else tuple(sorted({*da, *db}))))
 
 
-def _count(column: Iterable[Polynomial]) -> int:
-    """The monomials in these cells: a loop is faster than a sum on the
-    short columns the fold mostly writes."""
-    n = 0
-    for p in column:
-        n += len(p.monomials)
-    return n
-
-
-def _within_budget(size: int) -> int:
+def _recount(size: int, old: Mapping[int, tuple], columns: Mapping[int, tuple]) -> int:
+    """size, the monomials of the stored columns old, recounted for
+    columns, which keeps every key of old: a column it shares with old
+    is not read.  Past BUDGET raises BudgetExceeded."""
+    for c, col in columns.items():
+        if col is not (was := old.get(c)):
+            for p in col:
+                size += len(p.monomials)
+            for p in was or ():
+                size -= len(p.monomials)
     if size > BUDGET:
         raise BudgetExceeded(size)
     return size
@@ -417,10 +417,12 @@ class ChoiceMatrix:
     product spreads over the whole row.  entries is the row view, with
     each row's list merged into its cells.
 
-    size counts the monomials of the stored columns.  An operation
-    updates it from the columns it writes, and refuses a matrix whose
-    size passes BUDGET (BudgetExceeded): the fold of a plain 30-line
-    program can otherwise exhaust gigabytes.
+    size counts the monomials of the stored columns.  Every operation
+    builds its result with _stored on its operand, and keeps the
+    operand's column keys, so _stored recounts only the columns that
+    the operation replaced.  It refuses a matrix whose size passes
+    BUDGET (BudgetExceeded): the fold of a plain 30-line program can
+    otherwise exhaust gigabytes.
     """
 
     __slots__ = ("variables", "registry", "columns", "row_inf", "pending", "size", "_entries")
@@ -439,22 +441,26 @@ class ChoiceMatrix:
             raise ValueError("matrix shape must match the variable list")
         self.variables, self.registry, self._entries = tuple(variables), registry, None
         self.columns = {c: col for c, col in enumerate(zip(*rows)) if col != _unit(n, c)}
-        self.row_inf, self.pending = (ZERO_POLY,) * n, tuple(_written(row)[1] for row in rows)
-        self.size = _within_budget(sum(map(_count, self.columns.values())))
+        self.row_inf = (ZERO_POLY,) * n
+        self.pending = tuple(Polynomial.of(m for p in row for m in p.monomials if m[0] == INF)
+                             for row in rows)
+        self.size = _recount(0, {}, self.columns)
 
-    @classmethod
-    def _stored(cls, variables, registry, columns, row_inf, pending, size) -> "ChoiceMatrix":
-        """The matrix with this stored form (see the class docstring)."""
-        m = cls.__new__(cls)
-        m.variables, m.registry, m._entries = variables, registry, None
+    def _stored(self, columns, row_inf, pending) -> "ChoiceMatrix":
+        """The matrix with this stored form over self's variables (see the
+        class docstring).  columns keeps every key of self.columns."""
+        m = ChoiceMatrix.__new__(ChoiceMatrix)
+        m.variables, m.registry, m._entries = self.variables, self.registry, None
         m.columns, m.row_inf, m.pending = columns, row_inf, pending
-        m.size = _within_budget(size)
+        m.size = _recount(self.size, self.columns, columns)
         return m
 
     @classmethod
     def identity(cls, variables: Sequence[str], registry: ChoiceRegistry) -> "ChoiceMatrix":
-        empty = (ZERO_POLY,) * len(variables)
-        return cls._stored(tuple(variables), registry, {}, empty, empty, 0)
+        m = cls.__new__(cls)
+        m.variables, m.registry, m.columns, m.size, m._entries = tuple(variables), registry, {}, 0, None
+        m.row_inf = m.pending = (ZERO_POLY,) * len(variables)
+        return m
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
@@ -494,12 +500,8 @@ class ChoiceMatrix:
         columns = {c: tuple(map(Polynomial.__add__, self.columns.get(c) or _unit(n, c),
                                 other.columns.get(c) or _unit(n, c)))
                    for c in self.columns.keys() | other.columns.keys()}
-        return ChoiceMatrix._stored(
-            self.variables, self.registry, columns,
-            tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
-            tuple(map(Polynomial.__add__, self.pending, other.pending)),
-            sum(map(_count, columns.values())),
-        )
+        return self._stored(columns, tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
+                            tuple(map(Polynomial.__add__, self.pending, other.pending)))
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
         """Matrix product: other's stored columns update self (see
@@ -508,8 +510,7 @@ class ChoiceMatrix:
         self._check_compatible(other)
         out = self.update_columns(other.columns)
         spread = sum(other.row_inf, ZERO_POLY)
-        out.row_inf = tuple(r + spread for r in out.row_inf)
-        return out
+        return out._stored(out.columns, tuple(r + spread for r in out.row_inf), out.pending)
 
     def update_columns(self, columns: Mapping[int, Sequence[Polynomial]]) -> "ChoiceMatrix":
         """self times the matrix that is the identity outside the keys of
@@ -535,7 +536,7 @@ class ChoiceMatrix:
         """
         n = len(self.variables)
         stored = dict(self.columns)
-        spread, size = ZERO_POLY, self.size
+        spread = ZERO_POLY
         for c, col in columns.items():
             col_fin, col_inf = _written(col)
             acc: dict[int, list[Monomial]] = {}
@@ -548,10 +549,8 @@ class ChoiceMatrix:
                     _multiply(acc, [(i, p.monomials) for i, p in enumerate(src) if p.monomials],
                               qs)
             cells, tail = [col_inf] * n, list(col_inf.monomials)
-            size += (n - len(acc)) * len(tail) - _count(stored.get(c, ()))
             for i, monos in acc.items():
-                cells[i] = cell = Polynomial.of(monos + tail)
-                size += len(cell.monomials)
+                cells[i] = Polynomial.of(monos + tail)
             stored[c] = tuple(cells)
             spread = spread + col_inf
         # Rows often repeat an equal pair of nonempty lists: sum it once.
@@ -559,8 +558,7 @@ class ChoiceMatrix:
         row_inf = tuple(sums.get((r, p)) or sums.setdefault((r, p), r + p)
                         if r.monomials and p.monomials else r + p
                         for r, p in zip(self.row_inf, self.pending))
-        return ChoiceMatrix._stored(self.variables, self.registry, stored, row_inf,
-                                    (spread,) * n, size)
+        return self._stored(stored, row_inf, (spread,) * n)
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, by one Kleene (Gauss-Jordan)
@@ -603,9 +601,7 @@ class ChoiceMatrix:
         n = len(self.variables)
         columns = {c: tuple(Polynomial(tuple(col[i])) if i in col else ZERO_POLY for i in range(n))
                    for c, col in cols.items()}
-        return ChoiceMatrix._stored(self.variables, self.registry, columns, (inf,) * n,
-                                    (ZERO_POLY,) * n, sum([len(ms) for col in cols.values()
-                                                           for ms in col.values()]))
+        return self._stored(columns, (inf,) * n, (ZERO_POLY,) * n)
 
     def iterate(self, counter: int | None) -> "ChoiceMatrix":
         """The iteration rule on the closure of this body matrix: the
@@ -623,7 +619,7 @@ class ChoiceMatrix:
         monomial that list covers is covered too.
         """
         star = self.closure()
-        columns, size = {}, star.size
+        columns = {}
         twins: list[list[Monomial]] = [[] for _ in self.variables]
         for j, column in star.columns.items():
             cells = list(column)
@@ -633,18 +629,14 @@ class ChoiceMatrix:
                 topped = [(INF, ds) for s, ds in monos if s > (M if i == j else W)]
                 if topped:
                     cells[i] = Polynomial.of([*monos, *topped])
-                    size += len(cells[i].monomials) - len(monos)
                     twins[i] += topped
             if counter is not None:
                 hits = [m for p in column for m in p.monomials if m[0] == P]
                 if hits:
-                    held = cells[counter].monomials
-                    cells[counter] = Polynomial.of([*held, *hits])
-                    size += len(cells[counter].monomials) - len(held)
+                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
             columns[j] = tuple(cells)
-        return ChoiceMatrix._stored(self.variables, self.registry, columns, star.row_inf,
-                                    tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins),
-                                    size)
+        return star._stored(columns, star.row_inf,
+                            tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins))
 
     def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
         """self with column j stored as column; each row adds the INF of
@@ -659,11 +651,10 @@ class ChoiceMatrix:
         if len(column) != len(self.variables):
             raise ValueError("column length mismatch")
         column = tuple(column)
-        return ChoiceMatrix._stored(
-            self.variables, self.registry, {**self.columns, j: column}, self.row_inf,
+        return self._stored(
+            {**self.columns, j: column}, self.row_inf,
             tuple(p + Polynomial(inf) if (inf := tuple(m for m in q.monomials if m[0] == INF))
                   else p for p, q in zip(self.pending, column)),
-            self.size + _count(column) - _count(self.columns.get(j, ())),
         )
 
     def evaluate(self, assignment: Sequence[int]) -> FlowMatrix:

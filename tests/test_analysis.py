@@ -543,20 +543,31 @@ def test_call_inside_loop_body():
     )
 
 
+def _record_matrices(monkeypatch):
+    """The list that every matrix built by _stored or identity joins."""
+    built = []
+    stored, identity = ChoiceMatrix._stored, ChoiceMatrix.identity.__func__
+
+    def recording_stored(self, *args):
+        built.append(stored(self, *args))
+        return built[-1]
+
+    def recording_identity(cls, *args):
+        built.append(identity(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(ChoiceMatrix, "_stored", recording_stored)
+    monkeypatch.setattr(ChoiceMatrix, "identity", classmethod(recording_identity))
+    return built
+
+
 def test_engine_cells_hold_no_zero_scalar(monkeypatch):
     # _multiply takes the max of two scalars, which is their product
     # only when neither is ZERO or INF.  It relies on every cell that the
     # engine builds being canonical, since Polynomial.of keeps no ZERO
     # scalar, on its callers passing finite right factors only, and on
     # its own skip of the rows' INF monomials.
-    built = []
-    stored = ChoiceMatrix._stored.__func__
-
-    def recording_stored(cls, *args):
-        m = stored(cls, *args)
-        built.append(m)
-        return m
-
+    built = _record_matrices(monkeypatch)
     factors = 0
     plain_multiply = polynomial._multiply
 
@@ -569,7 +580,6 @@ def test_engine_cells_hold_no_zero_scalar(monkeypatch):
         factors += len(finite) * len(qs)
         return plain_multiply(acc, rows, qs)
 
-    monkeypatch.setattr(ChoiceMatrix, "_stored", classmethod(recording_stored))
     monkeypatch.setattr(polynomial, "_multiply", checked_multiply)
     rng = random.Random(67)
     sources = [random_program(rng) for _ in range(80)]
@@ -591,20 +601,14 @@ def test_analysis_matrices_are_canonical(monkeypatch):
     # analysis builds must already be in Polynomial.of's form.  So must
     # every stored cell, which products read before any INF is merged,
     # and every row list.  The analysis builds its matrices from stored
-    # columns only, never from rows.  Each operation updates a matrix's
-    # size from the columns it writes; it must count every stored cell.
-    built = []
-    stored = ChoiceMatrix._stored.__func__
-
-    def recording_stored(cls, *args):
-        m = stored(cls, *args)
-        built.append(m)
-        return m
+    # columns only, never from rows.  _stored recounts a matrix's size
+    # from the columns an operation replaced; it must count every stored
+    # cell.
+    built = _record_matrices(monkeypatch)
 
     def no_rows(self, *args, **kwargs):
         raise AssertionError("the analysis built a matrix from rows")
 
-    monkeypatch.setattr(ChoiceMatrix, "_stored", classmethod(recording_stored))
     monkeypatch.setattr(ChoiceMatrix, "__init__", no_rows)
     rng = random.Random(61)
     sources = [random_program(rng) for _ in range(60)]

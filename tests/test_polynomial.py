@@ -820,6 +820,32 @@ def test_expand_constant_matrix():
     assert set(table.values()) == {FlowMatrix.identity(2)}
 
 
+def test_matrix_input_checks():
+    # Sums and products need one variable order and one registry, a
+    # replaced column one cell per variable, and the rows constructor a
+    # square of them.
+    reg = ChoiceRegistry([3])
+    m = _loop_example_matrix()
+    for other in (ChoiceMatrix.identity(("X2", "X1", "X3"), m.registry),
+                  ChoiceMatrix.identity(("X1", "X2"), m.registry)):
+        for op in (ChoiceMatrix.__add__, ChoiceMatrix.__mul__):
+            with pytest.raises(ValueError, match="variable orders differ"):
+                op(m, other)
+    other = ChoiceMatrix.identity(m.variables, reg)
+    for op in (ChoiceMatrix.__add__, ChoiceMatrix.__mul__):
+        with pytest.raises(ValueError, match="matrices belong to different analyses"):
+            op(m, other)
+    for column in ([UNIT_POLY, ZERO_POLY], [ZERO_POLY] * 4):
+        with pytest.raises(ValueError, match="column length mismatch"):
+            m.replace_column(1, column)
+    for rows in ([[UNIT_POLY, ZERO_POLY], [ZERO_POLY]],
+                 [[UNIT_POLY, ZERO_POLY]],
+                 [[UNIT_POLY], [ZERO_POLY]],
+                 [[UNIT_POLY, ZERO_POLY, ZERO_POLY], [ZERO_POLY, UNIT_POLY, ZERO_POLY]]):
+        with pytest.raises(ValueError, match="matrix shape must match the variable list"):
+            ChoiceMatrix(("A", "B"), rows, reg)
+
+
 def test_expand_loop_example_images():
     m = _loop_example_matrix()
     table = m.expand()
@@ -1296,7 +1322,7 @@ def test_closure_eliminates_up_to_six_stored_columns():
         seen["INF list"] += bool(inf.monomials)
         order = list(m.columns.items())
         rng.shuffle(order)
-        other = ChoiceMatrix._stored(m.variables, reg, dict(order), m.row_inf, m.pending, m.size)
+        other = m._stored(dict(order), m.row_inf, m.pending)
         assert other.closure().entries == star.entries
         seen[f"{len(m.columns)} stored"] += 1
         seen["reordered"] += [c for c, _ in order] != list(m.columns)
@@ -1435,6 +1461,8 @@ def test_stored_form_matches_plain_operations():
     seen.update({"row lists": 0, "uneven pending": 0, "zero": 0, "cells": 0, "inf cells": 0})
 
     def check(out, plain, flow, reg):
+        # _stored recounts only the columns an operation replaced.
+        assert out.size == sum(len(p.monomials) for col in out.columns.values() for p in col)
         assert out.entries == plain
         for a in assignments(reg):
             assert out.evaluate(a) == flow(a), a

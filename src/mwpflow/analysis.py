@@ -103,32 +103,29 @@ class _FunctionRun:
 
     # -- expressions ---------------------------------------------------
 
-    def vector_of(self, e: Expr) -> list[Polynomial]:
-        """The expression's column (rules E1, E2).  A +/- site builds a
-        cell whose two operand cells are delta-free from their scalars,
-        and joins the three branches of any other cell."""
-        v = [ZERO_POLY] * len(self.variables)
+    def vector_of(self, e: Expr) -> dict[int, Polynomial]:
+        """The expression's nonzero cells by row (rules E1, E2).  A +/-
+        site builds a cell whose two operand cells are delta-free from
+        their scalars, and joins the three branches of any other cell."""
         if isinstance(e, Var):
-            v[self.index[e.name]] = UNIT_POLY
-            return v
+            return {self.index[e.name]: UNIT_POLY}
         if e.op == "*":  # rule E2: w on every variable, and no choice
-            for name in expression_vars(e):
-                v[self.index[name]] = _W_POLY
-            return v
+            return {self.index[name]: _W_POLY for name in expression_vars(e)}
         v1 = self.vector_of(e.left)
         v2 = self.vector_of(e.right)
         # Additive operator: p on the right, p on the left, or rule E2,
         # tracked under a fresh three-valued choice index.
         j = self.registry.fresh(3)
         base = delta(0, j)
-        for k, (a, b) in enumerate(zip(v1, v2)):
-            if a.monomials or b.monomials:
-                sa, sb = _FLAT.get(a), _FLAT.get(b)
-                if sa is None or sb is None:
-                    v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
-                else:  # the join's cell: p times a nonzero scalar is p
-                    v[k] = Polynomial(((P if sb else sa, (base,)), (P if sa else sb, (base | 1,)),
-                                       (W, (base | 2,))))
+        v = {}
+        for k in {**v1, **v2}:
+            a, b = v1.get(k, ZERO_POLY), v2.get(k, ZERO_POLY)
+            sa, sb = _FLAT.get(a), _FLAT.get(b)
+            if sa is None or sb is None:
+                v[k] = Polynomial.join(j, (a + b.scale(P), a.scale(P) + b, _W_POLY))
+            else:  # the join's cell: p times a nonzero scalar is p
+                v[k] = Polynomial(((P if sb else sa, (base,)), (P if sa else sb, (base | 1,)),
+                                   (W, (base | 2,))))
         return v
 
     # -- commands -------------------------------------------------------
@@ -160,27 +157,27 @@ class _FunctionRun:
             return self.matrix_of_body(c.body).iterate(self.index[c.counter])
         raise TypeError(f"unknown command {c!r}")
 
-    def column_of(self, c: Assign | Call) -> tuple[int, list[Polynomial]]:
-        """The target index and new column of an assignment or call."""
+    def column_of(self, c: Assign | Call) -> tuple[int, dict[int, Polynomial]]:
+        """The target index and new column (nonzero cells) of an assignment or call."""
         target = self.index[c.target]
         if isinstance(c, Assign):
             return target, self.vector_of(c.value)
         summary = self.summaries[c.function]
         row_targets = [self.index[a] for a in c.arguments]
         row_targets += [self.index[v] for v in summary.shared_rows]
-        column = [ZERO_POLY] * len(self.variables)
         if not summary.behaviors:
             # A callee with no growth certificate cannot confer one: every
             # input floods the target with INF, unconditionally, even
             # with no input row to hold it.
             self.poisoned = True
-            for r in row_targets:
-                column[r] = INF_POLY
-            return target, column
+            return target, dict.fromkeys(row_targets, INF_POLY)
         j = self.registry.fresh(len(summary.behaviors))
         self.choice_sites.setdefault(id(c), j)
+        column = {}
         for r, flows in zip(row_targets, zip(*summary.behaviors)):
-            column[r] = column[r] + Polynomial.join(j, [Polynomial.const(f) for f in flows])
+            cell = column.get(r, ZERO_POLY) + Polynomial.join(j, [Polynomial.const(f) for f in flows])
+            if cell.monomials:
+                column[r] = cell
         return target, column
 
     # -- results ---------------------------------------------------------

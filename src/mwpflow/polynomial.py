@@ -25,10 +25,11 @@ INF spreads.  Products use 0·∞ = ∞, so an INF monomial survives any
 product verbatim, also with a zero factor.  In a matrix product every
 INF monomial of row i of the left factor or of column c of the right
 one therefore lands in cell (i, c).  A ChoiceMatrix is stored as the
-identity plus the columns that commands wrote, so a product is an
-update of the right factor's stored columns
-(ChoiceMatrix.update_columns), and the fold of a body calls it directly
-for assignments and calls.  Each row keeps its canonical INF lists
+identity plus the columns that commands wrote, each as its nonzero
+cells by row, so a product is an update of the right factor's stored
+columns (ChoiceMatrix.update_columns), and the fold of a body calls it
+directly for assignments and calls: a command reads the cells it
+touches, not every variable's.  Each row keeps its canonical INF lists
 beside its cells, carried from update to update without a scan; the
 cells take them, through row_merger, only when entries are read.  The
 closure of a loop body goes furthest: an INF monomial anywhere in M
@@ -324,29 +325,33 @@ def row_merger(inf: Polynomial) -> Callable[[Polynomial], Polynomial]:
     return merge
 
 
-def _written(cells: Iterable[Polynomial]) -> tuple[dict[int, list[Monomial]], Polynomial]:
-    """Cells as their finite monomials by position, and their INF ones
-    as one canonical Polynomial, so a list that repeats across the cells
-    of a column or row is merged once.  The finite monomials that the
-    INF list covers are dropped: their products would be covered too,
-    and Polynomial.of would drop them."""
-    fin: dict[int, list[Monomial]] = {}
+Column = Mapping[int, Polynomial]  # a column's nonzero cells by row
+
+
+def _written(cells: Column) -> tuple[dict[int, Polynomial], Polynomial]:
+    """A column's nonzero cells less their INF monomials, and those as
+    one canonical Polynomial, so a list that repeats across the cells is
+    merged once.  The finite monomials that the INF list covers are
+    dropped: their products would be covered too, and Polynomial.of
+    would drop them.  What is left of a canonical cell is canonical."""
+    fin: dict[int, Polynomial] = {}
     inf: set[Monomial] = set()
-    for k, poly in enumerate(cells):
-        for m in poly.monomials:
-            if m[0] == INF:
-                inf.add(m)
-            else:
-                fin.setdefault(k, []).append(m)
+    for k, p in cells.items():
+        kept = [m for m in p.monomials if m[0] != INF]
+        if len(kept) < len(p.monomials):
+            inf.update(m for m in p.monomials if m[0] == INF)
+            p = Polynomial(tuple(kept))
+        if kept:
+            fin[k] = p
     if not inf:
         return fin, ZERO_POLY
     inf_poly = Polynomial.of(inf)
     covered = covered_by(inf_poly)
-    return {k: kept for k, qs in fin.items()
-            if (kept := [q for q in qs if not covered(q[1])])}, inf_poly
+    return {k: Polynomial(kept) for k, p in fin.items()
+            if (kept := tuple(q for q in p.monomials if not covered(q[1])))}, inf_poly
 
 
-def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
+def _multiply(acc: dict[int, list[Monomial]], rows, qs: Sequence[Monomial]) -> None:
     """Add to acc[i] the products of the finite monomials of row i, for
     each (i, monomials) of rows, with the finite monomials qs: the one
     product of two monomials, whose scalar is the max.  A pair that can
@@ -386,43 +391,43 @@ def _multiply(acc: dict[int, list[Monomial]], rows, qs: list[Monomial]) -> None:
                                     else tuple(sorted({*da, *db}))))
 
 
-def _recount(size: int, old: Mapping[int, tuple], columns: Mapping[int, tuple]) -> int:
-    """size, the monomials of the stored columns old, recounted for
-    columns, which keeps every key of old: a column it shares with old
-    is not read.  Past BUDGET raises BudgetExceeded."""
-    for c, col in columns.items():
-        if col is not (was := old.get(c)):
-            for p in col:
-                size += len(p.monomials)
-            for p in was or ():
-                size -= len(p.monomials)
+def _plus(a: Column, b: Column) -> dict[int, Polynomial]:
+    """The cellwise sum of two columns."""
+    out = dict(a)
+    for i, q in b.items():
+        out[i] = out[i] + q if i in out else q
+    return out
+
+
+def _recount(size: int, old: Mapping[int, Column], written: Mapping[int, Column]) -> int:
+    """size, the monomials of the stored columns old, recounted for the
+    columns written over them.  Past BUDGET raises BudgetExceeded."""
+    for c, col in written.items():
+        for p in col.values():
+            size += len(p.monomials)
+        for p in old.get(c, {}).values():
+            size -= len(p.monomials)
     if size > BUDGET:
         raise BudgetExceeded(size)
     return size
-
-
-def _unit(n: int, c: int) -> tuple[Polynomial, ...]:
-    """The unit vector e_c of length n."""
-    return (ZERO_POLY,) * c + (UNIT_POLY,) + (ZERO_POLY,) * (n - c - 1)
 
 
 class ChoiceMatrix:
     """Square matrix of choice polynomials with a named variable order.
 
     A matrix is stored as the identity plus the columns that differ from
-    it.  columns maps a column index to its stored cells; every other
-    column is the unit vector.  Each row also keeps two canonical INF
-    lists: row_inf[i], which every cell of row i holds as well, and
-    pending[i], the INF that row i's stored cells hold, which the next
-    product spreads over the whole row.  entries is the row view, with
-    each row's list merged into its cells.
+    it.  columns maps a column index to its nonzero cells by row; every
+    other column is the unit vector.  Each row also keeps two canonical
+    INF lists: row_inf[i], which every cell of row i holds as well, and
+    pending[i], the INF that row i's stored cells hold, if any, which
+    the next product spreads over the whole row.  entries is the row
+    view, with each row's list merged into its cells.
 
     size counts the monomials of the stored columns.  Every operation
-    builds its result with _stored on its operand, and keeps the
-    operand's column keys, so _stored recounts only the columns that
-    the operation replaced.  It refuses a matrix whose size passes
-    BUDGET (BudgetExceeded): the fold of a plain 30-line program can
-    otherwise exhaust gigabytes.
+    builds its result with _stored from the columns it wrote, so _stored
+    recounts only those.  It refuses a matrix whose size passes BUDGET
+    (BudgetExceeded): the fold of a plain 30-line program can otherwise
+    exhaust gigabytes.
     """
 
     __slots__ = ("variables", "registry", "columns", "row_inf", "pending", "size", "_entries")
@@ -440,38 +445,43 @@ class ChoiceMatrix:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must match the variable list")
         self.variables, self.registry, self._entries = tuple(variables), registry, None
-        self.columns = {c: col for c, col in enumerate(zip(*rows)) if col != _unit(n, c)}
+        cols = ({i: p for i, p in enumerate(col) if p.monomials} for col in zip(*rows))
+        self.columns = {c: col for c, col in enumerate(cols) if col != {c: UNIT_POLY}}
         self.row_inf = (ZERO_POLY,) * n
-        self.pending = tuple(Polynomial.of(m for p in row for m in p.monomials if m[0] == INF)
-                             for row in rows)
+        self.pending = {
+            i: inf for i, row in enumerate(rows)
+            if (inf := Polynomial.of(m for p in row for m in p.monomials if m[0] == INF)).monomials}
         self.size = _recount(0, {}, self.columns)
 
-    def _stored(self, columns, row_inf, pending) -> "ChoiceMatrix":
-        """The matrix with this stored form over self's variables (see the
-        class docstring).  columns keeps every key of self.columns."""
+    def _stored(self, written, row_inf, pending) -> "ChoiceMatrix":
+        """The matrix over self's variables that stores self's columns
+        with written's over them, and these INF lists."""
         m = ChoiceMatrix.__new__(ChoiceMatrix)
         m.variables, m.registry, m._entries = self.variables, self.registry, None
-        m.columns, m.row_inf, m.pending = columns, row_inf, pending
-        m.size = _recount(self.size, self.columns, columns)
+        m.columns, m.row_inf, m.pending = {**self.columns, **written}, row_inf, pending
+        m.size = _recount(self.size, self.columns, written)
         return m
 
     @classmethod
     def identity(cls, variables: Sequence[str], registry: ChoiceRegistry) -> "ChoiceMatrix":
         m = cls.__new__(cls)
         m.variables, m.registry, m.columns, m.size, m._entries = tuple(variables), registry, {}, 0, None
-        m.row_inf = m.pending = (ZERO_POLY,) * len(variables)
+        m.row_inf, m.pending = (ZERO_POLY,) * len(variables), {}
         return m
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """The cells, computed on first read: a stored cell or a unit
-        vector's, merged with its row's INF list by one row_merger per
-        row.  A row whose list is empty reads as stored."""
+        """The cells, computed on first read: a stored cell, a unit
+        vector's or zero, merged with its row's INF list by one
+        row_merger per row.  A row whose list is empty reads as stored."""
         if self._entries is None:
             n = len(self.variables)
-            rows = zip(*(self.columns.get(c) or _unit(n, c) for c in range(n)))
+            rows = [[ZERO_POLY] * n for _ in range(n)]
+            for c in range(n):
+                for i, p in self.columns.get(c, {c: UNIT_POLY}).items():
+                    rows[i][c] = p
             self._entries = tuple(
-                tuple(map(row_merger(inf), row)) if inf.monomials else row
+                tuple(map(row_merger(inf), row)) if inf.monomials else tuple(row)
                 for row, inf in zip(rows, self.row_inf)
             )
         return self._entries
@@ -496,12 +506,10 @@ class ChoiceMatrix:
         """Cellwise sum of the stored columns of either side, a missing
         one read as the unit vector, and row by row of the INF lists."""
         self._check_compatible(other)
-        n = len(self.variables)
-        columns = {c: tuple(map(Polynomial.__add__, self.columns.get(c) or _unit(n, c),
-                                other.columns.get(c) or _unit(n, c)))
-                   for c in self.columns.keys() | other.columns.keys()}
+        unit = {c: {c: UNIT_POLY} for c in self.columns.keys() | other.columns.keys()}
+        columns = {c: _plus(self.columns.get(c, e), other.columns.get(c, e)) for c, e in unit.items()}
         return self._stored(columns, tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
-                            tuple(map(Polynomial.__add__, self.pending, other.pending)))
+                            _plus(self.pending, other.pending))
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
         """Matrix product: other's stored columns update self (see
@@ -510,20 +518,20 @@ class ChoiceMatrix:
         self._check_compatible(other)
         out = self.update_columns(other.columns)
         spread = sum(other.row_inf, ZERO_POLY)
-        return out._stored(out.columns, tuple(r + spread for r in out.row_inf), out.pending)
+        return out._stored({}, tuple(r + spread for r in out.row_inf), out.pending)
 
-    def update_columns(self, columns: Mapping[int, Sequence[Polynomial]]) -> "ChoiceMatrix":
+    def update_columns(self, columns: Mapping[int, Column]) -> "ChoiceMatrix":
         """self times the matrix that is the identity outside the keys of
-        columns, whose column c is columns[c].
+        columns, whose column c has the cells columns[c].
 
         INF spreads: as 0·∞ = ∞, the INF of row i of self reaches every
         cell of row i, so row i's pending list joins its row list, and the
         INF of a written column reaches every cell of the column, so the
         union of those lists is every row's new pending list.  A written
-        column c stores the canonical finite products: for each k in the
-        support of columns[c], a stored column k times columns[c][k], or
-        for a unit column k, columns[c][k] in row k.  Only the columns
-        dict is copied; the other columns are shared.
+        column c stores the canonical finite products: for each row k of
+        columns[c], a stored column k times columns[c][k], or for a unit
+        column k, columns[c][k] in row k.  Only the written cells, their
+        stored columns and the pending rows are read.
 
         Waiting is exact.  A finite monomial that its row's list covers
         stays covered in every later product: a product's delta list
@@ -535,30 +543,33 @@ class ChoiceMatrix:
         before they are multiplied (see _written).
         """
         n = len(self.variables)
-        stored = dict(self.columns)
+        written = {}
         spread = ZERO_POLY
         for c, col in columns.items():
             col_fin, col_inf = _written(col)
             acc: dict[int, list[Monomial]] = {}
-            for k, qs in col_fin.items():
+            for k, q in col_fin.items():
                 src = self.columns.get(k)
                 if src is None:
-                    acc.setdefault(k, []).extend(qs)
+                    acc.setdefault(k, []).extend(q.monomials)
                 else:  # a list: a generator left suspended by a MemoryError
                     # fails to close and prints "Exception ignored in: "
-                    _multiply(acc, [(i, p.monomials) for i, p in enumerate(src) if p.monomials],
-                              qs)
-            cells, tail = [col_inf] * n, list(col_inf.monomials)
+                    _multiply(acc, [(i, p.monomials) for i, p in src.items()], q.monomials)
+            tail = list(col_inf.monomials)
+            cells = dict.fromkeys(range(n), col_inf) if tail else {}
             for i, monos in acc.items():
-                cells[i] = Polynomial.of(monos + tail)
-            stored[c] = tuple(cells)
+                if monos:
+                    cells[i] = Polynomial.of(monos + tail)
+            written[c] = cells
             spread = spread + col_inf
-        # Rows often repeat an equal pair of nonempty lists: sum it once.
+        # Rows often repeat an equal pair of lists: sum it once.
         sums: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
-        row_inf = tuple(sums.get((r, p)) or sums.setdefault((r, p), r + p)
-                        if r.monomials and p.monomials else r + p
-                        for r, p in zip(self.row_inf, self.pending))
-        return self._stored(stored, row_inf, (spread,) * n)
+        row_inf = list(self.row_inf) if self.pending else self.row_inf
+        for i, p in self.pending.items():
+            r = row_inf[i]
+            row_inf[i] = sums.get((r, p)) or sums.setdefault((r, p), r + p) if r.monomials else p
+        return self._stored(written, tuple(row_inf),
+                            dict.fromkeys(range(n), spread) if spread.monomials else {})
 
     def closure(self) -> "ChoiceMatrix":
         """Least fixpoint of s = 1 + s·M, by one Kleene (Gauss-Jordan)
@@ -566,7 +577,7 @@ class ChoiceMatrix:
         no walk.  Pivot p first scales column p by the finite part D of
         its diagonal cell, which holds the unit m or a constant above
         it, then adds column p times q to every other stored column
-        whose row p holds finite q.
+        whose row p holds finite q.  Only stored cells are read.
 
         This is exact.  A product of two finite monomials is dominated
         by the one with the larger scalar, so D·D has the same canonical
@@ -583,25 +594,24 @@ class ChoiceMatrix:
         monomial that a column's INF list covers is covered by that union,
         so it may wait in a cell (see update_columns).
         """
-        cols, inf = {}, sum(self.row_inf + self.pending, ZERO_POLY)
+        cols, inf = {}, sum((*self.row_inf, *self.pending.values()), ZERO_POLY)
         for c, col in self.columns.items():
-            cols[c], col_inf = _written(col[:c] + (UNIT_POLY + col[c],) + col[c + 1:])
+            cols[c], col_inf = _written({**col, c: UNIT_POLY + col.get(c, ZERO_POLY)})
             inf = inf + col_inf
         for p, colp in cols.items():
-            if (d := colp.get(p)) and (len(d) > 1 or d[0] != (M, ())):
+            if (d := colp.get(p)) and d != UNIT_POLY:
                 acc: dict[int, list[Monomial]] = {}
-                _multiply(acc, colp.items(), d)
-                colp = cols[p] = {i: Polynomial.of(ms).monomials for i, ms in acc.items()}
+                _multiply(acc, [(i, x.monomials) for i, x in colp.items()], d.monomials)
+                colp = cols[p] = {i: Polynomial.of(ms) for i, ms in acc.items()}
+            rows = [(i, x.monomials) for i, x in colp.items()]
             for c, colc in cols.items():
                 if c != p and (q := colc.get(p)):
                     acc = {}
-                    _multiply(acc, colp.items(), q)
+                    _multiply(acc, rows, q.monomials)
                     for i, ms in acc.items():
-                        colc[i] = Polynomial.of((*colc.get(i, ()), *ms)).monomials
-        n = len(self.variables)
-        columns = {c: tuple(Polynomial(tuple(col[i])) if i in col else ZERO_POLY for i in range(n))
-                   for c, col in cols.items()}
-        return self._stored(columns, (inf,) * n, (ZERO_POLY,) * n)
+                        if ms:
+                            colc[i] = Polynomial.of((*colc.get(i, ZERO_POLY).monomials, *ms))
+        return self._stored(cols, (inf,) * len(self.variables), {})
 
     def iterate(self, counter: int | None) -> "ChoiceMatrix":
         """The iteration rule on the closure of this body matrix: the
@@ -612,50 +622,42 @@ class ChoiceMatrix:
         unbounded while also tops each p monomial in its own cell; a
         counted loop instead adds the p monomials of every column to the
         counter's row.  A unit column holds nothing above m and no p, so
-        only the nonempty cells of the star's stored columns are read.
-        They hold no INF: the star's one INF list stays in its row lists,
-        which reach the new cells too, so each row's pending list takes
-        only the twins the rule put there.  A twin or p copy of a
-        monomial that list covers is covered too.
+        only the star's stored cells are read.  They hold no INF: the
+        star's one INF list stays in its row lists, which reach the new
+        cells too, so the pending lists are the twins the rule put in
+        each row.  A twin or p copy of a monomial that list covers is
+        covered too.
         """
         star = self.closure()
         columns = {}
-        twins: list[list[Monomial]] = [[] for _ in self.variables]
+        twins: dict[int, list[Monomial]] = {}
         for j, column in star.columns.items():
-            cells = list(column)
-            for i in range(len(column)) if counter is None else (j,):
-                if not (monos := column[i].monomials):
-                    continue
+            cells = dict(column)
+            for i in column if counter is None else (j,):
+                monos = column.get(i, ZERO_POLY).monomials
                 topped = [(INF, ds) for s, ds in monos if s > (M if i == j else W)]
                 if topped:
                     cells[i] = Polynomial.of([*monos, *topped])
-                    twins[i] += topped
+                    twins.setdefault(i, []).extend(topped)
             if counter is not None:
-                hits = [m for p in column for m in p.monomials if m[0] == P]
+                hits = [m for p in column.values() for m in p.monomials if m[0] == P]
                 if hits:
-                    cells[counter] = Polynomial.of([*cells[counter].monomials, *hits])
-            columns[j] = tuple(cells)
-        return star._stored(columns, star.row_inf,
-                            tuple(Polynomial.of(t) if t else ZERO_POLY for t in twins))
+                    cells[counter] = Polynomial.of([*cells.get(counter, ZERO_POLY).monomials, *hits])
+            columns[j] = cells
+        return star._stored(columns, star.row_inf, {i: Polynomial.of(t) for i, t in twins.items()})
 
-    def replace_column(self, j: int, column: Sequence[Polynomial]) -> "ChoiceMatrix":
-        """self with column j stored as column; each row adds the INF of
-        its new cell to its pending list.  A canonical cell's INF
-        monomials, in its order, are already a canonical Polynomial.
-
-        Row lists still reach the new cells, and the old column's pending
-        INF stays, so this is the plain replacement when column keeps the
-        INF monomials of the stored cells it replaces, as a unit column
-        of the identity holds none.
-        """
-        if len(column) != len(self.variables):
-            raise ValueError("column length mismatch")
-        column = tuple(column)
-        return self._stored(
-            {**self.columns, j: column}, self.row_inf,
-            tuple(p + Polynomial(inf) if (inf := tuple(m for m in q.monomials if m[0] == INF))
-                  else p for p, q in zip(self.pending, column)),
-        )
+    def replace_column(self, j: int, column: Column) -> "ChoiceMatrix":
+        """self with column j stored as these nonzero cells; each row
+        adds the INF of its new cell, in a canonical cell's order already
+        a canonical Polynomial, to its pending list.  Row lists still
+        reach the new cells, and the old column's pending INF stays, so
+        this is the plain replacement when column keeps the INF monomials
+        of the stored cells it replaces, as a unit column holds none."""
+        if not all(0 <= i < len(self.variables) for i in column):
+            raise ValueError("column row out of range")
+        infs = {i: Polynomial(inf) for i, q in column.items()
+                if (inf := tuple(m for m in q.monomials if m[0] == INF))}
+        return self._stored({j: dict(column)}, self.row_inf, _plus(self.pending, infs))
 
     def evaluate(self, assignment: Sequence[int]) -> FlowMatrix:
         """Collapse to a plain flow matrix by fixing every branch pick."""

@@ -95,13 +95,15 @@ def test_sum_sites_over_delta_free_cells_match_the_general_rule():
         v1, v2 = run.vector_of(e.left), run.vector_of(e.right)
         cells = run.vector_of(e)
         j = len(run.registry) - 1
-        for a, b, cell in zip(v1, v2, cells):
+        assert all(p.monomials for v in (v1, v2, cells) for p in v.values()), e
+        for k in range(len(run.variables)):
+            a, b = v1.get(k, ZERO_POLY), v2.get(k, ZERO_POLY)
             seen.add((scalar[a], scalar[b]))
             if a.monomials or b.monomials:
-                assert cell.monomials == Polynomial.join(
+                assert cells[k].monomials == Polynomial.join(
                     j, (a + b.scale(P), a.scale(P) + b, w_poly)).monomials, (e, a, b)
             else:
-                assert cell is ZERO_POLY
+                assert k not in cells  # a zero cell is not stored
     assert seen == set(itertools.product((ZERO, M, W), repeat=2))
 
 
@@ -322,10 +324,10 @@ def test_iteration_rule_pends_only_its_twins(monkeypatch):
         assert out.row_inf == star.row_inf
         twins = [[] for _ in star.variables]
         for j, column in star.columns.items():
-            for i in range(len(column)) if counter is None else (j,):
+            for i in range(len(star.variables)) if counter is None else (j,):
                 floor = M if i == j else W
-                twins[i] += [(INF, ds) for s, ds in column[i].monomials if s > floor]
-        assert out.pending == tuple(map(Polynomial.of, twins)), (body, counter)
+                twins[i] += [(INF, ds) for s, ds in column.get(i, ZERO_POLY).monomials if s > floor]
+        assert out.pending == {i: Polynomial.of(t) for i, t in enumerate(twins) if t}, (body, counter)
         assert out.entries == _rule_on_entries(star, counter)
         carried += bool(star.row_inf[0].monomials and any(twins))
     assert carried >= 30, carried
@@ -543,18 +545,33 @@ def test_call_inside_loop_body():
     )
 
 
+def _stored_cells(m):
+    """The stored cells of a matrix, column by column."""
+    return [p for col in m.columns.values() for p in col.values()]
+
+
 def _record_matrices(monkeypatch):
-    """The list that every matrix built by _stored or identity joins."""
+    """The list that every matrix built by _stored or identity joins,
+    each checked for the sparse stored form as it is built: a stored
+    column or pending list holds only nonzero cells, at rows inside the
+    matrix, and size counts the monomials of the stored cells."""
     built = []
     stored, identity = ChoiceMatrix._stored, ChoiceMatrix.identity.__func__
 
+    def record(m):
+        n = len(m.variables)
+        assert all(p.monomials for p in _stored_cells(m)), m.columns
+        assert all(p.monomials for p in m.pending.values()), m.pending
+        assert all(0 <= i < n for col in (*m.columns.values(), m.pending) for i in col)
+        assert m.size == sum(len(p.monomials) for p in _stored_cells(m))
+        built.append(m)
+        return m
+
     def recording_stored(self, *args):
-        built.append(stored(self, *args))
-        return built[-1]
+        return record(stored(self, *args))
 
     def recording_identity(cls, *args):
-        built.append(identity(cls, *args))
-        return built[-1]
+        return record(identity(cls, *args))
 
     monkeypatch.setattr(ChoiceMatrix, "_stored", recording_stored)
     monkeypatch.setattr(ChoiceMatrix, "identity", classmethod(recording_identity))
@@ -588,7 +605,7 @@ def test_engine_cells_hold_no_zero_scalar(monkeypatch):
         built.clear()
         analyze_program(parse(src))
         for m in built:
-            for row in (*m.entries, *m.columns.values(), m.row_inf, m.pending):
+            for row in (*m.entries, _stored_cells(m), m.row_inf, m.pending.values()):
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)
                     assert all(s != ZERO for s, _ in p.monomials), (src, p)
@@ -629,13 +646,59 @@ def test_analysis_matrices_are_canonical(monkeypatch):
         "".join(f"X5 = X5 + {x[i % 4]}; " for i in range(6)),
     )
     sources += [f"function main() {{ {body}}}" for body in chains]
+    sources += [
+        # X2 never flows to f's return: the row of X6 at each call is
+        # zero in every behavior, first in a replaced column, then in an
+        # updated one.
+        "function f(X1, X2) { X3 = X1; return X3; }"
+        " function main() { X4 = f(X5, X6); X5 = f(X4, X6); }",
+        # g has no behavior: its call writes a column of INF, which
+        # spreads to every row's pending list.
+        "function g(X1) { while (X1 < X2) { X2 = X1 + X2; } return X2; }"
+        " function main() { X3 = X4; X5 = g(X3); X6 = X5 + X3; loop X6 { X4 = X3; } }",
+    ]
     for src in sources:
         built.clear()
         analyze_program(parse(src))
         assert built, src
         for m in built:
-            assert m.size == sum(len(p.monomials) for col in m.columns.values() for p in col)
-            cells = (*m.entries, *m.columns.values(), m.row_inf, m.pending)
+            assert m.size == sum(len(p.monomials) for p in _stored_cells(m))
+            cells = (*m.entries, _stored_cells(m), m.row_inf, m.pending.values())
             for row in cells:
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)
+
+
+def test_a_copy_costs_its_footprint_not_the_variable_count(monkeypatch):
+    # Folding Xa = Xb multiplies by column b's stored cells only.  The
+    # same 400 copies among X1..X50, folded over 50 variables and over
+    # 512 (the rest parameters that no line reads), make the same
+    # number of sums and canonical forms, and each copied column stores
+    # one cell.
+    rng = random.Random(5)
+    body = " ".join("X{} = X{};".format(*rng.sample(range(1, 51), 2)) for _ in range(400))
+    add, of = Polynomial.__add__, Polynomial.of.__func__
+    calls = {"add": 0, "of": 0}
+
+    def counting_add(p, q):
+        calls["add"] += 1
+        return add(p, q)
+
+    def counting_of(cls, monomials):
+        calls["of"] += 1
+        return of(cls, monomials)
+
+    monkeypatch.setattr(Polynomial, "__add__", counting_add)
+    monkeypatch.setattr(Polynomial, "of", classmethod(counting_of))
+    counts, folds = [], []
+    for width in (50, 512):
+        params = ", ".join(f"X{i}" for i in range(1, width + 1))
+        decl = parse(f"function f({params}) {{ {body} }} function main() {{ }}").functions[0]
+        run = _FunctionRun(decl, {})
+        assert len(run.variables) == width
+        calls.update(add=0, of=0)
+        folds.append(run.matrix_of_body(decl.body))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1], counts
+    for folded in folds:
+        assert folded.columns and all(len(col) == 1 for col in folded.columns.values())

@@ -364,6 +364,13 @@ def _rotated(line, pool=6, copies=8):
     )
 
 
+def _copies(v, n):
+    """n lines Xa = Xb, with a and b drawn from 1..v by random.Random(1)."""
+    rng = random.Random(1)
+    return "".join(
+        "    X{} = X{};\n".format(rng.randrange(v) + 1, rng.randrange(v) + 1) for _ in range(n))
+
+
 WIDE_PROGRAMS = {
     # A 40-variable product chain: every assignment updates one column.
     "chain-40": (
@@ -465,6 +472,12 @@ WIDE_PROGRAMS = {
         0,
         "39bfd6af899132e4a5ac2bc0d98e2c07bf507d1fb46a408a8753689d65c34239",
     ),
+    # 300 copies among 60 variables: every stored column holds one cell.
+    "copies-60": (
+        _copies(60, 300),
+        0,
+        "c3a997b221ac3a7e16796a614cc532983fbc992744d53e1c6f09c82cdbb87d7c",
+    ),
 }
 
 
@@ -501,6 +514,19 @@ CALL_PROGRAMS = {
         + "function main() {\n    X3 = f19(X1, X2);\n}\n",
         0,
         "87457b3d6581ca1ee2587012f4e7d72f94352a8a190db3534faea313b0a54d76",
+    ),
+    # A call to a callee with no behavior amid a 40-variable product
+    # chain: its column of INF pends in every row, and the next update
+    # carries it into every row list.
+    "poisoned-call-40": (
+        "function g(X1) {\n    while (X1 < X2) { X2 = X1 + X2; }\n    return X2;\n}\n"
+        "function main() {\n"
+        + "".join(f"    X{i + 2} = X{i + 1} * X{i + 2};\n" for i in range(28))
+        + "    X30 = g(X7);\n"
+        + "".join(f"    X{i + 2} = X{i + 1} * X{i + 2};\n" for i in range(29, 39))
+        + "    loop X3 { X4 = X3 + X4; }\n}\n",
+        1,
+        "3061ee93d606c83f7935ba90682e3343b206c88f3a1dbfeef9b79ef369e1657d",
     ),
 }
 

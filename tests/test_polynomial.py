@@ -822,8 +822,8 @@ def test_expand_constant_matrix():
 
 def test_matrix_input_checks():
     # Sums and products need one variable order and one registry, a
-    # replaced column one cell per variable, and the rows constructor a
-    # square of them.
+    # replaced column rows inside the matrix, and the rows constructor a
+    # square of cells.
     reg = ChoiceRegistry([3])
     m = _loop_example_matrix()
     for other in (ChoiceMatrix.identity(("X2", "X1", "X3"), m.registry),
@@ -835,8 +835,8 @@ def test_matrix_input_checks():
     for op in (ChoiceMatrix.__add__, ChoiceMatrix.__mul__):
         with pytest.raises(ValueError, match="matrices belong to different analyses"):
             op(m, other)
-    for column in ([UNIT_POLY, ZERO_POLY], [ZERO_POLY] * 4):
-        with pytest.raises(ValueError, match="column length mismatch"):
+    for column in ({0: UNIT_POLY, 3: UNIT_POLY}, {-1: UNIT_POLY}):
+        with pytest.raises(ValueError, match="column row out of range"):
             m.replace_column(1, column)
     for rows in ([[UNIT_POLY, ZERO_POLY], [ZERO_POLY]],
                  [[UNIT_POLY, ZERO_POLY]],
@@ -1317,22 +1317,26 @@ def test_closure_eliminates_up_to_six_stored_columns():
         star = _check_closure(m, reg)
         inf = Polynomial.of(x for row in m.entries for p in row for x in p.monomials if x[0] == INF)
         assert star.row_inf == (inf,) * len(m.variables)
-        assert not any(p.monomials for p in star.pending)
-        assert all(x[0] != INF for col in star.columns.values() for p in col for x in p.monomials)
+        assert star.pending == {}
+        assert all(p.monomials for col in star.columns.values() for p in col.values())
+        assert all(x[0] != INF for col in star.columns.values() for p in col.values()
+                   for x in p.monomials)
         seen["INF list"] += bool(inf.monomials)
         order = list(m.columns.items())
         rng.shuffle(order)
-        other = m._stored(dict(order), m.row_inf, m.pending)
+        # _stored merges written columns after the operand's: write them
+        # all over the identity.
+        other = ChoiceMatrix.identity(m.variables, reg)._stored(dict(order), m.row_inf, m.pending)
         assert other.closure().entries == star.entries
         seen[f"{len(m.columns)} stored"] += 1
         seen["reordered"] += [c for c, _ in order] != list(m.columns)
         seen["row lists"] += any(r.monomials for r in m.row_inf)
         for c, col in m.columns.items():
-            diag = col[c].monomials
+            diag = col.get(c, ZERO_POLY).monomials
             seen["one non-unit diagonal"] += len(diag) == 1 and diag[0] != (M, ())
             seen["INF diagonal"] += any(x[0] == INF for x in diag)
         seen["zero rows"] += sum(
-            not any(col[i].monomials for col in m.columns.values()) for i in range(len(m.variables)))
+            not any(i in col for col in m.columns.values()) for i in range(len(m.variables)))
     assert min(seen[f"{k} stored"] for k in range(1, 7)) >= 20, seen
     assert min(seen["reordered"], seen["row lists"], seen["one non-unit diagonal"],
                seen["INF diagonal"], seen["zero rows"], seen["INF list"]) >= 100, seen
@@ -1393,9 +1397,14 @@ def _stored_view(m):
     no row list merged in."""
     rows = [[UNIT_POLY if i == c else ZERO_POLY for c in range(len(m.variables))] for i in range(len(m.variables))]
     for c, col in m.columns.items():
-        for row, p in zip(rows, col):
-            row[c] = p
+        for i, row in enumerate(rows):
+            row[c] = col.get(i, ZERO_POLY)
     return tuple(map(tuple, rows))
+
+
+def _cells(column):
+    """A dense column as the nonzero cells by row that operations take."""
+    return {i: p for i, p in enumerate(column) if p.monomials}
 
 
 def test_carried_row_inf_matches_eager_updates():
@@ -1421,18 +1430,19 @@ def test_carried_row_inf_matches_eager_updates():
         flows = {a: m.evaluate(a) for a in assignments(reg)}
         for _ in range(rng.randint(1, 6)):
             columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
-            m = m.update_columns(columns)
+            m = m.update_columns({c: _cells(col) for c, col in columns.items()})
             eager = _eager_update(eager, columns)
-            assert all(p == Polynomial.of(p.monomials) for col in m.columns.values() for p in col)
+            assert all(p == Polynomial.of(p.monomials) for col in m.columns.values()
+                       for p in col.values())
             assert m.entries == eager
             b = ChoiceMatrix.identity(names, reg)
             for c, col in columns.items():
-                b = b.replace_column(c, col)
+                b = b.replace_column(c, _cells(col))
             for a in flows:
                 flows[a] = flows[a] * b.evaluate(a)
                 assert m.evaluate(a) == flows[a], a
             seen["row lists"] += any(r.monomials for r in m.row_inf)
-            seen["pending"] += any(p.monomials for p in m.pending)
+            seen["pending"] += any(p.monomials for p in m.pending.values())
             seen["merged"] += _stored_view(m) != m.entries
         plain = ChoiceMatrix(names, m.entries, reg)
         assert m == plain and hash(m) == hash(plain)
@@ -1461,8 +1471,12 @@ def test_stored_form_matches_plain_operations():
     seen.update({"row lists": 0, "uneven pending": 0, "zero": 0, "cells": 0, "inf cells": 0})
 
     def check(out, plain, flow, reg):
-        # _stored recounts only the columns an operation replaced.
-        assert out.size == sum(len(p.monomials) for col in out.columns.values() for p in col)
+        # _stored recounts only the columns an operation replaced, and
+        # no operation stores a zero cell or an empty pending list.
+        assert out.size == sum(len(p.monomials) for col in out.columns.values()
+                               for p in col.values())
+        assert all(p.monomials for col in out.columns.values() for p in col.values())
+        assert all(p.monomials for p in out.pending.values())
         assert out.entries == plain
         for a in assignments(reg):
             assert out.evaluate(a) == flow(a), a
@@ -1482,13 +1496,13 @@ def test_stored_form_matches_plain_operations():
             op = rng.choice(("replace", "update", "mul", "add", "closure"))
             seen[op] += 1
             seen["row lists"] += any(r.monomials for r in m.row_inf)
-            seen["uneven pending"] += len(set(m.pending)) > 1
+            seen["uneven pending"] += len({m.pending.get(i, ZERO_POLY) for i in range(n)}) > 1
             if op == "replace":
                 # The new column keeps the INF of the entries it replaces.
                 j = rng.randrange(n)
                 col = [entry() + Polynomial.of(x for x in m.entries[i][j].monomials if x[0] == INF)
                        for i in range(n)]
-                out = m.replace_column(j, col)
+                out = m.replace_column(j, _cells(col))
                 seen["inf cells"] += sum(any(x[0] == INF for x in q.monomials) for q in col)
                 rows = [list(r) for r in m.entries]
                 for i in range(n):
@@ -1497,7 +1511,7 @@ def test_stored_form_matches_plain_operations():
                       lambda a: FlowMatrix([[p.evaluate(a) for p in r] for r in rows]), reg)
             elif op == "update":
                 columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
-                out = m.update_columns(columns)
+                out = m.update_columns({c: _cells(col) for c, col in columns.items()})
                 b = _unit_outside(names, reg, columns)
                 check(out, _eager_update(m.entries, columns),
                       lambda a: m.evaluate(a) * b.evaluate(a), reg)

@@ -12,7 +12,8 @@ Polynomial.of over its INF monomials is the cover of the function's
 delta graph, whose vertices are their minimal delta lists, so the
 qualitative verdict is available without touching the assignment
 space.  The sweep that decides it restricts that cover and the return
-column one choice index at a time.
+column one choice index at a time; both are read from the stored form
+(ChoiceMatrix.inf_cells and cell), not from dense rows.
 
 The results, FunctionSummary, FunctionAnalysis and ProgramAnalysis,
 are immutable Records (see frontend), like the AST they come from.
@@ -49,7 +50,7 @@ from .polynomial import (
     ZERO_POLY,
     delta,
 )
-from .semiring import INF, M, P, W, ZERO
+from .semiring import M, P, W, ZERO
 
 BOUNDED = "bounded"
 CONDITIONALLY_BOUNDED = "conditionally_bounded"
@@ -187,12 +188,8 @@ class _FunctionRun:
         matrix = self.matrix_of_body(self.decl.body)
         # The final matrix's INF monomials cover exactly the assignments
         # that hold an INF, so their graph answers every qualitative
-        # question on its own.  Most cells share one row's INF list, so
-        # the cover is canonicalized from the distinct monomials only.
-        inf_cells = {
-            (i, j): infs for i, row in enumerate(matrix.entries) for j, p in enumerate(row)
-            if (infs := [m for m in p.monomials if m[0] == INF])
-        }
+        # question on its own.
+        inf_cells = matrix.inf_cells()
         graph = DeltaGraph(self.registry, INF_POLY if self.poisoned else Polynomial.of(
             set().union(*inf_cells.values())))
         found, summary = self._build_summary(matrix, graph)
@@ -223,7 +220,7 @@ class _FunctionRun:
     ) -> tuple[Sweep, FunctionSummary | None]:
         """One sweep of the graph, and from it the summary when there is a return.
 
-        The sweep carries the return column's entries for the
+        The sweep carries the return column's cells for the
         parameters and shared inputs, so its behaviors come in order of
         their first clean assignment.
         """
@@ -231,18 +228,11 @@ class _FunctionRun:
         if decl.returns is None:
             return graph.sweep(), None
         ret = self.index[decl.returns]
-        shared = tuple(
-            v for v in self.variables
-            if v not in decl.params and v != decl.returns
-        )
-        rows = decl.params + shared
-        found = graph.sweep([matrix.entries[self.index[v]][ret] for v in rows])
-        return found, FunctionSummary(
-            name=decl.name,
-            param_count=len(decl.params),
-            rows=rows,
-            behaviors=found.behaviors,
-        )
+        rows = decl.params + tuple(v for v in self.variables
+                                   if v not in decl.params and v != decl.returns)
+        found = graph.sweep([matrix.cell(self.index[v], ret) for v in rows])
+        return found, FunctionSummary(name=decl.name, param_count=len(decl.params), rows=rows,
+                                      behaviors=found.behaviors)
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:

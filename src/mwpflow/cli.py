@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import UNBOUNDED, FunctionAnalysis, analyze_program
-from .frontend import ParseError, Program, parse, render
+from .frontend import Call, ParseError, Program, parse, render, walk_commands
 from .polynomial import MASK, SHIFT, BudgetExceeded, Delta, Monomial, monomial_text
 from .semiring import INF, M, value_char
 
@@ -279,6 +279,11 @@ def _analyze(opts: SimpleNamespace, source: str) -> int:
         print(report)
         return 0 if report.ok else 1
 
+    needed = {f.name for f in shown}  # and their callees, each declared before its callers
+    for f in reversed(program.functions):
+        if f.name in needed:
+            needed.update(c.function for c in walk_commands(f.body) if isinstance(c, Call))
+    program = Program(tuple(f for f in program.functions if f.name in needed))
     results = [r for r in analyze_program(program) if opts.function in (None, r.name)]
 
     if opts.eval_picks is not None:

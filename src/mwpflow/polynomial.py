@@ -29,14 +29,14 @@ identity plus the columns that commands wrote, each as its nonzero
 cells by row, so a product is an update of the right factor's stored
 columns (ChoiceMatrix.update_columns), and the fold of a body calls it
 directly for assignments and calls: a command reads the cells it
-touches, not every variable's.  Each row keeps its canonical INF lists
-beside its cells, carried from update to update without a scan; the
-cells take them, through row_merger, only when entries are read.  The
-closure of a loop body goes furthest: an INF monomial anywhere in M
-reaches every cell of M³, so the star's INF forms one list, which every
-row holds and no stored cell repeats (ChoiceMatrix.closure).  The loop
-and while rules read that stored form next to it (ChoiceMatrix.iterate),
-so the fold of a body reads no stored column or INF list.
+touches, not every variable's.  A row keeps its canonical INF lists
+beside its cells, in maps that hold only the rows with a list, carried
+from update to update without a scan.  The closure of a loop body goes
+furthest: an INF monomial anywhere in M reaches every cell of M³, so the
+star's INF forms one list, which every row holds and no stored cell
+repeats (ChoiceMatrix.closure).  The loop and while rules, and the
+analysis (inf_cells, cell), read that stored form; the cells take their
+rows' lists, through row_merger, only when entries are read.
 """
 
 from __future__ import annotations
@@ -417,11 +417,11 @@ class ChoiceMatrix:
 
     A matrix is stored as the identity plus the columns that differ from
     it.  columns maps a column index to its nonzero cells by row; every
-    other column is the unit vector.  Each row also keeps two canonical
-    INF lists: row_inf[i], which every cell of row i holds as well, and
-    pending[i], the INF that row i's stored cells hold, if any, which
-    the next product spreads over the whole row.  entries is the row
-    view, with each row's list merged into its cells.
+    other column is the unit vector.  Two maps hold canonical INF lists
+    for the rows whose list is nonempty: row_inf[i], which every cell of
+    row i holds as well, and pending[i], the INF of row i's stored cells,
+    which the next product spreads over the whole row.  entries is the
+    dense row view, with each row's list merged into its cells.
 
     size counts the monomials of the stored columns.  Every operation
     builds its result with _stored from the columns it wrote, so _stored
@@ -447,7 +447,7 @@ class ChoiceMatrix:
         self.variables, self.registry, self._entries = tuple(variables), registry, None
         cols = ({i: p for i, p in enumerate(col) if p.monomials} for col in zip(*rows))
         self.columns = {c: col for c, col in enumerate(cols) if col != {c: UNIT_POLY}}
-        self.row_inf = (ZERO_POLY,) * n
+        self.row_inf = {}
         self.pending = {
             i: inf for i, row in enumerate(rows)
             if (inf := Polynomial.of(m for p in row for m in p.monomials if m[0] == INF)).monomials}
@@ -466,25 +466,37 @@ class ChoiceMatrix:
     def identity(cls, variables: Sequence[str], registry: ChoiceRegistry) -> "ChoiceMatrix":
         m = cls.__new__(cls)
         m.variables, m.registry, m.columns, m.size, m._entries = tuple(variables), registry, {}, 0, None
-        m.row_inf, m.pending = (ZERO_POLY,) * len(variables), {}
+        m.row_inf, m.pending = {}, {}
         return m
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The cells, computed on first read: a stored cell, a unit
         vector's or zero, merged with its row's INF list by one
-        row_merger per row.  A row whose list is empty reads as stored."""
+        row_merger per row.  A row with no list reads as stored."""
         if self._entries is None:
             n = len(self.variables)
             rows = [[ZERO_POLY] * n for _ in range(n)]
             for c in range(n):
                 for i, p in self.columns.get(c, {c: UNIT_POLY}).items():
                     rows[i][c] = p
-            self._entries = tuple(
-                tuple(map(row_merger(inf), row)) if inf.monomials else tuple(row)
-                for row, inf in zip(rows, self.row_inf)
-            )
+            self._entries = tuple(tuple(map(row_merger(self.row_inf[i]), row))
+                                  if i in self.row_inf else tuple(row) for i, row in enumerate(rows))
         return self._entries
+
+    def cell(self, i: int, c: int) -> Polynomial:
+        """Cell (i, c) as entries reads it: stored or unit, plus row i's list."""
+        return self.columns.get(c, {c: UNIT_POLY}).get(i, ZERO_POLY) + self.row_inf.get(i, ZERO_POLY)
+
+    def inf_cells(self) -> dict[tuple[int, int], tuple[Monomial, ...]]:
+        """The cells that hold INF in row order, each with its INF monomials,
+        not made canonical: its row's list, if any, and its stored cell's."""
+        own = {(i, c): infs for c, col in self.columns.items() for i, p in col.items()
+               if (infs := tuple(m for m in p.monomials if m[0] == INF))}
+        lists = {i: r.monomials for i, r in sorted(self.row_inf.items())}
+        keys = [(i, c) for i in lists for c in range(len(self.variables))]
+        keys += sorted(k for k in own if k[0] not in lists)
+        return {k: lists.get(k[0], ()) + own.get(k, ()) for k in sorted(keys)}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -508,7 +520,7 @@ class ChoiceMatrix:
         self._check_compatible(other)
         unit = {c: {c: UNIT_POLY} for c in self.columns.keys() | other.columns.keys()}
         columns = {c: _plus(self.columns.get(c, e), other.columns.get(c, e)) for c, e in unit.items()}
-        return self._stored(columns, tuple(map(Polynomial.__add__, self.row_inf, other.row_inf)),
+        return self._stored(columns, _plus(self.row_inf, other.row_inf),
                             _plus(self.pending, other.pending))
 
     def __mul__(self, other: "ChoiceMatrix") -> "ChoiceMatrix":
@@ -517,8 +529,10 @@ class ChoiceMatrix:
         of other, reach every cell."""
         self._check_compatible(other)
         out = self.update_columns(other.columns)
-        spread = sum(other.row_inf, ZERO_POLY)
-        return out._stored({}, tuple(r + spread for r in out.row_inf), out.pending)
+        if not other.row_inf:
+            return out
+        spread = dict.fromkeys(range(len(self.variables)), sum(other.row_inf.values(), ZERO_POLY))
+        return out._stored({}, _plus(out.row_inf, spread), out.pending)
 
     def update_columns(self, columns: Mapping[int, Column]) -> "ChoiceMatrix":
         """self times the matrix that is the identity outside the keys of
@@ -564,11 +578,11 @@ class ChoiceMatrix:
             spread = spread + col_inf
         # Rows often repeat an equal pair of lists: sum it once.
         sums: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
-        row_inf = list(self.row_inf) if self.pending else self.row_inf
+        row_inf = dict(self.row_inf) if self.pending else self.row_inf
         for i, p in self.pending.items():
-            r = row_inf[i]
-            row_inf[i] = sums.get((r, p)) or sums.setdefault((r, p), r + p) if r.monomials else p
-        return self._stored(written, tuple(row_inf),
+            r = row_inf.get(i)
+            row_inf[i] = p if r is None else sums.get((r, p)) or sums.setdefault((r, p), r + p)
+        return self._stored(written, row_inf,
                             dict.fromkeys(range(n), spread) if spread.monomials else {})
 
     def closure(self) -> "ChoiceMatrix":
@@ -594,7 +608,7 @@ class ChoiceMatrix:
         monomial that a column's INF list covers is covered by that union,
         so it may wait in a cell (see update_columns).
         """
-        cols, inf = {}, sum((*self.row_inf, *self.pending.values()), ZERO_POLY)
+        cols, inf = {}, sum((*self.row_inf.values(), *self.pending.values()), ZERO_POLY)
         for c, col in self.columns.items():
             cols[c], col_inf = _written({**col, c: UNIT_POLY + col.get(c, ZERO_POLY)})
             inf = inf + col_inf
@@ -611,7 +625,8 @@ class ChoiceMatrix:
                     for i, ms in acc.items():
                         if ms:
                             colc[i] = Polynomial.of((*colc.get(i, ZERO_POLY).monomials, *ms))
-        return self._stored(cols, (inf,) * len(self.variables), {})
+        rows = range(len(self.variables)) if inf.monomials else ()
+        return self._stored(cols, dict.fromkeys(rows, inf), {})
 
     def iterate(self, counter: int | None) -> "ChoiceMatrix":
         """The iteration rule on the closure of this body matrix: the

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from corpus import random_call_pair, random_program
 from mwpflow.analysis import (
@@ -15,6 +16,8 @@ from mwpflow.frontend import Call, parse, walk_commands
 from mwpflow import exhaustive, polynomial
 from mwpflow.polynomial import ChoiceMatrix, Polynomial, ZERO_POLY, delta
 from mwpflow.semiring import INF, M, P, W, ZERO, FlowMatrix
+from test_cli import WIDE_PROGRAMS
+from test_properties import FIXED, NESTED_MAINS, PROGRAMS
 
 
 def poly(*monos):
@@ -329,7 +332,7 @@ def test_iteration_rule_pends_only_its_twins(monkeypatch):
                 twins[i] += [(INF, ds) for s, ds in column.get(i, ZERO_POLY).monomials if s > floor]
         assert out.pending == {i: Polynomial.of(t) for i, t in enumerate(twins) if t}, (body, counter)
         assert out.entries == _rule_on_entries(star, counter)
-        carried += bool(star.row_inf[0].monomials and any(twins))
+        carried += bool(0 in star.row_inf and any(twins))
     assert carried >= 30, carried
 
 
@@ -362,7 +365,7 @@ def test_iteration_rule_matches_the_reference_rule(monkeypatch):
             else:
                 assert got == want, (body, counter, a)
         seen["while" if counter is None else "loop"] += 1
-        seen["carried"] += bool(body.closure().row_inf[0].monomials)
+        seen["carried"] += 0 in body.closure().row_inf
     assert seen["loop"] >= 180 and seen["while"] >= 120 and seen["carried"] >= 50, seen
 
 
@@ -550,20 +553,32 @@ def _stored_cells(m):
     return [p for col in m.columns.values() for p in col.values()]
 
 
+def _dense_inf_cells(m):
+    """The cells of m's entries that hold INF, in row order, each with
+    its INF monomials."""
+    return {(i, j): Polynomial(infs) for i, row in enumerate(m.entries) for j, p in enumerate(row)
+            if (infs := tuple(x for x in p.monomials if x[0] == INF))}
+
+
 def _record_matrices(monkeypatch):
     """The list that every matrix built by _stored or identity joins,
     each checked for the sparse stored form as it is built: a stored
-    column or pending list holds only nonzero cells, at rows inside the
-    matrix, and size counts the monomials of the stored cells."""
+    column, row list or pending list holds only nonzero cells, at rows
+    inside the matrix, size counts the monomials of the stored cells,
+    and inf_cells reads the cells and the canonical INF of the dense
+    entries."""
     built = []
     stored, identity = ChoiceMatrix._stored, ChoiceMatrix.identity.__func__
 
     def record(m):
         n = len(m.variables)
         assert all(p.monomials for p in _stored_cells(m)), m.columns
+        assert all(p.monomials for p in m.row_inf.values()), m.row_inf
         assert all(p.monomials for p in m.pending.values()), m.pending
-        assert all(0 <= i < n for col in (*m.columns.values(), m.pending) for i in col)
+        assert all(0 <= i < n for col in (*m.columns.values(), m.row_inf, m.pending) for i in col)
         assert m.size == sum(len(p.monomials) for p in _stored_cells(m))
+        sparse = [(k, Polynomial.of(infs)) for k, infs in m.inf_cells().items()]
+        assert sparse == list(_dense_inf_cells(m).items())
         built.append(m)
         return m
 
@@ -605,7 +620,7 @@ def test_engine_cells_hold_no_zero_scalar(monkeypatch):
         built.clear()
         analyze_program(parse(src))
         for m in built:
-            for row in (*m.entries, _stored_cells(m), m.row_inf, m.pending.values()):
+            for row in (*m.entries, _stored_cells(m), m.row_inf.values(), m.pending.values()):
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)
                     assert all(s != ZERO for s, _ in p.monomials), (src, p)
@@ -663,20 +678,41 @@ def test_analysis_matrices_are_canonical(monkeypatch):
         assert built, src
         for m in built:
             assert m.size == sum(len(p.monomials) for p in _stored_cells(m))
-            cells = (*m.entries, _stored_cells(m), m.row_inf, m.pending.values())
+            cells = (*m.entries, _stored_cells(m), m.row_inf.values(), m.pending.values())
             for row in cells:
                 for p in row:
                     assert p == Polynomial.of(p.monomials), (src, p)
 
 
 def test_a_copy_costs_its_footprint_not_the_variable_count(monkeypatch):
-    # Folding Xa = Xb multiplies by column b's stored cells only.  The
-    # same 400 copies among X1..X50, folded over 50 variables and over
-    # 512 (the rest parameters that no line reads), make the same
-    # number of sums and canonical forms, and each copied column stores
-    # one cell.
+    # Folding Xa = Xb multiplies by column b's stored cells only, and so
+    # does sequencing with a loop, a while or an if whose matrix holds no
+    # INF: no row list is built, summed or read.  The same 400 copies
+    # among X1..X50, folded over 50 variables and over 512 (the rest
+    # parameters that no line reads), make the same number of sums and
+    # canonical forms, and each copied column stores one cell.  So does
+    # the whole analysis of those copies followed by 100 one-copy loops,
+    # a while and an if, whose cover and blame come from stored cells.
+    # No analysis here or of the generated and wide programs reads the
+    # dense entries.
+    def refuse(self):
+        raise AssertionError("the analysis read ChoiceMatrix.entries")
+
+    monkeypatch.setattr(ChoiceMatrix, "entries", property(refuse))
+    for wide, _, _ in WIDE_PROGRAMS.values():
+        analyze_program(parse(f"function main() {{\n{wide}}}\n"))
+
+    @settings(FIXED, max_examples=100)
+    @given(source=PROGRAMS | NESTED_MAINS)
+    def generated(source):
+        analyze_program(parse(source))
+
+    generated()
     rng = random.Random(5)
     body = " ".join("X{} = X{};".format(*rng.sample(range(1, 51), 2)) for _ in range(400))
+    body += "".join(" loop X{} {{ X{} = X{}; }}".format(*rng.sample(range(1, 51), 3))
+                    for _ in range(100))
+    body += " while (X1 < X2) { X3 = X4; } if (X5 < X6) { X7 = X8; } else { X9 = X10; }"
     add, of = Polynomial.__add__, Polynomial.of.__func__
     calls = {"add": 0, "of": 0}
 
@@ -697,8 +733,12 @@ def test_a_copy_costs_its_footprint_not_the_variable_count(monkeypatch):
         run = _FunctionRun(decl, {})
         assert len(run.variables) == width
         calls.update(add=0, of=0)
-        folds.append(run.matrix_of_body(decl.body))
+        folds.append(run.matrix_of_body(decl.body[:400]))
         counts.append(dict(calls))
-    assert counts[0] == counts[1], counts
+        calls.update(add=0, of=0)
+        result = _FunctionRun(decl, {}).finish()
+        counts.append(dict(calls))
+        assert result.verdict == BOUNDED and not result.blame
+    assert counts[:2] == counts[2:], counts
     for folded in folds:
         assert folded.columns and all(len(col) == 1 for col in folded.columns.values())

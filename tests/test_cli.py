@@ -371,6 +371,23 @@ def _copies(v, n):
         "    X{} = X{};\n".format(rng.randrange(v) + 1, rng.randrange(v) + 1) for _ in range(n))
 
 
+def _row_lists(v):
+    """v // 3 one-copy loops over X1..Xv shuffled by random.Random(2),
+    with a loop around an INF-topping while and an if with a while in
+    one branch between their two halves."""
+    xs = list(range(1, v + 1))
+    random.Random(2).shuffle(xs)
+    loops = v // 3
+    copy_loops = ["    loop X{} {{ X{} = X{}; }}\n".format(*xs[3 * i:3 * i + 3])
+                  for i in range(loops)]
+    return "".join([
+        *copy_loops[:loops // 2],
+        "    loop X5 { while (X1 < X2) { X3 = X3 + X4; } }\n",
+        "    if (X6 < X7) { X8 = X9; } else { while (X10 < X11) { X12 = X12 + X13; } }\n",
+        *copy_loops[loops // 2:],
+    ])
+
+
 WIDE_PROGRAMS = {
     # A 40-variable product chain: every assignment updates one column.
     "chain-40": (
@@ -478,6 +495,14 @@ WIDE_PROGRAMS = {
         0,
         "c3a997b221ac3a7e16796a614cc532983fbc992744d53e1c6f09c82cdbb87d7c",
     ),
+    # Twenty one-copy loops over 60 variables around a loop whose
+    # closure gives every row one INF list, which later products carry,
+    # and an if whose sum holds pending INF on one side only.
+    "row-lists-60": (
+        _row_lists(60),
+        1,
+        "43671a7337538205de25d481ee4d4a1ac956d34de9bc530b2c80976f4c3f4aba",
+    ),
 }
 
 
@@ -549,6 +574,29 @@ def test_function_filter(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [f["name"] for f in doc["functions"]] == ["f"]
     assert run([str(p), "--function", "nope"]) == 2
+
+
+def test_function_analyzes_only_its_call_tree(tmp_path, capsys, monkeypatch):
+    # --function NAME analyzes NAME and the functions it calls, so a
+    # refusal outside that tree refuses only a run that reports it.  g,
+    # declared first and called by no one, holds eight rotating additions
+    # whose matrices pass 100 monomials (345 at most); f and main stay
+    # under 100.
+    rotating = "".join(f" X{i % 5 + 1} = X{(i + 1) % 5 + 1} + X{(i + 2) % 5 + 1};"
+                       for i in range(8))
+    src = f"function g() {{{rotating} }}\n" + PAIR_SRC
+    p = tmp_path / "uncalled.imp"
+    p.write_text(src)
+    full = {r.name: emit_json([r]) for r in analyze_program(parse(src))}
+    monkeypatch.setattr("mwpflow.polynomial.BUDGET", 100)
+    for name in ("main", "f"):
+        assert run([str(p), "--function", name, "--json"]) == 0
+        assert capsys.readouterr().out == full[name]
+    for args in (["--function", "g"], []):
+        assert run([str(p), *args]) == 2
+        assert capsys.readouterr() == (
+            "", f"mwpflow: {p}: function g: monomial budget exceeded: "
+                "105 monomials in one matrix > 100\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--eval", "0"], ["--dump-ast"]])

@@ -1316,7 +1316,7 @@ def test_closure_eliminates_up_to_six_stored_columns():
         m = _stored_columns_matrix(rng, reg, rng.randint(k, 7), k)
         star = _check_closure(m, reg)
         inf = Polynomial.of(x for row in m.entries for p in row for x in p.monomials if x[0] == INF)
-        assert star.row_inf == (inf,) * len(m.variables)
+        assert star.row_inf == (dict.fromkeys(range(len(m.variables)), inf) if inf.monomials else {})
         assert star.pending == {}
         assert all(p.monomials for col in star.columns.values() for p in col.values())
         assert all(x[0] != INF for col in star.columns.values() for p in col.values()
@@ -1330,7 +1330,7 @@ def test_closure_eliminates_up_to_six_stored_columns():
         assert other.closure().entries == star.entries
         seen[f"{len(m.columns)} stored"] += 1
         seen["reordered"] += [c for c, _ in order] != list(m.columns)
-        seen["row lists"] += any(r.monomials for r in m.row_inf)
+        seen["row lists"] += any(r.monomials for r in m.row_inf.values())
         for c, col in m.columns.items():
             diag = col.get(c, ZERO_POLY).monomials
             seen["one non-unit diagonal"] += len(diag) == 1 and diag[0] != (M, ())
@@ -1432,6 +1432,7 @@ def test_carried_row_inf_matches_eager_updates():
             columns = {c: [entry() for _ in range(n)] for c in rng.sample(range(n), rng.randint(1, n))}
             m = m.update_columns({c: _cells(col) for c, col in columns.items()})
             eager = _eager_update(eager, columns)
+            assert all(p.monomials for p in m.row_inf.values())
             assert all(p == Polynomial.of(p.monomials) for col in m.columns.values()
                        for p in col.values())
             assert m.entries == eager
@@ -1441,7 +1442,7 @@ def test_carried_row_inf_matches_eager_updates():
             for a in flows:
                 flows[a] = flows[a] * b.evaluate(a)
                 assert m.evaluate(a) == flows[a], a
-            seen["row lists"] += any(r.monomials for r in m.row_inf)
+            seen["row lists"] += any(r.monomials for r in m.row_inf.values())
             seen["pending"] += any(p.monomials for p in m.pending.values())
             seen["merged"] += _stored_view(m) != m.entries
         plain = ChoiceMatrix(names, m.entries, reg)
@@ -1472,11 +1473,11 @@ def test_stored_form_matches_plain_operations():
 
     def check(out, plain, flow, reg):
         # _stored recounts only the columns an operation replaced, and
-        # no operation stores a zero cell or an empty pending list.
+        # no operation stores a zero cell or an empty row or pending list.
         assert out.size == sum(len(p.monomials) for col in out.columns.values()
                                for p in col.values())
         assert all(p.monomials for col in out.columns.values() for p in col.values())
-        assert all(p.monomials for p in out.pending.values())
+        assert all(p.monomials for p in (*out.row_inf.values(), *out.pending.values()))
         assert out.entries == plain
         for a in assignments(reg):
             assert out.evaluate(a) == flow(a), a
@@ -1495,7 +1496,7 @@ def test_stored_form_matches_plain_operations():
         def step(m):
             op = rng.choice(("replace", "update", "mul", "add", "closure"))
             seen[op] += 1
-            seen["row lists"] += any(r.monomials for r in m.row_inf)
+            seen["row lists"] += any(r.monomials for r in m.row_inf.values())
             seen["uneven pending"] += len({m.pending.get(i, ZERO_POLY) for i in range(n)}) > 1
             if op == "replace":
                 # The new column keeps the INF of the entries it replaces.
